@@ -57,7 +57,7 @@ struct Outcome {
   double max_write_seconds = 0.0;  // worst client-visible write (jitter)
   double throughput_mb_s = 0.0;    // bytes that reached storage / wall
   double recovered_pct = 0.0;      // blocks persisted or sync-written
-  std::uint64_t failed_client_writes = 0;
+  std::uint64_t failed_client_calls = 0;
   std::uint64_t failed_iterations = 0;
   std::uint64_t sync_files = 0;
   std::uint64_t dropped_writes = 0;
@@ -105,9 +105,9 @@ Outcome run_scenario(const fault::FaultPlan& plan,
       core::Client client = node.client(c);
       for (int it = 0; it < kIterations; ++it) {
         if (!client.write("field", it, payload).is_ok()) ++failures[c];
-        client.end_iteration(it);
+        if (!client.end_iteration(it).is_ok()) ++failures[c];
       }
-      client.finalize();
+      if (!client.finalize().is_ok()) ++failures[c];
     });
   }
   for (auto& t : threads) t.join();
@@ -120,7 +120,7 @@ Outcome run_scenario(const fault::FaultPlan& plan,
   for (int c = 0; c < kClients; ++c) {
     out.max_write_seconds = std::max(
         out.max_write_seconds, node.client_stats(c).max_write_seconds);
-    out.failed_client_writes += failures[c];
+    out.failed_client_calls += failures[c];
     out.dropped_writes += node.client_stats(c).dropped_writes;
   }
   out.failed_iterations = stats.failed_iterations;
@@ -193,7 +193,7 @@ std::string outcome_json(const Outcome& o) {
   j += ", \"throughput_mb_s\": " + json_num(o.throughput_mb_s);
   j += ", \"wall_s\": " + json_num(o.wall_seconds);
   j += ", \"max_write_ms\": " + json_num(o.max_write_seconds * 1e3);
-  j += ", \"failed_client_writes\": " + std::to_string(o.failed_client_writes);
+  j += ", \"failed_client_calls\": " + std::to_string(o.failed_client_calls);
   j += ", \"failed_iterations\": " + std::to_string(o.failed_iterations);
   j += ", \"sync_files\": " + std::to_string(o.sync_files);
   j += ", \"dropped_writes\": " + std::to_string(o.dropped_writes);
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
   const Outcome acc1 = run_scenario(acceptance_plan(), acc_policy);
   const Outcome acc2 = run_scenario(acceptance_plan(), acc_policy);
   const auto fingerprint = [](const Outcome& o) {
-    return std::make_tuple(o.recovered_pct, o.failed_client_writes,
+    return std::make_tuple(o.recovered_pct, o.failed_client_calls,
                            o.failed_iterations, o.sync_files,
                            o.dropped_writes, o.injected, o.crashes);
   };
@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
     expect(acc1.recovered_pct == 100.0,
            "acceptance plan recovers 100% of iterations");
     expect(acc1.failed_iterations == 0, "no failed iterations");
-    expect(acc1.failed_client_writes == 0, "no failed client writes");
+    expect(acc1.failed_client_calls == 0, "no failed client calls");
     expect(acc1.checker_clean, "fault accounting clean (no leaks)");
     expect(acc1.injected > 0, "faults were actually injected");
     expect(deterministic, "identical seed gives identical results");

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The single pre-merge gate: tier-1 build + full ctest, then the
 # correctness matrix of scripts/check.sh (lint + sanitizers), then the
-# performance-trajectory snapshot.
+# performance-trajectory snapshot and the end-to-end benchmark smoke run.
 #
 #   scripts/ci.sh               # tier-1 + lint + ASan + UBSan + model check
 #   scripts/ci.sh --fast        # tier-1 + lint + ASan (quick local loop)
+#   scripts/ci.sh --no-e2e      # skip the e2ebench smoke run (--fast skips it too)
 #   scripts/ci.sh --tsan        # ... plus the threaded suites under TSan
 #   scripts/ci.sh --no-bench    # skip the BENCH_pipeline.json snapshot
 #   scripts/ci.sh --no-docs     # skip the EXPERIMENTS.md drift gate
@@ -31,6 +32,7 @@ RUN_PLUGINS=1
 RUN_FACILITY=1
 RUN_STATIC=1
 RUN_VERIFY=1
+RUN_E2E=1
 CHECK_ARGS=()
 for arg in "$@"; do
   case "$arg" in
@@ -43,7 +45,8 @@ for arg in "$@"; do
     --no-facility) RUN_FACILITY=0 ;;
     --no-static) RUN_STATIC=0 ;;
     --no-verify) RUN_VERIFY=0 ;;
-    --fast) RUN_MODEL=0; RUN_CHAOS=0; RUN_SCHED=0; RUN_PLUGINS=0; RUN_FACILITY=0; CHECK_ARGS+=("$arg") ;;
+    --no-e2e) RUN_E2E=0 ;;
+    --fast) RUN_MODEL=0; RUN_CHAOS=0; RUN_SCHED=0; RUN_PLUGINS=0; RUN_FACILITY=0; RUN_E2E=0; CHECK_ARGS+=("$arg") ;;
     *) CHECK_ARGS+=("$arg") ;;
   esac
 done
@@ -101,6 +104,16 @@ if [ "$RUN_BENCH" = 1 ]; then
   step "bench_pipeline -> build/BENCH_pipeline.json"
   cmake --build build -j "$JOBS" --target bench_pipeline
   ./build/bench/bench_pipeline build/BENCH_pipeline.json
+fi
+
+# ------------------------------------------- end-to-end benchmark smoke
+# Every BENCHMARK.json workload at minimal size, traced and untraced,
+# with the benchmark's own checks (e2ebench/test_bench.py). Builds a
+# Release tree into .bench_build/ on first use (about a minute), then
+# runs in about 25 s.
+if [ "$RUN_E2E" = 1 ]; then
+  step "e2ebench smoke (python3 e2ebench/run.py --smoke)"
+  python3 e2ebench/run.py --smoke
 fi
 
 step "ci green"

@@ -35,6 +35,11 @@ std::vector<const XmlNode*> XmlNode::children_named(
 
 namespace {
 
+/// Deepest element nesting accepted (as monitor/json.cpp caps JSON):
+/// parse_element recurses once per level, so hostile input must not
+/// choose the stack depth.
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view input) : in_(input) {}
@@ -43,7 +48,7 @@ class Parser {
     skip_misc();
     if (eof()) return fail("empty document");
     XmlNode root;
-    Status s = parse_element(root);
+    Status s = parse_element(root, 1);
     if (!s.is_ok()) return s;
     skip_misc();
     if (!eof()) return fail("trailing content after root element");
@@ -138,7 +143,10 @@ class Parser {
     return Status::ok();
   }
 
-  Status parse_element(XmlNode& node) {
+  Status parse_element(XmlNode& node, int depth) {
+    if (depth > kMaxDepth) {
+      return fail("elements nested deeper than " + std::to_string(kMaxDepth));
+    }
     if (eof() || peek() != '<') return fail("expected '<'");
     get();
     Status s = parse_name(node.name);
@@ -193,7 +201,7 @@ class Parser {
       }
       if (peek() == '<') {
         XmlNode child;
-        s = parse_element(child);
+        s = parse_element(child, depth + 1);
         if (!s.is_ok()) return s;
         node.children.push_back(std::move(child));
         continue;

@@ -26,12 +26,13 @@
 //    Status/WriteOutcome are set and *before* the ticket reports done —
 //    wait() returning (or done() turning true) implies the callback has
 //    finished.
-//  - The blocking Client::write()/write_sized()/commit() are thin
-//    wrappers: submit + wait() on the same path, so there is exactly
-//    one write code path (pinned by the pipeline-equivalence goldens).
-//  - Client::end_iteration()/finalize() fence: they wait for the
-//    client's outstanding tickets first, preserving the blocking API's
-//    ordering guarantees for mixed async/blocking programs.
+//  - Only write_async uses the worker. The blocking Client::write()/
+//    write_sized()/commit() run on the caller, after fencing the
+//    client's outstanding tickets, and take no ticket; the worker calls
+//    the same write function, so there is one write code path.
+//  - Client::end_iteration()/finalize() fence the same way, preserving
+//    the blocking API's ordering guarantees for mixed async/blocking
+//    programs.
 //
 // Thread-safety: WriteTicket and WriteBatch are value types sharing an
 // internal state block guarded by its own mutex (annotated for
@@ -47,7 +48,6 @@
 
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
-#include "des/task.hpp"
 
 namespace dmr::core {
 
@@ -153,38 +153,5 @@ class WriteBatch {
  private:
   std::vector<WriteTicket> tickets_;
 };
-
-/// Drives a des::Task<T> chain to completion on the calling thread and
-/// returns its result. The write path's tasks only suspend into each
-/// other (all real blocking is plain thread blocking inside a stage),
-/// so a root resume runs the whole chain; this is what lets the
-/// threaded middleware and the DES simulator share one task-shaped
-/// write path.
-template <typename T>
-T run_task(des::Task<T> task) {
-  struct Driver {
-    struct promise_type {
-      std::optional<T> value;
-      Driver get_return_object() {
-        return Driver{
-            std::coroutine_handle<promise_type>::from_promise(*this)};
-      }
-      std::suspend_never initial_suspend() noexcept { return {}; }
-      // Suspend at the end so the frame (and `value`) survives until
-      // the caller reads it.
-      std::suspend_always final_suspend() noexcept { return {}; }
-      void return_value(T v) { value.emplace(std::move(v)); }
-      void unhandled_exception() { std::terminate(); }
-    };
-    std::coroutine_handle<promise_type> handle;
-    ~Driver() {
-      if (handle) handle.destroy();
-    }
-  };
-  auto drive = [](des::Task<T>& t) -> Driver { co_return co_await t; };
-  Driver d = drive(task);
-  assert(d.handle.done() && d.handle.promise().value.has_value());
-  return std::move(*d.handle.promise().value);
-}
 
 }  // namespace dmr::core

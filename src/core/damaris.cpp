@@ -38,8 +38,11 @@ void trace_fault(int node_id, const char* name, std::int64_t iteration) {
 }  // namespace
 
 DamarisNode::Shard::Shard(std::string output_dir, std::string prefix,
-                          int node_id, int shard_id, int num_shards)
+                          int node_id, int shard_id, int num_shards,
+                          std::size_t variables, int sources)
     : id(shard_id),
+      // Shard s serves the clients c with c % num_shards == s.
+      metadata(variables, (sources + num_shards - 1) / num_shards, num_shards),
       persistency(std::move(output_dir),
                   num_shards > 1 ? prefix + "_s" + std::to_string(shard_id)
                                  : std::move(prefix),
@@ -51,34 +54,38 @@ DamarisNode::DamarisNode(config::Config cfg, int num_clients,
       num_clients_(num_clients),
       opts_(std::move(opts)),
       buffer_(std::make_unique<shm::SharedBuffer>(
-          cfg_.buffer_size(), policy_from(cfg_), num_clients)),
-      client_stats_(num_clients),
-      async_workers_(static_cast<std::size_t>(std::max(num_clients, 0))) {
+          cfg_.buffer_size(), policy_from(cfg_), num_clients)) {
   // One server shard per configured dedicated core; never more shards
   // than clients.
   const int shards =
       std::clamp(cfg_.dedicated_cores(), 1, std::max(1, num_clients_));
   for (int s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(
-        opts_.output_dir, opts_.file_prefix, opts_.node_id, s, shards));
+        opts_.output_dir, opts_.file_prefix, opts_.node_id, s, shards,
+        cfg_.variables().size(), num_clients_));
   }
+  clients_.reserve(static_cast<std::size_t>(std::max(num_clients_, 0)));
   for (int c = 0; c < num_clients_; ++c) {
     ++shards_[shard_of(c)]->clients;
+    clients_.push_back(std::make_unique<ClientState>());
   }
 
-  // Intern all configured variable and event names.
+  // Intern all configured names. Variables come first, in name order,
+  // so their ids sort like their names (the metadata tables rely on it).
+  const auto intern = [this](const std::string& name,
+                             const format::Layout* layout) {
+    auto [it, added] = ids_.try_emplace(
+        name, NameInfo{static_cast<std::uint32_t>(names_.size()), layout});
+    if (added) names_.push_back(&*it);
+    return it->second.id;
+  };
   for (const auto& [name, var] : cfg_.variables()) {
-    ids_.emplace(name, static_cast<std::uint32_t>(names_.size()));
-    names_.push_back(name);
+    const config::LayoutDecl* decl = cfg_.find_layout(var.layout_name);
+    intern(name, decl != nullptr ? &decl->layout : nullptr);
   }
-  for (const auto& [name, ev] : cfg_.events()) {
-    if (ids_.count(name)) continue;
-    ids_.emplace(name, static_cast<std::uint32_t>(names_.size()));
-    names_.push_back(name);
-  }
+  for (const auto& [name, ev] : cfg_.events()) intern(name, nullptr);
   // Reserved internal event driving iteration completion.
-  ids_.emplace("..end_iteration", static_cast<std::uint32_t>(names_.size()));
-  names_.push_back("..end_iteration");
+  end_iteration_id_ = intern("..end_iteration", nullptr);
   // Steerable parameters start at their configured values.
   for (const auto& [name, decl] : cfg_.parameters()) {
     parameters_.emplace(name, decl.value);
@@ -128,7 +135,26 @@ DamarisNode::~DamarisNode() {
 
 std::uint32_t DamarisNode::name_id(const std::string& name) const {
   auto it = ids_.find(name);
-  return it == ids_.end() ? ~0u : it->second;
+  return it == ids_.end() ? ~0u : it->second.id;
+}
+
+Result<const DamarisNode::NameInfo*> DamarisNode::resolve(
+    int client, const std::string& variable, std::size_t bytes,
+    bool sized) const {
+  if (client < 0 || client >= num_clients_) {
+    return invalid_argument("client id " + std::to_string(client) +
+                            " out of range");
+  }
+  auto it = ids_.find(variable);
+  if (it == ids_.end() || it->second.layout == nullptr) {
+    return not_found("variable '" + variable + "' not configured");
+  }
+  if (!sized && bytes != it->second.layout->byte_size()) {
+    return invalid_argument("variable '" + variable + "': payload is " +
+                            std::to_string(bytes) + " bytes, layout " +
+                            std::to_string(it->second.layout->byte_size()));
+  }
+  return &it->second;
 }
 
 Status DamarisNode::start() {
@@ -179,8 +205,11 @@ Status DamarisNode::stop() {
 }
 
 ServerStats DamarisNode::stats() const {
-  MutexLock lock(stats_mutex_);
-  ServerStats s = server_stats_;
+  ServerStats s;
+  {
+    MutexLock lock(stats_mutex_);
+    s = server_stats_;
+  }
   for (const auto& shard : shards_) {
     // PersistencyStats are only mutated by the shard's (now idle or
     // joined) thread; summing here is fine for monitoring purposes.
@@ -195,7 +224,8 @@ ServerStats DamarisNode::stats() const {
   }
   s.degrade = degrade_->stats();
   // Ingest is what the clients paid to hand their data over.
-  for (const ClientStats& c : client_stats_) {
+  for (int id = 0; id < num_clients_; ++id) {
+    const ClientStats c = client_stats(id);
     iopath::StageCounters& ingest = s.stages.of(iopath::StageKind::kIngest);
     ingest.ops += c.writes;
     ingest.seconds += c.write_seconds;
@@ -207,8 +237,9 @@ ServerStats DamarisNode::stats() const {
 }
 
 ClientStats DamarisNode::client_stats(int id) const {
-  MutexLock lock(stats_mutex_);
-  return client_stats_.at(id);
+  ClientState& state = *clients_.at(static_cast<std::size_t>(id));
+  MutexLock lock(state.mutex);
+  return state.stats;
 }
 
 std::map<std::string, double> DamarisNode::analytics() const {
@@ -281,13 +312,16 @@ Status DamarisNode::signal_external(const std::string& event,
 // ---------------------------------------------------------------- server
 
 void DamarisNode::server_main(Shard& shard) {
-  while (auto msg = shard.queue.pop()) {
+  // One queue-lock acquisition and one stats update per batch: every
+  // message queued since the last wake-up is handled in FIFO order.
+  std::deque<shm::Message> batch;
+  while (shard.queue.pop_all(batch)) {
     const auto t0 = Clock::now();
-    handle_message(shard, *msg);
+    for (const shm::Message& msg : batch) handle_message(shard, msg);
     const double dt = seconds_since(t0);
     MutexLock lock(stats_mutex_);
     server_stats_.busy_seconds += dt;
-    ++server_stats_.messages_handled;
+    server_stats_.messages_handled += batch.size();
     server_stats_.elapsed_seconds = seconds_since(start_time_);
   }
   // Queue closed: flush anything still pending (e.g. a run that never
@@ -302,16 +336,16 @@ void DamarisNode::server_main(Shard& shard) {
 void DamarisNode::handle_message(Shard& shard, const shm::Message& msg) {
   switch (msg.type) {
     case shm::MessageType::kWriteNotification: {
+      const NameTable::value_type& name = *names_.at(msg.name_id);
       VariableBlock block;
-      block.variable = names_.at(msg.name_id);
+      block.variable = name.first;
+      block.variable_id = msg.name_id;
       block.iteration = msg.iteration;
       block.source = msg.client_id;
       block.block = msg.block;
+      block.layout = name.second.layout;
       block.size = msg.block.size;
-      if (const format::Layout* l = cfg_.layout_of(block.variable)) {
-        block.layout = *l;
-      }
-      if (auto replaced = shard.metadata.add(std::move(block))) {
+      if (auto replaced = shard.metadata.add(block)) {
         buffer_->deallocate(replaced->block);
         if (opts_.fault_checker != nullptr) {
           opts_.fault_checker->note_superseded(replaced->iteration);
@@ -320,9 +354,8 @@ void DamarisNode::handle_message(Shard& shard, const shm::Message& msg) {
       break;
     }
     case shm::MessageType::kUserEvent: {
-      const std::string& name = names_.at(msg.name_id);
       // The reserved "..end_iteration" event drives iteration completion.
-      if (name == "..end_iteration") {
+      if (msg.name_id == end_iteration_id_) {
         if (++shard.end_counts[msg.iteration] == shard.clients) {
           shard.end_counts.erase(msg.iteration);
           maybe_crash(shard, msg.iteration);
@@ -331,6 +364,7 @@ void DamarisNode::handle_message(Shard& shard, const shm::Message& msg) {
         }
         break;
       }
+      const std::string& name = names_.at(msg.name_id)->first;
       const config::EventDecl* decl = cfg_.find_event(name);
       if (!decl) {
         DMR_LOG(kWarn, "damaris") << "unknown event '" << name << "'";
@@ -402,7 +436,7 @@ void DamarisNode::complete_iteration(Shard& shard, std::int64_t iteration) {
       v.variable = b.variable;
       v.iteration = b.iteration;
       v.source = b.source;
-      v.layout = &b.layout;
+      v.layout = b.layout;
       v.data = std::span<const std::byte>(buffer_->data(b.block),
                                           static_cast<std::size_t>(b.size));
       views.push_back(v);
@@ -451,7 +485,10 @@ void DamarisNode::complete_iteration(Shard& shard, std::int64_t iteration) {
   rec.write_seconds = seconds_since(t0);
   rec.persisted = persist_status.is_ok();
 
-  for (const auto& b : blocks) buffer_->deallocate(b.block);
+  std::vector<shm::Block> freed;
+  freed.reserve(blocks.size());
+  for (const auto& b : blocks) freed.push_back(b.block);
+  buffer_->deallocate_batch(std::move(freed));
 
   MutexLock lock(stats_mutex_);
   if (!persist_status.is_ok()) {
@@ -519,7 +556,10 @@ void DamarisNode::register_builtin_actions() {
   // iteration (a representative inline-analytics plugin).
   plugins_.register_action("stats", [this](EventContext& ctx) {
     for (const VariableBlock* b : ctx.metadata.blocks_of(ctx.iteration)) {
-      if (b->layout.type != format::DataType::kFloat32) continue;
+      if (b->layout == nullptr ||
+          b->layout->type != format::DataType::kFloat32) {
+        continue;
+      }
       const std::size_t n = b->size / sizeof(float);
       if (n == 0) continue;
       const float* vals =
@@ -531,9 +571,10 @@ void DamarisNode::register_builtin_actions() {
         hi = std::max(hi, vals[i]);
         sum += vals[i];
       }
-      publish_analytic(b->variable + ".min", lo);
-      publish_analytic(b->variable + ".max", hi);
-      publish_analytic(b->variable + ".mean", sum / static_cast<double>(n));
+      const std::string var(b->variable);
+      publish_analytic(var + ".min", lo);
+      publish_analytic(var + ".max", hi);
+      publish_analytic(var + ".mean", sum / static_cast<double>(n));
     }
   });
 }
@@ -553,8 +594,9 @@ Result<shm::Block> DamarisNode::blocking_allocate(Bytes size, int client) {
     auto r = buffer_->allocate(size, client);
     if (r.is_ok()) {
       if (stalled) {
-        MutexLock lock(stats_mutex_);
-        ++client_stats_[client].alloc_stalls;
+        ClientState& state = *clients_[static_cast<std::size_t>(client)];
+        MutexLock lock(state.mutex);
+        ++state.stats.alloc_stalls;
       }
       return r;
     }
@@ -569,62 +611,221 @@ Result<shm::Block> DamarisNode::blocking_allocate(Bytes size, int client) {
 
 Status Client::write(const std::string& variable, std::int64_t iteration,
                      std::span<const std::byte> data) {
-  const format::Layout* layout = node_->cfg_.layout_of(variable);
-  if (!layout) return not_found("variable '" + variable + "' not configured");
-  if (data.size() != layout->byte_size()) {
-    return invalid_argument("variable '" + variable + "': payload is " +
-                            std::to_string(data.size()) + " bytes, layout " +
-                            std::to_string(layout->byte_size()));
-  }
-  return write_sized(variable, iteration, data);
+  return node_->write_blocking(id_, variable, iteration, data, /*sized=*/false);
 }
 
 Status Client::write_sized(const std::string& variable,
                            std::int64_t iteration,
                            std::span<const std::byte> data) {
-  const std::uint32_t id = node_->name_id(variable);
-  if (id == ~0u) return not_found("variable '" + variable + "' unknown");
-  // The blocking API is submit + wait on the async path. No payload
-  // copy: the caller's buffer outlives the wait.
-  return node_
-      ->submit_copy_write(id_, id, iteration, data, /*copy=*/false, {})
-      .wait();
+  return node_->write_blocking(id_, variable, iteration, data, /*sized=*/true);
 }
 
 WriteTicket Client::write_async(const std::string& variable,
                                 std::int64_t iteration,
                                 std::span<const std::byte> data,
                                 AsyncWriteOptions opts) {
-  const format::Layout* layout = node_->cfg_.layout_of(variable);
-  if (!layout) {
-    return node_->failed_ticket(
-        not_found("variable '" + variable + "' not configured"),
-        opts.on_complete);
-  }
-  if (data.size() != layout->byte_size()) {
-    return node_->failed_ticket(
-        invalid_argument("variable '" + variable + "': payload is " +
-                         std::to_string(data.size()) + " bytes, layout " +
-                         std::to_string(layout->byte_size())),
-        opts.on_complete);
-  }
-  return write_sized_async(variable, iteration, data, std::move(opts));
+  return node_->submit(id_, variable, iteration, data, /*sized=*/false,
+                       std::move(opts));
 }
 
 WriteTicket Client::write_sized_async(const std::string& variable,
                                       std::int64_t iteration,
                                       std::span<const std::byte> data,
                                       AsyncWriteOptions opts) {
-  const std::uint32_t id = node_->name_id(variable);
-  if (id == ~0u) {
-    return node_->failed_ticket(not_found("variable '" + variable + "' unknown"),
-                                opts.on_complete);
-  }
-  return node_->submit_copy_write(id_, id, iteration, data, /*copy=*/true,
-                                  std::move(opts));
+  return node_->submit(id_, variable, iteration, data, /*sized=*/true,
+                       std::move(opts));
 }
 
-// ------------------------------------------------- async submission path
+// ------------------------------------------------------- the write path
+
+Status DamarisNode::write_blocking(int client, const std::string& variable,
+                                   std::int64_t iteration,
+                                   std::span<const std::byte> data,
+                                   bool sized) {
+  auto var = resolve(client, variable, data.size(), sized);
+  if (!var.is_ok()) return var.status();
+  fence(client);
+  WriteOutcome outcome = WriteOutcome::kPending;
+  return copy_write(client, var.value()->id, iteration, data, outcome);
+}
+
+void DamarisNode::fence(int client) {
+  if (client < 0 || client >= num_clients_) return;
+  ClientState& state = *clients_[static_cast<std::size_t>(client)];
+  if (state.pending.load(std::memory_order_acquire) == 0) return;
+  MutexLock lock(state.mutex);
+  while (!state.queue.empty() || state.in_flight) state.cv.wait(state.mutex);
+}
+
+Result<shm::Block> DamarisNode::reserve(int client, std::int64_t iteration,
+                                        Bytes size) {
+  // Three ways this can come back without a block, all funnelled
+  // through the degrade controller: an injected exhaustion window, a
+  // real exhaustion (timeout), or — in an already-degraded mode — a
+  // single failed probe (no blocking wait: a degraded client must not
+  // stall the simulation).
+  if (injector_ != nullptr &&
+      injector_->fires_window(fault::Site::kShmExhaust,
+                              static_cast<double>(iteration))) {
+    return out_of_memory("injected shm exhaustion window at iteration " +
+                         std::to_string(iteration));
+  }
+  if (degrade_->mode() != fault::DegradeMode::kNormal) {
+    return buffer_->allocate(size, client);
+  }
+  return blocking_allocate(size, client);
+}
+
+Status DamarisNode::copy_write(int client, std::uint32_t name_id,
+                               std::int64_t iteration,
+                               std::span<const std::byte> data,
+                               WriteOutcome& outcome) {
+  const auto t0 = Clock::now();
+  Result<shm::Block> block = reserve(client, iteration, data.size());
+  Status st = Status::ok();
+  if (!block.is_ok()) {
+    if (block.status().code() != ErrorCode::kOutOfMemory) {
+      outcome = WriteOutcome::kFailed;
+      return block.status();
+    }
+    st = degraded_write(client, name_id, iteration, data,
+                        degrade_->on_pressure(), block.status(), outcome);
+  } else {
+    std::memcpy(buffer_->data(block.value()), data.data(), data.size());
+    if (publish(client, name_id, iteration, block.value())) {
+      degrade_->on_clear();
+      if (opts_.fault_checker != nullptr) {
+        opts_.fault_checker->note_write(client, iteration,
+                                        check::WriteOutcome::kPublished);
+      }
+      outcome = WriteOutcome::kPublished;
+    } else {
+      st = degraded_write(
+          client, name_id, iteration, data, degrade_->on_pressure(),
+          resource_busy("write of '" + names_.at(name_id)->first +
+                        "' dropped: server queue already closed"),
+          outcome);
+    }
+  }
+  if (st.is_ok()) record_write(client, data.size(), seconds_since(t0));
+  return st;
+}
+
+bool DamarisNode::publish(int client, std::uint32_t name_id,
+                          std::int64_t iteration, const shm::Block& block) {
+  // The client's last touch of the payload.
+  buffer_->note_write(block);
+  shm::Message msg;
+  msg.type = shm::MessageType::kWriteNotification;
+  msg.client_id = client;
+  msg.iteration = iteration;
+  msg.name_id = name_id;
+  msg.block = block;
+  if (shards_[shard_of(client)]->queue.push(msg)) return true;
+  // The server is shutting down and will never consume this block, so
+  // the pusher must release it or it leaks until shutdown.
+  buffer_->deallocate(block);
+  return false;
+}
+
+void DamarisNode::record_write(int client, Bytes bytes, double seconds) {
+  ClientState& state = *clients_[static_cast<std::size_t>(client)];
+  MutexLock lock(state.mutex);
+  ClientStats& cs = state.stats;
+  ++cs.writes;
+  cs.bytes_written += bytes;
+  cs.write_seconds += seconds;
+  cs.max_write_seconds = std::max(cs.max_write_seconds, seconds);
+}
+
+Status DamarisNode::degraded_write(int client, std::uint32_t name_id,
+                                   std::int64_t iteration,
+                                   std::span<const std::byte> data,
+                                   fault::DegradeMode mode,
+                                   const Status& cause, WriteOutcome& outcome) {
+  ClientState& state = *clients_[static_cast<std::size_t>(client)];
+  const auto drop = [&]() -> Status {
+    trace_fault(opts_.node_id, "write-dropped", iteration);
+    if (opts_.fault_checker != nullptr) {
+      opts_.fault_checker->note_write(client, iteration,
+                                      check::WriteOutcome::kDropped);
+    }
+    outcome = WriteOutcome::kDropped;
+    MutexLock lock(state.mutex);
+    ++state.stats.dropped_writes;
+    state.stats.dropped_bytes += data.size();
+    return Status::ok();
+  };
+
+  if (mode == fault::DegradeMode::kDrop && resilience_.degrade.allow_drop) {
+    return drop();
+  }
+  if (resilience_.degrade.allow_sync) {
+    Status st = sync_write(client, name_id, iteration, data);
+    if (st.is_ok()) {
+      if (opts_.fault_checker != nullptr) {
+        opts_.fault_checker->note_write(client, iteration,
+                                        check::WriteOutcome::kSyncWritten);
+      }
+      outcome = WriteOutcome::kSyncFallback;
+      MutexLock lock(state.mutex);
+      ++state.stats.sync_writes;
+      return Status::ok();
+    }
+    if (resilience_.degrade.allow_drop) return drop();
+    outcome = WriteOutcome::kFailed;
+    return st;
+  }
+  if (resilience_.degrade.allow_drop) return drop();
+  // No fallback allowed: the historical behaviour — surface the cause.
+  if (opts_.fault_checker != nullptr) {
+    opts_.fault_checker->note_write(client, iteration,
+                                    check::WriteOutcome::kFailed);
+  }
+  outcome = WriteOutcome::kFailed;
+  return cause;
+}
+
+Status DamarisNode::sync_write(int client, std::uint32_t name_id,
+                               std::int64_t iteration,
+                               std::span<const std::byte> data) {
+  const auto& [variable, info] = *names_.at(name_id);
+  std::error_code ec;
+  std::filesystem::create_directories(opts_.output_dir, ec);
+  if (ec) return io_error("cannot create " + opts_.output_dir);
+
+  // One standalone file per degraded write — the per-process small-file
+  // pattern the dedicated core normally avoids (that cost is the point).
+  const std::uint64_t seq =
+      sync_seq_.fetch_add(1, std::memory_order_relaxed);
+  const std::string path =
+      opts_.output_dir + "/" + opts_.file_prefix + "_node" +
+      std::to_string(opts_.node_id) + "_sync_c" + std::to_string(client) +
+      "_it" + std::to_string(iteration) + "_" + std::to_string(seq) + ".dh5";
+  auto writer = format::Dh5Writer::create(path);
+  if (!writer.is_ok()) return writer.status();
+
+  format::DatasetInfo dataset;
+  dataset.name = variable;
+  dataset.iteration = iteration;
+  dataset.source = client;
+  if (info.layout != nullptr) dataset.layout = *info.layout;
+
+  const iopath::CompressionModel model = compression_model_for(cfg_, variable);
+  format::EncodedBuffer encoded = model.codec_pipeline().encode(data);
+  Status st = writer.value().add_encoded(dataset, encoded, data.size());
+  if (!st.is_ok()) return st;
+  st = writer.value().finalize();
+  if (!st.is_ok()) return st;
+
+  trace_fault(opts_.node_id, "sync-write", iteration);
+  MutexLock lock(stats_mutex_);
+  ++server_stats_.sync_files;
+  server_stats_.sync_bytes += data.size();
+  return Status::ok();
+}
+
+// ------------------------------------------------------------ write_async
 
 WriteTicket DamarisNode::failed_ticket(const Status& status,
                                        const WriteCallback& cb) {
@@ -646,84 +847,48 @@ WriteTicket DamarisNode::failed_ticket(const Status& status,
   return WriteTicket(std::move(state));
 }
 
-WriteTicket DamarisNode::submit_copy_write(int client, std::uint32_t name_id,
-                                           std::int64_t iteration,
-                                           std::span<const std::byte> data,
-                                           bool copy, AsyncWriteOptions opts) {
+WriteTicket DamarisNode::submit(int client, const std::string& variable,
+                                std::int64_t iteration,
+                                std::span<const std::byte> data, bool sized,
+                                AsyncWriteOptions opts) {
+  auto var = resolve(client, variable, data.size(), sized);
+  if (!var.is_ok()) return failed_ticket(var.status(), opts.on_complete);
   AsyncSubmission sub;
-  sub.kind = AsyncSubmission::Kind::kCopyWrite;
-  sub.name_id = name_id;
+  sub.state = std::make_shared<detail::TicketState>(
+      ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+  sub.name_id = var.value()->id;
   sub.iteration = iteration;
-  if (copy) {
-    sub.owned.assign(data.begin(), data.end());
-    sub.view = std::span<const std::byte>(sub.owned);
-  } else {
-    sub.view = data;
-  }
-  sub.deps.reserve(opts.after.size());
+  sub.payload.assign(data.begin(), data.end());
   for (const WriteTicket& dep : opts.after) {
     if (dep.state_ != nullptr) sub.deps.push_back(dep.state_);
   }
   sub.on_complete = std::move(opts.on_complete);
-  return submit(client, std::move(sub));
-}
-
-WriteTicket DamarisNode::submit_publish(int client, std::uint32_t name_id,
-                                        std::int64_t iteration,
-                                        shm::Block block) {
-  AsyncSubmission sub;
-  sub.kind = AsyncSubmission::Kind::kPublishBlock;
-  sub.name_id = name_id;
-  sub.iteration = iteration;
-  sub.block = block;
-  return submit(client, std::move(sub));
-}
-
-WriteTicket DamarisNode::submit(int client, AsyncSubmission sub) {
-  if (client < 0 || client >= num_clients_) {
-    return failed_ticket(
-        invalid_argument("client id " + std::to_string(client) +
-                         " out of range"),
-        sub.on_complete);
-  }
-  auto state = std::make_shared<detail::TicketState>(
-      ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  sub.state = state;
-  AsyncWorker* worker = async_worker(client);
+  WriteTicket ticket(sub.state);
+  ClientState& state = *clients_[static_cast<std::size_t>(client)];
+  state.pending.fetch_add(1, std::memory_order_relaxed);
   {
-    MutexLock lock(worker->mutex);
-    // `owned` moves with the submission; re-anchor the view on arrival.
-    if (!sub.owned.empty()) sub.view = std::span<const std::byte>(sub.owned);
-    worker->queue.push_back(std::move(sub));
+    MutexLock lock(state.mutex);
+    state.queue.push_back(std::move(sub));
+    // While stopping, the draining worker takes this submission before
+    // it exits (stop_async_workers).
+    if (!state.stopping && !state.worker.joinable()) {
+      state.worker = spawn_worker(client, state);
+    }
   }
-  worker->cv.notify_all();
-  return WriteTicket(std::move(state));
+  state.cv.notify_all();
+  return ticket;
 }
 
-DamarisNode::AsyncWorker* DamarisNode::async_worker(int client) {
-  MutexLock lock(async_mutex_);
-  auto& slot = async_workers_[static_cast<std::size_t>(client)];
-  if (!slot) {
-    slot = std::make_unique<AsyncWorker>();
-    AsyncWorker* w = slot.get();
-    w->thread = std::thread([this, client, w] { async_worker_main(client, *w); });
-  }
-  return slot.get();
-}
-
-void DamarisNode::async_worker_main(int client, AsyncWorker& worker) {
+void DamarisNode::async_worker_main(int client, ClientState& state) {
   for (;;) {
     AsyncSubmission sub;
     {
-      MutexLock lock(worker.mutex);
-      while (worker.queue.empty() && !worker.stopping) {
-        worker.cv.wait(worker.mutex);
-      }
-      if (worker.queue.empty()) return;  // stopping and fully drained
-      sub = std::move(worker.queue.front());
-      worker.queue.pop_front();
-      if (!sub.owned.empty()) sub.view = std::span<const std::byte>(sub.owned);
-      worker.in_flight = true;
+      MutexLock lock(state.mutex);
+      while (state.queue.empty() && !state.stopping) state.cv.wait(state.mutex);
+      if (state.queue.empty()) return;  // stopping and fully drained
+      sub = std::move(state.queue.front());
+      state.queue.pop_front();
+      state.in_flight = true;
     }
     // Honour dependences before touching shared memory. Cycles are
     // impossible (a ticket only depends on already-created tickets).
@@ -731,312 +896,100 @@ void DamarisNode::async_worker_main(int client, AsyncWorker& worker) {
       MutexLock lock(dep->mutex);
       while (!dep->done) dep->cv.wait(dep->mutex);
     }
-    execute_submission(client, sub);
+    WriteOutcome outcome = WriteOutcome::kFailed;
+    const Status st =
+        copy_write(client, sub.name_id, sub.iteration, sub.payload, outcome);
+    // Ordering contract (core/async.hpp): publish Status/outcome, run the
+    // callback, and only then flip done — wait() returning implies the
+    // callback finished.
+    const std::uint64_t seq =
+        ticket_completions_.fetch_add(1, std::memory_order_relaxed) + 1;
     {
-      MutexLock lock(worker.mutex);
-      worker.in_flight = false;
+      MutexLock lock(sub.state->mutex);
+      sub.state->status = st;
+      sub.state->outcome = outcome;
+      sub.state->completion_seq = seq;
     }
-    worker.cv.notify_all();  // wake drain_async() fences
+    if (sub.on_complete) sub.on_complete(WriteTicket(sub.state));
+    {
+      MutexLock lock(sub.state->mutex);
+      sub.state->done = true;
+    }
+    sub.state->cv.notify_all();
+    {
+      MutexLock lock(state.mutex);
+      state.in_flight = false;
+    }
+    state.pending.fetch_sub(1, std::memory_order_release);
+    state.cv.notify_all();  // wake fence() waiters
   }
 }
 
-void DamarisNode::execute_submission(int client, AsyncSubmission& sub) {
-  const auto t0 = Clock::now();
-  WriteOutcome outcome = WriteOutcome::kFailed;
-  Status st;
-  Bytes bytes = 0;
-  if (sub.kind == AsyncSubmission::Kind::kCopyWrite) {
-    st = client_write(client, sub.name_id, sub.iteration, sub.view, &outcome);
-    bytes = sub.view.size();
-  } else {
-    st = publish_block(client, sub.name_id, sub.iteration, sub.block, &outcome);
-    bytes = sub.block.size;
-  }
-  const double dt = seconds_since(t0);
-  if (st.is_ok()) {
-    MutexLock lock(stats_mutex_);
-    ClientStats& cs = client_stats_[client];
-    ++cs.writes;
-    cs.bytes_written += bytes;
-    cs.write_seconds += dt;
-    cs.max_write_seconds = std::max(cs.max_write_seconds, dt);
-  }
-  // Ordering contract (core/async.hpp): publish Status/outcome, run the
-  // callback, and only then flip done — wait() returning implies the
-  // callback finished.
-  const std::uint64_t seq =
-      ticket_completions_.fetch_add(1, std::memory_order_relaxed) + 1;
-  {
-    MutexLock lock(sub.state->mutex);
-    sub.state->status = st;
-    sub.state->outcome = outcome;
-    sub.state->completion_seq = seq;
-  }
-  if (sub.on_complete) sub.on_complete(WriteTicket(sub.state));
-  {
-    MutexLock lock(sub.state->mutex);
-    sub.state->done = true;
-  }
-  sub.state->cv.notify_all();
-}
-
-void DamarisNode::drain_async(int client) {
-  AsyncWorker* worker = nullptr;
-  {
-    MutexLock lock(async_mutex_);
-    if (client < 0 ||
-        client >= static_cast<int>(async_workers_.size())) {
-      return;
-    }
-    worker = async_workers_[static_cast<std::size_t>(client)].get();
-  }
-  if (worker == nullptr) return;
-  MutexLock lock(worker->mutex);
-  while (!worker->queue.empty() || worker->in_flight) {
-    worker->cv.wait(worker->mutex);
-  }
+std::thread DamarisNode::spawn_worker(int client, ClientState& state) {
+  return std::thread(
+      [this, client, &state] { async_worker_main(client, state); });
 }
 
 void DamarisNode::stop_async_workers() {
-  std::vector<std::unique_ptr<AsyncWorker>> retired;
-  {
-    MutexLock lock(async_mutex_);
-    for (auto& slot : async_workers_) {
-      if (slot) retired.push_back(std::move(slot));
-    }
-  }
-  for (auto& worker : retired) {
+  for (int c = 0; c < num_clients_; ++c) {
+    ClientState& state = *clients_[static_cast<std::size_t>(c)];
+    std::thread worker;
     {
-      MutexLock lock(worker->mutex);
-      worker->stopping = true;
+      MutexLock lock(state.mutex);
+      state.stopping = true;
+      worker = std::move(state.worker);
     }
-    worker->cv.notify_all();
-    if (worker->thread.joinable()) worker->thread.join();
-  }
-}
-
-// --------------------------------------------- the write path as tasks
-
-des::Task<Result<shm::Block>> DamarisNode::ingest_stage(int client,
-                                                        std::int64_t iteration,
-                                                        Bytes size) {
-  // Three ways this can come back without a block, all funnelled
-  // through the degrade controller: an injected exhaustion window, a
-  // real exhaustion (timeout), or — in an already-degraded mode — a
-  // single failed probe (no blocking wait: a degraded client must not
-  // stall the simulation).
-  if (injector_ != nullptr &&
-      injector_->fires_window(fault::Site::kShmExhaust,
-                              static_cast<double>(iteration))) {
-    co_return out_of_memory("injected shm exhaustion window at iteration " +
-                            std::to_string(iteration));
-  }
-  if (degrade_->mode() != fault::DegradeMode::kNormal) {
-    co_return buffer_->allocate(size, client);
-  }
-  co_return blocking_allocate(size, client);
-}
-
-des::Task<Status> DamarisNode::publish_stage(int client,
-                                             std::uint32_t name_id,
-                                             std::int64_t iteration,
-                                             std::span<const std::byte> data,
-                                             shm::Block block,
-                                             WriteOutcome* outcome) {
-  std::memcpy(buffer_->data(block), data.data(), data.size());
-  buffer_->note_write(block);
-
-  shm::Message msg;
-  msg.type = shm::MessageType::kWriteNotification;
-  msg.client_id = client;
-  msg.iteration = iteration;
-  msg.name_id = name_id;
-  msg.block = block;
-  if (shards_[shard_of(client)]->queue.push(msg)) {
-    degrade_->on_clear();
-    if (opts_.fault_checker != nullptr) {
-      opts_.fault_checker->note_write(client, iteration,
-                                      check::WriteOutcome::kPublished);
-    }
-    *outcome = WriteOutcome::kPublished;
-    co_return Status::ok();
-  }
-  // Dropped: the server is shutting down and will never consume this
-  // block, so the pusher must release it or it leaks until shutdown.
-  buffer_->deallocate(block);
-  const Status cause =
-      resource_busy("write of '" + names_.at(name_id) +
-                    "' dropped: server queue already closed");
-  co_return degraded_write(client, name_id, iteration, data,
-                           degrade_->on_pressure(), cause, outcome);
-}
-
-des::Task<Status> DamarisNode::write_task(int client, std::uint32_t name_id,
-                                          std::int64_t iteration,
-                                          std::span<const std::byte> data,
-                                          WriteOutcome* outcome) {
-  Result<shm::Block> block = co_await ingest_stage(client, iteration,
-                                                   data.size());
-  if (!block.is_ok()) {
-    if (block.status().code() != ErrorCode::kOutOfMemory) {
-      *outcome = WriteOutcome::kFailed;
-      co_return block.status();
-    }
-    co_return degraded_write(client, name_id, iteration, data,
-                             degrade_->on_pressure(), block.status(), outcome);
-  }
-  co_return co_await publish_stage(client, name_id, iteration, data,
-                                   block.value(), outcome);
-}
-
-Status DamarisNode::client_write(int client, std::uint32_t name_id,
-                                 std::int64_t iteration,
-                                 std::span<const std::byte> data,
-                                 WriteOutcome* outcome) {
-  return run_task(write_task(client, name_id, iteration, data, outcome));
-}
-
-Status DamarisNode::publish_block(int client, std::uint32_t name_id,
-                                  std::int64_t iteration, shm::Block block,
-                                  WriteOutcome* outcome) {
-  // dc_commit publishes an in-place write: the client's last chance to
-  // have touched the payload.
-  buffer_->note_write(block);
-  shm::Message msg;
-  msg.type = shm::MessageType::kWriteNotification;
-  msg.client_id = client;
-  msg.iteration = iteration;
-  msg.name_id = name_id;
-  msg.block = block;
-  if (!shards_[shard_of(client)]->queue.push(msg)) {
-    // Same leak hazard as the write path: a dropped notification leaves
-    // the committed block live forever unless we release it here.
-    buffer_->deallocate(block);
-    *outcome = WriteOutcome::kFailed;
-    return resource_busy("commit of '" + names_.at(name_id) +
-                         "' dropped: server queue already closed");
-  }
-  *outcome = WriteOutcome::kPublished;
-  return Status::ok();
-}
-
-Status DamarisNode::degraded_write(int client, std::uint32_t name_id,
-                                   std::int64_t iteration,
-                                   std::span<const std::byte> data,
-                                   fault::DegradeMode mode,
-                                   const Status& cause, WriteOutcome* outcome) {
-  const auto drop = [&]() -> Status {
-    trace_fault(opts_.node_id, "write-dropped", iteration);
-    if (opts_.fault_checker != nullptr) {
-      opts_.fault_checker->note_write(client, iteration,
-                                      check::WriteOutcome::kDropped);
-    }
-    *outcome = WriteOutcome::kDropped;
-    MutexLock lock(stats_mutex_);
-    ++client_stats_[client].dropped_writes;
-    client_stats_[client].dropped_bytes += data.size();
-    return Status::ok();
-  };
-
-  if (mode == fault::DegradeMode::kDrop && resilience_.degrade.allow_drop) {
-    return drop();
-  }
-  if (resilience_.degrade.allow_sync) {
-    Status st = sync_write(client, name_id, iteration, data);
-    if (st.is_ok()) {
-      if (opts_.fault_checker != nullptr) {
-        opts_.fault_checker->note_write(client, iteration,
-                                        check::WriteOutcome::kSyncWritten);
+    state.cv.notify_all();
+    for (;;) {
+      if (worker.joinable()) worker.join();
+      MutexLock lock(state.mutex);
+      // Empty means drained: later submissions spawn a fresh worker.
+      if (state.queue.empty()) {
+        state.stopping = false;
+        break;
       }
-      *outcome = WriteOutcome::kSyncFallback;
-      MutexLock lock(stats_mutex_);
-      ++client_stats_[client].sync_writes;
-      return Status::ok();
+      // Submitted after the worker saw an empty queue: drain it too.
+      worker = spawn_worker(c, state);
     }
-    if (resilience_.degrade.allow_drop) return drop();
-    *outcome = WriteOutcome::kFailed;
-    return st;
   }
-  if (resilience_.degrade.allow_drop) return drop();
-  // No fallback allowed: the historical behaviour — surface the cause.
-  if (opts_.fault_checker != nullptr) {
-    opts_.fault_checker->note_write(client, iteration,
-                                    check::WriteOutcome::kFailed);
-  }
-  *outcome = WriteOutcome::kFailed;
-  return cause;
-}
-
-Status DamarisNode::sync_write(int client, std::uint32_t name_id,
-                               std::int64_t iteration,
-                               std::span<const std::byte> data) {
-  const std::string& variable = names_.at(name_id);
-  std::error_code ec;
-  std::filesystem::create_directories(opts_.output_dir, ec);
-  if (ec) return io_error("cannot create " + opts_.output_dir);
-
-  // One standalone file per degraded write — the per-process small-file
-  // pattern the dedicated core normally avoids (that cost is the point).
-  const std::uint64_t seq =
-      sync_seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::string path =
-      opts_.output_dir + "/" + opts_.file_prefix + "_node" +
-      std::to_string(opts_.node_id) + "_sync_c" + std::to_string(client) +
-      "_it" + std::to_string(iteration) + "_" + std::to_string(seq) + ".dh5";
-  auto writer = format::Dh5Writer::create(path);
-  if (!writer.is_ok()) return writer.status();
-
-  format::DatasetInfo info;
-  info.name = variable;
-  info.iteration = iteration;
-  info.source = client;
-  if (const format::Layout* l = cfg_.layout_of(variable)) info.layout = *l;
-
-  const iopath::CompressionModel model = compression_model_for(cfg_, variable);
-  format::EncodedBuffer encoded = model.codec_pipeline().encode(data);
-  Status st = writer.value().add_encoded(info, encoded, data.size());
-  if (!st.is_ok()) return st;
-  st = writer.value().finalize();
-  if (!st.is_ok()) return st;
-
-  trace_fault(opts_.node_id, "sync-write", iteration);
-  MutexLock lock(stats_mutex_);
-  ++server_stats_.sync_files;
-  server_stats_.sync_bytes += data.size();
-  return Status::ok();
 }
 
 Result<std::span<std::byte>> Client::alloc(const std::string& variable,
                                            std::int64_t iteration) {
-  const format::Layout* layout = node_->cfg_.layout_of(variable);
-  if (!layout) return not_found("variable '" + variable + "' not configured");
-  const std::uint32_t id = node_->name_id(variable);
-  auto block = node_->blocking_allocate(layout->byte_size(), id_);
+  auto var = node_->resolve(id_, variable, 0, /*sized=*/true);
+  if (!var.is_ok()) return var.status();
+  auto block = node_->blocking_allocate(var.value()->layout->byte_size(), id_);
   if (!block.is_ok()) return block.status();
   {
     MutexLock lock(node_->pending_mutex_);
-    node_->pending_allocs_[{id_, id, iteration}] = block.value();
+    node_->pending_allocs_[{id_, var.value()->id, iteration}] = block.value();
   }
   return std::span<std::byte>(node_->buffer_->data(block.value()),
                               block.value().size);
 }
 
 Status Client::commit(const std::string& variable, std::int64_t iteration) {
-  const std::uint32_t id = node_->name_id(variable);
-  if (id == ~0u) return not_found("variable '" + variable + "' unknown");
+  auto var = node_->resolve(id_, variable, 0, /*sized=*/true);
+  if (!var.is_ok()) return var.status();
   shm::Block block;
   {
     MutexLock lock(node_->pending_mutex_);
-    auto it = node_->pending_allocs_.find({id_, id, iteration});
+    auto it = node_->pending_allocs_.find({id_, var.value()->id, iteration});
     if (it == node_->pending_allocs_.end()) {
       return failed_precondition("no pending alloc for '" + variable + "'");
     }
     block = it->second;
     node_->pending_allocs_.erase(it);
   }
-  // Publish through the async path so commits order with this client's
-  // pending async writes (submit + wait, like write_sized).
-  return node_->submit_publish(id_, id, iteration, block).wait();
+  // Commits order with this client's pending async writes.
+  node_->fence(id_);
+  const auto t0 = Clock::now();
+  if (!node_->publish(id_, var.value()->id, iteration, block)) {
+    return resource_busy("commit of '" + variable +
+                         "' dropped: server queue already closed");
+  }
+  node_->record_write(id_, block.size, seconds_since(t0));
+  return Status::ok();
 }
 
 Status Client::signal(const std::string& event, std::int64_t iteration) {
@@ -1060,12 +1013,12 @@ Status Client::signal(const std::string& event, std::int64_t iteration) {
 Status Client::end_iteration(std::int64_t iteration) {
   // Fence: an iteration must not complete under this client's pending
   // async writes (preserves the blocking API's ordering guarantees).
-  node_->drain_async(id_);
+  node_->fence(id_);
   shm::Message msg;
   msg.type = shm::MessageType::kUserEvent;
   msg.client_id = id_;
   msg.iteration = iteration;
-  msg.name_id = node_->name_id("..end_iteration");
+  msg.name_id = node_->end_iteration_id_;
   if (!node_->shards_[node_->shard_of(id_)]->queue.push(msg)) {
     return resource_busy("end_iteration dropped: server queue already closed");
   }
@@ -1073,7 +1026,7 @@ Status Client::end_iteration(std::int64_t iteration) {
 }
 
 Status Client::finalize() {
-  node_->drain_async(id_);
+  node_->fence(id_);
   shm::Message msg;
   msg.type = shm::MessageType::kClientFinalize;
   msg.client_id = id_;

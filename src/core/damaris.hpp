@@ -10,9 +10,10 @@
 // throughout the paper's evaluation.
 //
 // Compute cores obtain Client handles and call write()/signal() — a
-// write is one copy into shared memory plus a notification push, which
-// is why the simulation-visible write time collapses to memcpy speed
-// (the paper's 0.2 s constant).
+// write is one copy into shared memory plus a notification push, run on
+// the calling thread, which is why the simulation-visible write time
+// collapses to memcpy speed (the paper's 0.2 s constant). Each dedicated
+// core drains its queue in batches.
 //
 //   dmr::config::Config cfg = ...;                 // from XML
 //   dmr::core::DamarisNode node(cfg, /*clients=*/3);
@@ -46,7 +47,6 @@
 #include "core/metadata.hpp"
 #include "core/persistency.hpp"
 #include "core/plugin.hpp"
-#include "des/task.hpp"
 #include "fault/degrade.hpp"
 #include "fault/fault.hpp"
 #include "plugin/pipeline.hpp"
@@ -171,10 +171,11 @@ class Client {
  public:
   Client() = default;
 
-  /// df_write: copies `data` into shared memory and notifies the server.
-  /// The variable must be declared in the configuration; `data` must
-  /// match its layout size. A thin wrapper over write_async(): submit +
-  /// wait on the same single write path.
+  /// df_write: copies `data` into shared memory and notifies the server,
+  /// on the calling thread. The variable must be declared in the
+  /// configuration; `data` must match its layout size. Fences this
+  /// client's outstanding write_async tickets first, so it completes
+  /// after them; it takes no ticket itself.
   Status write(const std::string& variable, std::int64_t iteration,
                std::span<const std::byte> data);
 
@@ -205,7 +206,8 @@ class Client {
   Result<std::span<std::byte>> alloc(const std::string& variable,
                                      std::int64_t iteration);
 
-  /// dc_commit: publishes a block previously obtained from alloc().
+  /// dc_commit: publishes a block previously obtained from alloc(), on
+  /// the calling thread, after fencing this client's async tickets.
   Status commit(const std::string& variable, std::int64_t iteration);
 
   /// df_signal: sends a user-defined event to this client's dedicated
@@ -329,7 +331,7 @@ class DamarisNode {
   /// state. All fields except `queue` are touched only by its thread.
   struct Shard {
     Shard(std::string output_dir, std::string prefix, int node_id,
-          int shard_id, int num_shards);
+          int shard_id, int num_shards, std::size_t variables, int sources);
 
     int id;
     int clients = 0;  // clients assigned to this shard
@@ -340,6 +342,41 @@ class DamarisNode {
     std::map<std::pair<std::uint32_t, std::int64_t>, int> event_counts;
     int finalized_clients = 0;
     std::thread thread;
+  };
+
+  /// An interned variable or event name: the id messages carry and, for
+  /// a variable, its configured layout (nullptr for events).
+  struct NameInfo {
+    std::uint32_t id = 0;
+    const format::Layout* layout = nullptr;
+  };
+  using NameTable = std::map<std::string, NameInfo>;
+
+  /// One write_async submission; it owns its copy of the payload.
+  struct AsyncSubmission {
+    detail::TicketStatePtr state;
+    std::uint32_t name_id = 0;
+    std::int64_t iteration = 0;
+    std::vector<std::byte> payload;
+    std::vector<detail::TicketStatePtr> deps;
+    WriteCallback on_complete;
+  };
+
+  /// Per-client state: write-side stats and the write_async worker, a
+  /// FIFO queue drained by a thread spawned on the first submission, so
+  /// submission order is execution order and a single client's async
+  /// timeline is deterministic.
+  struct ClientState {
+    Mutex mutex;
+    CondVar cv;
+    ClientStats stats DMR_GUARDED_BY(mutex);
+    std::deque<AsyncSubmission> queue DMR_GUARDED_BY(mutex);
+    bool in_flight DMR_GUARDED_BY(mutex) = false;
+    bool stopping DMR_GUARDED_BY(mutex) = false;
+    std::thread worker DMR_GUARDED_BY(mutex);
+    /// Tickets submitted and not yet done: lets the blocking path skip
+    /// the fence without taking the mutex.
+    std::atomic<std::uint64_t> pending{0};
   };
 
   int shard_of(int client) const {
@@ -353,104 +390,63 @@ class DamarisNode {
                  std::int64_t iteration, int source);
   void register_builtin_actions();
 
-  Result<shm::Block> blocking_allocate(Bytes size, int client);
   std::uint32_t name_id(const std::string& name) const;  // ~0u if unknown
+  /// Resolves a variable for a write by `client` with one name-table
+  /// lookup; checks the payload against the layout size unless `sized`.
+  Result<const NameInfo*> resolve(int client, const std::string& variable,
+                                  std::size_t bytes, bool sized) const;
 
-  // --- the async write path (core/async.hpp) ---
-  //
-  // Every write — blocking or not — is an AsyncSubmission executed by
-  // the owning client's FIFO worker thread; the blocking API is
-  // submit + wait. The path itself is a des::Task chain (ingest stage:
-  // allocate + memcpy; publish stage: notify or degrade) driven to
-  // completion by run_task(), the same task shape the DES pipeline
-  // uses.
+  // --- the write path: plain functions on the calling thread ---
 
-  /// What one submission carries: either a payload to copy in
-  /// (write/write_async) or an already-staged block to publish
-  /// (commit). `view` aliases `owned` for async submissions and the
-  /// caller's buffer for blocking ones (the caller outlives wait()).
-  struct AsyncSubmission {
-    enum class Kind { kCopyWrite, kPublishBlock };
-    Kind kind = Kind::kCopyWrite;
-    detail::TicketStatePtr state;
-    std::uint32_t name_id = 0;
-    std::int64_t iteration = 0;
-    std::vector<std::byte> owned;
-    std::span<const std::byte> view;
-    shm::Block block;  // kPublishBlock only
-    std::vector<detail::TicketStatePtr> deps;
-    WriteCallback on_complete;
-  };
-
-  /// One submission worker per client (lazily spawned): a FIFO queue
-  /// drained by a dedicated thread, so submission order is execution
-  /// order and a single client's async timeline is deterministic.
-  struct AsyncWorker {
-    Mutex mutex;
-    CondVar cv;
-    std::deque<AsyncSubmission> queue DMR_GUARDED_BY(mutex);
-    bool in_flight DMR_GUARDED_BY(mutex) = false;
-    bool stopping DMR_GUARDED_BY(mutex) = false;
-    std::thread thread;
-  };
-
-  /// Enqueues a copy-write submission and returns its ticket.
-  WriteTicket submit_copy_write(int client, std::uint32_t name_id,
-                                std::int64_t iteration,
-                                std::span<const std::byte> data, bool copy,
-                                AsyncWriteOptions opts);
-  /// Enqueues a publish submission for a block staged via dc_alloc.
-  WriteTicket submit_publish(int client, std::uint32_t name_id,
-                             std::int64_t iteration, shm::Block block);
-  WriteTicket submit(int client, AsyncSubmission sub);
-  /// A ticket born completed (validation failures); runs `cb` inline.
-  WriteTicket failed_ticket(const Status& status, const WriteCallback& cb);
-  AsyncWorker* async_worker(int client);
-  void async_worker_main(int client, AsyncWorker& worker);
-  void execute_submission(int client, AsyncSubmission& sub);
-  /// Blocks until `client`'s submission queue is empty and idle (the
-  /// end_iteration()/finalize() fence).
-  void drain_async(int client);
-  /// Drains every worker, then joins and discards the threads (stop()
-  /// and the destructor; a later start() respawns lazily).
-  void stop_async_workers();
-
-  /// Ingest stage: reserve the block in shared memory (injected
-  /// exhaustion, degraded probe or blocking allocate).
-  des::Task<Result<shm::Block>> ingest_stage(int client,
-                                             std::int64_t iteration,
-                                             Bytes size);
-  /// Publish stage: copy the payload in and notify the dedicated core,
-  /// or route through the degrade ladder when the queue is gone.
-  des::Task<Status> publish_stage(int client, std::uint32_t name_id,
-                                  std::int64_t iteration,
-                                  std::span<const std::byte> data,
-                                  shm::Block block, WriteOutcome* outcome);
-  /// The full write path as a task chain; `outcome` reports how the
-  /// ladder resolved (published / sync / dropped / failed).
-  des::Task<Status> write_task(int client, std::uint32_t name_id,
-                               std::int64_t iteration,
-                               std::span<const std::byte> data,
-                               WriteOutcome* outcome);
-  /// Synchronous driver around write_task (one code path).
-  Status client_write(int client, std::uint32_t name_id,
-                      std::int64_t iteration, std::span<const std::byte> data,
-                      WriteOutcome* outcome);
-  /// Publishes a block previously staged by dc_alloc (commit's half of
-  /// the path; no degrade ladder — the block is already in shm).
-  Status publish_block(int client, std::uint32_t name_id,
-                       std::int64_t iteration, shm::Block block,
-                       WriteOutcome* outcome);
+  /// Client::write/write_sized: resolve, fence, copy_write.
+  Status write_blocking(int client, const std::string& variable,
+                        std::int64_t iteration, std::span<const std::byte> data,
+                        bool sized);
+  /// Waits until `client`'s write_async tickets are all done; returns at
+  /// once when none are outstanding.
+  void fence(int client);
+  /// Reserves a block: injected exhaustion, a single probe in a degraded
+  /// mode, else a blocking allocate.
+  Result<shm::Block> reserve(int client, std::int64_t iteration, Bytes size);
+  Result<shm::Block> blocking_allocate(Bytes size, int client);
+  /// Copies `data` into a new block and notifies the dedicated core, or
+  /// routes through the degrade ladder; `outcome` reports how it
+  /// resolved. Blocking writes and the async worker both run it.
+  Status copy_write(int client, std::uint32_t name_id, std::int64_t iteration,
+                    std::span<const std::byte> data, WriteOutcome& outcome);
+  /// Hands a written block to the client's shard. A closed queue will
+  /// never consume it, so the block is released and false returned.
+  bool publish(int client, std::uint32_t name_id, std::int64_t iteration,
+               const shm::Block& block);
+  void record_write(int client, Bytes bytes, double seconds);
   /// Fallback after `cause` blocked the normal path, applying `mode`.
   Status degraded_write(int client, std::uint32_t name_id,
                         std::int64_t iteration,
                         std::span<const std::byte> data, fault::DegradeMode mode,
-                        const Status& cause, WriteOutcome* outcome);
+                        const Status& cause, WriteOutcome& outcome);
   /// Synchronous passthrough: the client writes its own standalone DH5
   /// file, bypassing the dedicated core (paper §III "write
   /// synchronously" option).
   Status sync_write(int client, std::uint32_t name_id,
                     std::int64_t iteration, std::span<const std::byte> data);
+
+  // --- write_async (core/async.hpp) ---
+
+  /// Client::write_async/write_sized_async: queues a copy of `data` on
+  /// the client's worker and returns its ticket (an already-failed one
+  /// when the variable does not resolve).
+  WriteTicket submit(int client, const std::string& variable,
+                     std::int64_t iteration, std::span<const std::byte> data,
+                     bool sized, AsyncWriteOptions opts);
+  /// A ticket born completed (validation failures); runs `cb` inline.
+  WriteTicket failed_ticket(const Status& status, const WriteCallback& cb);
+  void async_worker_main(int client, ClientState& state);
+  std::thread spawn_worker(int client, ClientState& state);
+  /// Joins every worker once its queue drained (stop() and the
+  /// destructor). Submissions made meanwhile, e.g. by a completion
+  /// callback, are drained too; a later one spawns a fresh worker.
+  void stop_async_workers();
+
   /// Injected dedicated-core crash/restart at an iteration boundary.
   void maybe_crash(Shard& shard, std::int64_t iteration);
   /// Injected queue close at an iteration boundary (server gone).
@@ -481,8 +477,9 @@ class DamarisNode {
   std::unique_ptr<fault::DegradeController> degrade_;
   std::atomic<std::uint64_t> sync_seq_{0};  // sync-write file names
 
-  std::vector<std::string> names_;            // id -> name
-  std::map<std::string, std::uint32_t> ids_;  // name -> id
+  NameTable ids_;                                    // name -> id + layout
+  std::vector<const NameTable::value_type*> names_;  // id -> entry of ids_
+  std::uint32_t end_iteration_id_ = 0;  // the reserved "..end_iteration"
 
   /// Atomic: start() / stop() may be driven from a different thread
   /// than the destructor's final stop() (found by the -Wthread-safety
@@ -496,18 +493,14 @@ class DamarisNode {
 
   mutable Mutex stats_mutex_;
   ServerStats server_stats_ DMR_GUARDED_BY(stats_mutex_);
-  std::vector<ClientStats> client_stats_ DMR_GUARDED_BY(stats_mutex_);
   std::map<std::string, double> analytics_ DMR_GUARDED_BY(stats_mutex_);
   std::chrono::steady_clock::time_point start_time_;
 
   mutable Mutex params_mutex_;
   std::map<std::string, std::string> parameters_ DMR_GUARDED_BY(params_mutex_);
 
-  /// Lazily spawned per-client submission workers; the vector's slots
-  /// are guarded, each worker synchronizes itself.
-  Mutex async_mutex_;
-  std::vector<std::unique_ptr<AsyncWorker>> async_workers_
-      DMR_GUARDED_BY(async_mutex_);
+  /// One per client, fixed at construction.
+  std::vector<std::unique_ptr<ClientState>> clients_;
   std::atomic<std::uint64_t> ticket_seq_{0};
   std::atomic<std::uint64_t> ticket_completions_{0};
 

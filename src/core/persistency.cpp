@@ -106,13 +106,13 @@ Status PersistencyLayer::write_blocks_once(
     info.name = b.variable;
     info.iteration = b.iteration;
     info.source = b.source;
-    info.layout = b.layout;
+    if (b.layout != nullptr) info.layout = *b.layout;
     const std::span<const std::byte> raw(buffer.data(b.block), b.size);
 
     // Transform: run the variable's codec chain (identity encodes are a
     // plain copy, so splitting from the container write is lossless).
     const iopath::CompressionModel model =
-        compression_model_for(cfg, b.variable);
+        compression_model_for(cfg, info.name);
     auto t0 = Clock::now();
     format::EncodedBuffer encoded = model.codec_pipeline().encode(raw);
     double dt = seconds_since(t0);

@@ -1,6 +1,4 @@
 #include "des/engine.hpp"
-#include <cstdio>
-#include <cstdlib>
 
 #include <cassert>
 
@@ -87,13 +85,6 @@ void Engine::dispatch(Event* ev) {
     t_dispatch_hook(t_dispatch_ctx, ev->t, ev->seq, !ev->handle);
   }
 #endif
-  static const bool trace = std::getenv("DMR_ENGINE_TRACE") != nullptr;
-  if (trace && events_processed_ > 500 && events_processed_ < 540) {
-    std::fprintf(stderr, "[ev %llu] t=%.9f %s %p\n",
-                 static_cast<unsigned long long>(events_processed_), now_,
-                 ev->handle ? "handle" : "callback",
-                 ev->handle ? ev->handle.address() : nullptr);
-  }
   if (ev->handle) {
     auto h = ev->handle;
     delete ev;
@@ -107,15 +98,7 @@ void Engine::dispatch(Event* ev) {
 }
 
 Time Engine::run() {
-  static const bool debug = std::getenv("DMR_ENGINE_DEBUG") != nullptr;
-  while (Event* ev = pop_next()) {
-    dispatch(ev);
-    if (debug && events_processed_ % 1000000 == 0) {
-      std::fprintf(stderr, "[engine] events=%llu t=%.6f queue=%zu\n",
-                   static_cast<unsigned long long>(events_processed_), now_,
-                   queue_.size());
-    }
-  }
+  while (Event* ev = pop_next()) dispatch(ev);
   return now_;
 }
 

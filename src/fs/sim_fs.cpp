@@ -60,20 +60,18 @@ SimFs::SimFs(cluster::Machine& machine)
                               Rng::for_entity(machine.seed(),
                                               0x4d445300ULL + s))));
       MdsShard& shard = *mds_shards_.back();
-      // Lanes generalize the old single "metadata" label: every shard
-      // (and each of its replicas) is its own mds/<shard> stream.
-      shard.lane_label = "mds/" + std::to_string(s);
+      // Every shard (and each of its replicas) is its own mds lane. The
+      // span name is a literal: trace events outlive the file system.
       shard.primary.set_trace(
-          {trace::EntityType::kMds, static_cast<std::uint32_t>(s)},
-          shard.lane_label.c_str());
+          {trace::EntityType::kMds, static_cast<std::uint32_t>(s)}, "mds");
       for (int r = 1; r < replicas; ++r) {
         shard.replicas.push_back(
             std::make_unique<des::ServiceQueue>(*eng_, 1.0));
-        // Replica lanes follow the primaries: mds/<shards + s*(R-1)+r-1>.
+        // Replica lanes follow the primaries: shards + s*(R-1) + r-1.
         const int lane = shards + s * (replicas - 1) + (r - 1);
         shard.replicas.back()->set_trace(
             {trace::EntityType::kMds, static_cast<std::uint32_t>(lane)},
-            shard.lane_label.c_str());
+            "mds");
       }
     }
   }

@@ -199,9 +199,6 @@ class SimFs {
     std::vector<std::unique_ptr<des::ServiceQueue>> replicas;
     cluster::NoiseModel noise;
     std::uint64_t next_read = 0;  // round-robin cursor over replicas
-    /// Trace label ("mds/<shard>"); owned here because set_trace keeps
-    /// the pointer (the shard itself is heap-pinned, never moved).
-    std::string lane_label;
 
     MdsShard(des::Engine& eng, cluster::NoiseModel noise_model);
   };

@@ -96,6 +96,25 @@ std::optional<Message> EventQueue::try_pop() {
   return m;
 }
 
+bool EventQueue::pop_all(std::deque<Message>& out) {
+  out.clear();
+  {
+    MutexLock lock(mutex_);
+    while (queue_.empty() && !closed_) cv_.wait(mutex_);
+    ShmObserver* o = observer();
+    if (o) o->on_acquire({SyncPoint::Kind::kQueueMutex, this});
+    out.swap(queue_);
+    if (o) {
+      for (const Message& m : out) o->on_pop(m);
+      o->on_release({SyncPoint::Kind::kQueueMutex, this});
+    }
+  }
+  for (const Message& m : out) {
+    trace_msg("pop", {trace::EntityType::kShmQueue, 0}, m);
+  }
+  return !out.empty();
+}
+
 void EventQueue::close() {
   {
     MutexLock lock(mutex_);

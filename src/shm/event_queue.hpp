@@ -64,6 +64,12 @@ class EventQueue {
   /// Non-blocking pop.
   [[nodiscard]] std::optional<Message> try_pop();
 
+  /// Batch pop for the dedicated core: blocks like pop(), then moves
+  /// every queued message into `out` (replacing its contents), oldest
+  /// first, under one lock acquisition. Returns false only after close()
+  /// with an empty queue.
+  [[nodiscard]] bool pop_all(std::deque<Message>& out);
+
   /// Wakes all poppers; pop() drains remaining messages, then returns
   /// nullopt. Idempotent.
   void close();

@@ -83,7 +83,7 @@ class ShmObserver {
     (void)msg;
     (void)accepted;
   }
-  /// A message was handed to a consumer (pop or try_pop).
+  /// A message was handed to a consumer (pop, try_pop or pop_all).
   virtual void on_pop(const Message& msg) { (void)msg; }
   /// The queue was closed.
   virtual void on_close() {}

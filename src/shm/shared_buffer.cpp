@@ -96,25 +96,55 @@ Result<Block> SharedBuffer::allocate(Bytes size, int client_id) {
 
 void SharedBuffer::deallocate(const Block& block) {
   if (!block.valid()) return;
-  deallocate_once(block);
+  const std::span<const Block> one(&block, 1);
+  deallocate_once(one);
 #ifdef DMR_CHECK
   // Seeded double-release bug (tests/mc_test.cpp): return the block a
   // second time, corrupting the free list / partition counters. The
   // protocol checker and the free-list integrity invariant must both
   // flag it.
-  if (test_hooks().double_deallocate) deallocate_once(block);
+  if (test_hooks().double_deallocate) deallocate_once(one);
 #endif
 }
 
-void SharedBuffer::deallocate_once(const Block& block) {
+void SharedBuffer::deallocate_batch(std::vector<Block> blocks) {
+  std::erase_if(blocks, [](const Block& b) { return !b.valid(); });
+  std::sort(blocks.begin(), blocks.end(),
+            [](const Block& a, const Block& b) { return a.offset < b.offset; });
+  deallocate_once(blocks);
+#ifdef DMR_CHECK
+  // The seeded double-release bug, batch edition: the whole batch is
+  // returned a second time.
+  if (test_hooks().double_deallocate) deallocate_once(blocks);
+#endif
+}
+
+void SharedBuffer::deallocate_once(std::span<const Block> sorted) {
   // Observed *before* the bytes return to the allocator: a release is
   // always seen before any re-allocation of the same offset.
-  if (ShmObserver* o = observer()) o->on_deallocate(block);
-  if (policy_ == AllocPolicy::kMutexFirstFit) {
-    deallocate_first_fit(block);
-  } else {
-    deallocate_partitioned(block);
+  if (ShmObserver* o = observer()) {
+    for (const Block& b : sorted) o->on_deallocate(b);
   }
+  if (policy_ == AllocPolicy::kPartitioned) {
+    for (const Block& b : sorted) deallocate_partitioned(b);
+    return;
+  }
+  MutexLock lock(mutex_);
+  ShmObserver* o = observer();
+  if (o) o->on_acquire({SyncPoint::Kind::kBufferMutex, this});
+  if (o) o->on_release({SyncPoint::Kind::kBufferMutex, this});
+  Bytes freed = 0;
+  for (std::size_t i = 0; i < sorted.size();) {
+    const Bytes offset = sorted[i].offset;
+    Bytes end = offset;
+    // One free-list insertion per run of back-to-back blocks.
+    for (; i < sorted.size() && sorted[i].offset == end; ++i) {
+      end += sorted[i].size;
+    }
+    free_range(offset, end - offset);
+    freed += end - offset;
+  }
+  account_free(freed);
 }
 
 Result<Block> SharedBuffer::allocate_first_fit(Bytes size, int client_id) {
@@ -141,13 +171,7 @@ Result<Block> SharedBuffer::allocate_first_fit(Bytes size, int client_id) {
                        " bytes");
 }
 
-void SharedBuffer::deallocate_first_fit(const Block& block) {
-  MutexLock lock(mutex_);
-  ShmObserver* o = observer();
-  if (o) o->on_acquire({SyncPoint::Kind::kBufferMutex, this});
-  if (o) o->on_release({SyncPoint::Kind::kBufferMutex, this});
-  Bytes offset = block.offset;
-  Bytes length = block.size;
+void SharedBuffer::free_range(Bytes offset, Bytes length) {
   // Coalesce with the next free range.
   auto next = free_by_offset_.lower_bound(offset);
   if (next != free_by_offset_.end() && offset + length == next->first) {
@@ -159,12 +183,10 @@ void SharedBuffer::deallocate_first_fit(const Block& block) {
     auto prev = std::prev(next);
     if (prev->first + prev->second == offset) {
       prev->second += length;
-      account_free(block.size);
       return;
     }
   }
   free_by_offset_.emplace(offset, length);
-  account_free(block.size);
 }
 
 Result<Block> SharedBuffer::allocate_partitioned(Bytes size, int client_id) {

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.hpp"
@@ -61,6 +62,13 @@ class SharedBuffer {
 
   /// Returns a block to the buffer. Safe to call from any thread.
   void deallocate(const Block& block);
+
+  /// Returns a batch of blocks at once (the dedicated core frees an
+  /// iteration's blocks together). First-fit sorts them by offset and
+  /// coalesces contiguous runs under one lock acquisition. Every block
+  /// is observed (on_deallocate) before any of them returns to the
+  /// allocator.
+  void deallocate_batch(std::vector<Block> blocks);
 
   /// Declares that the owning client finished writing `block`'s
   /// payload. Pure instrumentation: forwards to the attached observer
@@ -132,8 +140,12 @@ class SharedBuffer {
 
   Result<Block> allocate_first_fit(Bytes size, int client_id);
   Result<Block> allocate_partitioned(Bytes size, int client_id);
-  void deallocate_once(const Block& block);
-  void deallocate_first_fit(const Block& block);
+  /// Observes, then frees, valid blocks sorted by offset; first-fit
+  /// coalesces contiguous runs under one lock acquisition.
+  void deallocate_once(std::span<const Block> sorted);
+  /// Returns [offset, offset + length) to the free list, coalescing
+  /// with its neighbours. Caller holds mutex_.
+  void free_range(Bytes offset, Bytes length) DMR_REQUIRES(mutex_);
   void deallocate_partitioned(const Block& block);
   void account_alloc(Bytes size);
   void account_free(Bytes size);

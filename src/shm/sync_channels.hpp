@@ -33,7 +33,7 @@
 // clang-format off
 /// SyncPoint-backed channels: X(kind, channel).
 ///  - queue_mutex:    EventQueue's mutex+condvar critical sections
-///    (push/pop/try_pop/close).
+///    (push/pop/try_pop/pop_all/close).
 ///  - buffer_mutex:   the first-fit allocator's mutex.
 ///  - partition_live: partitioned-policy per-client `live` counter —
 ///    deallocate's fetch_sub(release) pairs with allocate's

@@ -34,9 +34,9 @@ void register_render_action(core::DamarisNode& node,
         // Collect this variable's blocks and check shapes.
         std::vector<const core::VariableBlock*> var_blocks;
         for (const auto* b : blocks) {
-          if (b->variable == opts.variable &&
-              b->layout.type == format::DataType::kFloat32 &&
-              b->layout.dims.size() == 3) {
+          if (b->variable == opts.variable && b->layout != nullptr &&
+              b->layout->type == format::DataType::kFloat32 &&
+              b->layout->dims.size() == 3) {
             var_blocks.push_back(b);
           }
         }
@@ -48,7 +48,7 @@ void register_render_action(core::DamarisNode& node,
               << expected;
           return;
         }
-        const auto& dims = var_blocks[0]->layout.dims;
+        const auto& dims = var_blocks[0]->layout->dims;
         const int lx = static_cast<int>(dims[0]);
         const int ly = static_cast<int>(dims[1]);
         const int lz = static_cast<int>(dims[2]);

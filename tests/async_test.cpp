@@ -8,13 +8,16 @@
 
 #include <atomic>
 #include <cstring>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <thread>
 #include <vector>
 
 #include "check/fault_checker.hpp"
 #include "core/damaris.hpp"
 #include "fault/fault.hpp"
+#include "format/dh5.hpp"
 
 namespace dmr::core {
 namespace {
@@ -276,17 +279,74 @@ TEST_F(AsyncNodeFixture, EndIterationFencesOutstandingTickets) {
   EXPECT_TRUE(node_->stop().is_ok());
 }
 
-TEST_F(AsyncNodeFixture, BlockingWriteIsSubmitPlusWait) {
-  // The blocking API rides the async path: after a mix of both, the
-  // node has seen every write exactly once and in order.
+TEST_F(AsyncNodeFixture, SubmissionDuringStopDrainsAndLaterOnesStillRun) {
+  // A completion callback submits while stop() drains the worker: the
+  // draining worker takes that submission, and a write_async after
+  // stop() gets a worker of its own. A few rounds, since a second worker
+  // racing the draining one would only sometimes strand the late write.
+  const auto data = field();
+  for (int round = 0; round < 3 && !HasFailure(); ++round) {
+    make_node(1);
+    Client client = node_->client(0);
+    std::promise<void> gate;
+    std::shared_future<void> opened = gate.get_future().share();
+    WriteTicket inner;
+    AsyncWriteOptions opts;
+    opts.on_complete = [&](const WriteTicket&) {
+      opened.wait();
+      inner = client.write_async("pressure", 0, data);
+    };
+    WriteTicket outer =
+        client.write_async("temperature", 0, data, std::move(opts));
+    std::thread stopper([&] { EXPECT_TRUE(node_->stop().is_ok()); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // stop() begins
+    gate.set_value();
+    stopper.join();
+    EXPECT_TRUE(outer.done());
+    ASSERT_TRUE(inner.valid());
+    EXPECT_TRUE(inner.done());
+    EXPECT_EQ(inner.outcome(), WriteOutcome::kPublished);
+
+    // The queues are closed now, so the write fails, but it must complete.
+    WriteTicket late = client.write_async("temperature", 1, data);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!late.done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(late.done()) << "round " << round;
+  }
+}
+
+TEST_F(AsyncNodeFixture, BlockingWriteRunsAfterQueuedTicketsAndTakesNone) {
+  // A blocking write runs on the caller after fencing the client's
+  // queued tickets: it completes after them, and it takes no ticket.
   make_node(1);
   Client client = node_->client(0);
-  const auto data = field();
-  WriteTicket t = client.write_async("temperature", 0, data);
-  EXPECT_TRUE(client.write("pressure", 0, data).is_ok());
-  EXPECT_TRUE(t.done());  // FIFO: the blocking write queued behind it
+  const auto stale = field(std::byte{0x11});
+  const auto fresh = field(std::byte{0x22});
+  EXPECT_TRUE(client.write("pressure", 0, stale).is_ok());
+  EXPECT_EQ(node_->outstanding_tickets(), 0u);
+  std::vector<WriteTicket> queued;
+  for (int i = 0; i < 4; ++i) {
+    queued.push_back(client.write_async("temperature", 0, stale));
+  }
+  EXPECT_EQ(queued.front().id(), 1u);
+  EXPECT_TRUE(client.write("temperature", 0, fresh).is_ok());
+  for (const WriteTicket& t : queued) EXPECT_TRUE(t.done());
+  EXPECT_EQ(node_->outstanding_tickets(), 0u);
+  EXPECT_EQ(client.write_async("pressure", 0, fresh).id(), 5u);
   finish(client, 0);
-  EXPECT_EQ(node_->client_stats(0).writes, 2u);
+  EXPECT_EQ(node_->client_stats(0).writes, 7u);
+  // Same (variable, iteration, source): the last write wins, and the
+  // blocking one came last.
+  auto reader = format::Dh5Reader::open((dir_ / "async_node0_it0.dh5").string());
+  ASSERT_TRUE(reader.is_ok()) << reader.status().to_string();
+  auto idx = reader.value().find("temperature", 0, 0);
+  ASSERT_TRUE(idx.has_value());
+  auto payload = reader.value().read(*idx);
+  ASSERT_TRUE(payload.is_ok());
+  EXPECT_EQ(payload.value(), fresh);
 }
 
 // ------------------------------------------- degrade-ladder outcomes

@@ -15,10 +15,12 @@ namespace {
 
 // ---------------------------------------------------------- metadata
 
-VariableBlock make_block(const std::string& var, std::int64_t it, int src,
+// Single-letter variables; ids follow name order, as the node assigns them.
+VariableBlock make_block(std::string_view var, std::int64_t it, int src,
                          Bytes size = 64) {
   VariableBlock b;
   b.variable = var;
+  b.variable_id = static_cast<std::uint32_t>(var[0] - 'a');
   b.iteration = it;
   b.source = src;
   b.block = shm::Block{0, size, src};
@@ -26,28 +28,32 @@ VariableBlock make_block(const std::string& var, std::int64_t it, int src,
   return b;
 }
 
+std::uint32_t id_of(std::string_view var) { return make_block(var, 0, 0).variable_id; }
+
+constexpr std::size_t kLetters = 26;  // variable ids 'a'..'z'
+
 TEST(Metadata, AddAndFind) {
-  MetadataManager m;
+  MetadataManager m(kLetters, /*sources=*/2, /*stride=*/1);
   EXPECT_FALSE(m.add(make_block("u", 1, 0)).has_value());
-  EXPECT_NE(m.find("u", 1, 0), nullptr);
-  EXPECT_EQ(m.find("u", 1, 1), nullptr);
-  EXPECT_EQ(m.find("u", 2, 0), nullptr);
-  EXPECT_EQ(m.find("v", 1, 0), nullptr);
+  EXPECT_NE(m.find(id_of("u"), 1, 0), nullptr);
+  EXPECT_EQ(m.find(id_of("u"), 1, 1), nullptr);
+  EXPECT_EQ(m.find(id_of("u"), 2, 0), nullptr);
+  EXPECT_EQ(m.find(id_of("v"), 1, 0), nullptr);
   EXPECT_EQ(m.total_blocks(), 1u);
 }
 
 TEST(Metadata, DuplicateReplacedAndReturned) {
-  MetadataManager m;
+  MetadataManager m(kLetters, /*sources=*/2, /*stride=*/1);
   m.add(make_block("u", 1, 0, 64));
   auto replaced = m.add(make_block("u", 1, 0, 128));
   ASSERT_TRUE(replaced.has_value());
   EXPECT_EQ(replaced->size, 64u);
   EXPECT_EQ(m.total_blocks(), 1u);
-  EXPECT_EQ(m.find("u", 1, 0)->size, 128u);
+  EXPECT_EQ(m.find(id_of("u"), 1, 0)->size, 128u);
 }
 
 TEST(Metadata, BlocksOfIteration) {
-  MetadataManager m;
+  MetadataManager m(kLetters, /*sources=*/2, /*stride=*/1);
   m.add(make_block("u", 1, 0));
   m.add(make_block("u", 1, 1));
   m.add(make_block("v", 1, 0));
@@ -58,7 +64,7 @@ TEST(Metadata, BlocksOfIteration) {
 }
 
 TEST(Metadata, TakeIterationRemoves) {
-  MetadataManager m;
+  MetadataManager m(kLetters, /*sources=*/2, /*stride=*/1);
   m.add(make_block("u", 1, 0, 10));
   m.add(make_block("v", 1, 0, 20));
   m.add(make_block("u", 2, 0, 30));
@@ -69,8 +75,42 @@ TEST(Metadata, TakeIterationRemoves) {
   EXPECT_EQ(m.pending_iterations(), (std::vector<std::int64_t>{2}));
 }
 
+TEST(Metadata, BlocksComeOutInVariableSourceOrder) {
+  // Arrival order is the clients' interleaving; the dedicated core must
+  // still see (variable, source) order, as the DH5 layout expects.
+  MetadataManager m(kLetters, /*sources=*/2, /*stride=*/1);
+  m.add(make_block("w", 4, 1));
+  m.add(make_block("w", 4, 0));
+  m.add(make_block("u", 4, 1));
+  m.add(make_block("v", 4, 0));
+  m.add(make_block("u", 4, 0));
+  const std::vector<std::pair<std::string_view, int>> want = {
+      {"u", 0}, {"u", 1}, {"v", 0}, {"w", 0}, {"w", 1}};
+  std::vector<std::pair<std::string_view, int>> seen;
+  for (const VariableBlock* b : m.blocks_of(4)) seen.emplace_back(b->variable, b->source);
+  EXPECT_EQ(seen, want);
+  seen.clear();
+  for (const VariableBlock& b : m.take_iteration(4)) seen.emplace_back(b.variable, b.source);
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(m.total_blocks(), 0u);
+}
+
+TEST(Metadata, ShardTableHoldsOnlyItsClients) {
+  // Shard 1 of 2 over four clients: clients 1 and 3, one row each.
+  MetadataManager m(kLetters, /*sources=*/2, /*stride=*/2);
+  m.add(make_block("u", 1, 3));
+  m.add(make_block("u", 1, 1));
+  std::vector<int> sources;
+  for (const VariableBlock* b : m.blocks_of(1)) sources.push_back(b->source);
+  EXPECT_EQ(sources, (std::vector<int>{1, 3}));
+  EXPECT_NE(m.find(id_of("u"), 1, 3), nullptr);
+  // Client 0 shares client 1's row but belongs to the other shard.
+  EXPECT_EQ(m.find(id_of("u"), 1, 0), nullptr);
+  EXPECT_EQ(m.find(id_of("u"), 1, 4), nullptr);
+}
+
 TEST(Metadata, PendingIterationsSorted) {
-  MetadataManager m;
+  MetadataManager m(kLetters, /*sources=*/2, /*stride=*/1);
   m.add(make_block("u", 5, 0));
   m.add(make_block("u", 1, 0));
   m.add(make_block("u", 3, 0));

@@ -397,9 +397,9 @@ struct FaultNodeFixture : public ::testing::Test {
         for (int it = 0; it < iterations; ++it) {
           statuses[static_cast<std::size_t>(c) * iterations + it] =
               client.write("temperature", it, data);
-          client.end_iteration(it);
+          EXPECT_TRUE(client.end_iteration(it).is_ok());
         }
-        client.finalize();
+        EXPECT_TRUE(client.finalize().is_ok());
       });
     }
     for (auto& t : threads) t.join();

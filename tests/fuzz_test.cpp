@@ -67,21 +67,28 @@ TEST(XmlFuzz, StructuredMutationsNeverCrash) {
   }
 }
 
-TEST(XmlFuzz, DeepNestingBounded) {
-  // Deeply nested elements: parser must survive (it is recursive, but
-  // the depth is linear in input size and well within stack limits
-  // here). Sanitizer builds inflate each recursive frame, so use a
-  // shallower document there.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  constexpr int kDepth = 1000;
-#else
-  constexpr int kDepth = 5000;
-#endif
+std::string nested(int depth) {
   std::string s;
-  for (int i = 0; i < kDepth; ++i) s += "<a>";
-  for (int i = 0; i < kDepth; ++i) s += "</a>";
-  auto r = config::parse_xml(s);
-  EXPECT_TRUE(r.is_ok());
+  s.reserve(static_cast<std::size_t>(depth) * 7);
+  for (int i = 0; i < depth; ++i) s += "<a>";
+  for (int i = 0; i < depth; ++i) s += "</a>";
+  return s;
+}
+
+TEST(XmlFuzz, DeepNestingBounded) {
+  // The parser recurses once per element level, so nesting is capped at
+  // 64 levels (like the monitor's JSON parser): deeper documents fail
+  // with a Status instead of choosing the stack depth.
+  EXPECT_TRUE(config::parse_xml(nested(64)).is_ok());
+  auto r = config::parse_xml(nested(65));
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kCorruptData);
+}
+
+TEST(XmlFuzz, MillionLevelNestingRejectedWithoutCrash) {
+  auto cfg = config::Config::from_string(nested(1000000));
+  ASSERT_FALSE(cfg.is_ok());
+  EXPECT_EQ(cfg.status().code(), ErrorCode::kCorruptData);
 }
 
 // ----------------------------------------------------------- codec fuzz

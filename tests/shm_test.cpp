@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "check/protocol_checker.hpp"
 #include "common/rng.hpp"
 #include "shm/event_queue.hpp"
 #include "shm/shared_buffer.hpp"
@@ -65,6 +66,41 @@ TEST(FirstFit, CoalescingBothSides) {
   buf.deallocate(c.value());
   buf.deallocate(b.value());  // middle last: must merge into one region
   EXPECT_TRUE(buf.allocate(300, 0).is_ok());
+}
+
+TEST(FirstFit, BatchFreeOutOfOffsetOrderCoalesces) {
+  SharedBuffer buf(500, AllocPolicy::kMutexFirstFit, 2);
+  std::vector<Block> blocks;
+  for (int i = 0; i < 5; ++i) {
+    auto r = buf.allocate(100, i % 2);
+    ASSERT_TRUE(r.is_ok());
+    blocks.push_back(r.value());
+  }
+  // The dedicated core's view: an iteration's blocks in (variable,
+  // source) order, not in offset order.
+  buf.deallocate_batch({blocks[3], blocks[0], blocks[4], blocks[2], blocks[1]});
+  EXPECT_TRUE(buf.check_integrity().is_ok())
+      << buf.check_integrity().to_string();
+  EXPECT_EQ(buf.used(), 0u);
+  EXPECT_TRUE(buf.allocate(500, 0).is_ok());  // one coalesced free range
+}
+
+TEST(FirstFit, BatchListingABlockTwiceIsADoubleRelease) {
+#ifndef DMR_CHECK
+  GTEST_SKIP() << "observer hooks compiled out (DMR_CHECK=OFF)";
+#endif
+  SharedBuffer buf(1024, AllocPolicy::kMutexFirstFit, 1);
+  check::ProtocolChecker checker;
+  checker.observe(buf);
+  auto a = buf.allocate(128, 0);
+  auto b = buf.allocate(128, 0);
+  ASSERT_TRUE(a.is_ok() && b.is_ok());
+  buf.deallocate_batch({a.value(), b.value(), a.value()});
+  int double_releases = 0;
+  for (const check::Violation& v : checker.violations()) {
+    if (v.kind == check::ViolationKind::kDoubleRelease) ++double_releases;
+  }
+  EXPECT_EQ(double_releases, 1);
 }
 
 TEST(FirstFit, BlocksDoNotOverlap) {
@@ -346,6 +382,59 @@ TEST(EventQueue, DrainAfterClosePreservesFifoOrder) {
   }
   EXPECT_FALSE(q.pop().has_value());
   EXPECT_FALSE(q.try_pop().has_value());
+}
+
+TEST(EventQueue, PopAllDrainsEverythingPushedBeforeCloseInFifoOrder) {
+  EventQueue q;
+  for (int i = 0; i < 10; ++i) {
+    Message m;
+    m.iteration = i;
+    ASSERT_TRUE(q.push(m));
+  }
+  q.close();
+  Message late;
+  late.iteration = 99;
+  EXPECT_FALSE(q.push(late));
+  std::deque<Message> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  ASSERT_EQ(batch.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(batch[i].iteration, i);
+  EXPECT_FALSE(q.pop_all(batch));
+  EXPECT_TRUE(batch.empty());
+}
+
+TEST(EventQueue, PopAllKeepsEachProducersOrder) {
+  EventQueue q;
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 2000;
+  std::vector<std::int64_t> next(kProducers, 0);
+  bool in_order = true;
+  int received = 0;
+  std::thread consumer([&] {
+    std::deque<Message> batch;
+    while (q.pop_all(batch)) {
+      for (const Message& m : batch) {
+        in_order = in_order && m.iteration == next[m.client_id]++;
+        ++received;
+      }
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        Message m;
+        m.client_id = p;
+        m.iteration = i;
+        ASSERT_TRUE(q.push(m));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  q.close();
+  consumer.join();
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(received, kProducers * kPerProducer);
 }
 
 TEST(EventQueue, CloseIsIdempotent) {
