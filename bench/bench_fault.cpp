@@ -15,8 +15,9 @@
 //                    ledger must be clean (no leaks, no lost or
 //                    double-persisted blocks) and both runs must agree;
 //   - crash          a dedicated-core crash/restart at iteration 8;
-//   - queue_close    the shard queue closes after iteration 12 — late
-//                    writes fall back to the synchronous path.
+//   - queue_close    the shard queue closes after iteration 12; the
+//                    clients wait for the close, so their last three
+//                    iterations fall back to the synchronous path.
 //
 // Usage: bench_fault [output.json] [--check]
 //   --check exits nonzero unless the acceptance scenario holds (used by
@@ -68,10 +69,22 @@ struct Outcome {
   std::string checker_report;
 };
 
+/// Blocks until the node reports a closed shard queue, for at most
+/// 10 s (a close that never comes shows up as sync_files == 0).
+void wait_for_queue_close(const core::DamarisNode& node) {
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (node.stats().queue_closes == 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 /// Runs the standard workload under `plan` + `resilience` and returns
-/// the aggregate outcome. Deterministic for a fixed plan seed.
+/// the aggregate outcome. Deterministic for a fixed plan seed. With
+/// `hold_after` >= 0 every client waits after that iteration until a
+/// shard queue has closed.
 Outcome run_scenario(const fault::FaultPlan& plan,
-                     const fault::ResilienceConfig& resilience) {
+                     const fault::ResilienceConfig& resilience,
+                     int hold_after = -1) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("bench_fault_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
@@ -106,6 +119,7 @@ Outcome run_scenario(const fault::FaultPlan& plan,
       for (int it = 0; it < kIterations; ++it) {
         if (!client.write("field", it, payload).is_ok()) ++failures[c];
         if (!client.end_iteration(it).is_ok()) ++failures[c];
+        if (it == hold_after) wait_for_queue_close(node);
       }
       if (!client.finalize().is_ok()) ++failures[c];
     });
@@ -304,14 +318,16 @@ int main(int argc, char** argv) {
               crashed.checker_clean ? "clean" : "VIOLATIONS");
   json += "  \"crash\": " + outcome_json(crashed) + ",\n";
 
+  constexpr int kCloseAfter = 12;
   fault::FaultPlan qclose;
   qclose.seed = 42;
   fault::FaultSpec qs;
   qs.site = fault::Site::kShmQueueClose;
-  qs.window_start = 12;
+  qs.window_start = kCloseAfter;
   qs.window_length = 1;
   qclose.faults.push_back(qs);
-  const Outcome closed = run_scenario(qclose, policy_of("sync"));
+  const Outcome closed =
+      run_scenario(qclose, policy_of("sync"), kCloseAfter);
   std::printf("queue_close:  recovered %5.1f%%  sync_files=%llu  checker=%s\n",
               closed.recovered_pct,
               static_cast<unsigned long long>(closed.sync_files),
@@ -344,6 +360,8 @@ int main(int argc, char** argv) {
     expect(deterministic, "identical seed gives identical results");
     expect(crashed.checker_clean, "crash scenario accounting clean");
     expect(closed.checker_clean, "queue-close scenario accounting clean");
+    expect(closed.sync_files > 0,
+           "writes after the queue close reach the sync fallback");
     expect(clean.recovered_pct == 100.0, "clean run recovers everything");
     std::printf("chaos check: %s\n", rc == 0 ? "PASS" : "FAIL");
     return rc;

@@ -9,10 +9,8 @@
 #   scripts/check.sh --sched    # ... plus the adaptive-scheduler gate
 #   scripts/check.sh --plugins  # ... plus the in-situ analytics gate
 #   scripts/check.sh --facility # ... plus the multi-tenant facility gate
-#   scripts/check.sh --static   # ... plus the static gates: dmr_lint +
+#   scripts/check.sh --static   # ... plus the static gates: dmr_verify +
 #                               #     -Wthread-safety build (Clang only)
-#   scripts/check.sh --verify   # ... plus dmr_verify, the dataflow-level
-#                               #     determinism/atomics/shard analyzer
 #
 # Each sanitizer gets its own build tree (build-asan, build-ubsan,
 # build-tsan) so trees stay incremental across runs; the model-checking
@@ -32,7 +30,6 @@ RUN_SCHED=0
 RUN_PLUGINS=0
 RUN_FACILITY=0
 RUN_STATIC=0
-RUN_VERIFY=0
 for arg in "$@"; do
   case "$arg" in
     --tsan) RUN_TSAN=1 ;;
@@ -43,7 +40,6 @@ for arg in "$@"; do
     --plugins) RUN_PLUGINS=1 ;;
     --facility) RUN_FACILITY=1 ;;
     --static) RUN_STATIC=1 ;;
-    --verify) RUN_VERIFY=1 ;;
     *) echo "unknown option: $arg" >&2; exit 2 ;;
   esac
 done
@@ -87,7 +83,8 @@ find_tool() {
 #      must resolve to an existing file or directory;
 #  (2) config-key drift: every XML element/attribute shown in a ```xml
 #      fence of README.md / EXPERIMENTS.md must appear in DESIGN.md —
-#      the same source of truth dmr_lint holds src/config against.
+#      the same source of truth dmr_verify's config-doc rule holds
+#      src/config against.
 step "doc lint (relative links + fenced config keys vs DESIGN.md)"
 DOC_LINT_RC=0
 for f in *.md; do
@@ -226,18 +223,21 @@ if [ "$RUN_FACILITY" = 1 ]; then
 fi
 
 # ------------------------------------------------------- static gates
-# (1) dmr_lint: the five project rules (DESIGN.md §13) over the full
-#     tree, with machine-readable findings in results/static_findings.json.
-#     Compiler-agnostic — always runs.
+# (1) dmr_verify: the determinism, atomics and project rules
+#     (DESIGN.md §13) over the full tree, suppressed only by the audited
+#     tools/dmr_verify/allowlist.txt, with machine-readable findings in
+#     results/static_findings.json. The whole-run cache makes
+#     incremental reruns sub-second. Compiler-agnostic — always runs.
 # (2) -Wthread-safety: rebuild the tree with capability analysis as
 #     errors (build-tsafe, Clang only) and run the tests/static/
 #     negative-compilation suite proving the annotations still reject
 #     unguarded access, lock-order inversion and missing-release.
 if [ "$RUN_STATIC" = 1 ]; then
-  step "static: dmr_lint (project rules)"
-  cmake --build build -j "$JOBS" --target dmr_lint
-  ./build/tools/dmr_lint/dmr_lint --root . \
+  step "static: dmr_verify"
+  cmake --build build -j "$JOBS" --target dmr_verify
+  ./build/tools/dmr_verify/dmr_verify --root . \
     --compdb build/compile_commands.json \
+    --cache build/dmr_verify.cache \
     --json results/static_findings.json
 
   step "static: -Wthread-safety (clang, build-tsafe)"
@@ -250,23 +250,6 @@ if [ "$RUN_STATIC" = 1 ]; then
   else
     skipped "no clang++ >= ${MIN_CLANG_MAJOR} on PATH; the annotations are no-ops on this toolchain"
   fi
-fi
-
-# --------------------------------------------------- dataflow verifier
-# dmr_verify: dataflow-level determinism, atomics-discipline and
-# shard-safety rules (DESIGN.md §16) over the full tree, suppressed
-# only by the audited tools/dmr_verify/allowlist.txt. The whole-run
-# cache makes incremental reruns sub-second; machine-readable findings
-# land in results/static_findings_verify.json. Compiler-agnostic —
-# always runs.
-if [ "$RUN_VERIFY" = 1 ]; then
-  step "verify: dmr_verify (dataflow rules)"
-  cmake --build build -j "$JOBS" --target dmr_verify
-  mkdir -p results
-  ./build/tools/dmr_verify/dmr_verify --root . \
-    --compdb build/compile_commands.json \
-    --cache build/dmr_verify.cache \
-    --json results/static_findings_verify.json
 fi
 
 step "all checks passed"

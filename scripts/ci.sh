@@ -14,8 +14,7 @@
 #   scripts/ci.sh --no-sched    # skip the adaptive-scheduler gate (bench_sched)
 #   scripts/ci.sh --no-plugins  # skip the in-situ analytics gate (bench_plugin)
 #   scripts/ci.sh --no-facility # skip the multi-tenant facility gate (bench_facility)
-#   scripts/ci.sh --no-static   # skip the static gates (dmr_lint + -Wthread-safety)
-#   scripts/ci.sh --no-verify   # skip the dmr_verify dataflow analyzer
+#   scripts/ci.sh --no-static   # skip the static gates (dmr_verify + -Wthread-safety)
 #
 # Extra flags are passed through to scripts/check.sh. Exits non-zero on
 # the first failing step.
@@ -31,7 +30,6 @@ RUN_SCHED=1
 RUN_PLUGINS=1
 RUN_FACILITY=1
 RUN_STATIC=1
-RUN_VERIFY=1
 RUN_E2E=1
 CHECK_ARGS=()
 for arg in "$@"; do
@@ -44,7 +42,6 @@ for arg in "$@"; do
     --no-plugins) RUN_PLUGINS=0 ;;
     --no-facility) RUN_FACILITY=0 ;;
     --no-static) RUN_STATIC=0 ;;
-    --no-verify) RUN_VERIFY=0 ;;
     --no-e2e) RUN_E2E=0 ;;
     --fast) RUN_MODEL=0; RUN_CHAOS=0; RUN_SCHED=0; RUN_PLUGINS=0; RUN_FACILITY=0; RUN_E2E=0; CHECK_ARGS+=("$arg") ;;
     *) CHECK_ARGS+=("$arg") ;;
@@ -67,9 +64,6 @@ if [ "$RUN_FACILITY" = 1 ]; then
 fi
 if [ "$RUN_STATIC" = 1 ]; then
   CHECK_ARGS+=("--static")
-fi
-if [ "$RUN_VERIFY" = 1 ]; then
-  CHECK_ARGS+=("--verify")
 fi
 
 step() { printf '\n==== %s ====\n' "$*"; }

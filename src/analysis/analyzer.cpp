@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -23,7 +24,12 @@ namespace dmr::analysis {
 namespace {
 
 /// Bumped whenever rule semantics change, so stale caches self-expire.
-const char* kCacheHeader = "dmr-verify-cache v1";
+const char* kCacheHeader = "dmr-verify-cache v2";
+
+/// The config-doc rule's reference text. It is keyed in the cache like
+/// a source file (editing it must invalidate a cached run) but never
+/// analyzed as one.
+const char* kDesignDoc = "DESIGN.md";
 
 struct AllowEntry {
   std::string rule;
@@ -49,8 +55,8 @@ std::string rel_path(const fs::path& p, const fs::path& root) {
   return (ec ? p : r).generic_string();
 }
 
-/// Files named by compile_commands.json (hand-rolled, as in dmr_lint:
-/// the format is regular enough to need no JSON parser).
+/// Files named by compile_commands.json (hand-rolled: the format is
+/// regular enough to need no JSON parser).
 std::vector<fs::path> compdb_files(const fs::path& compdb) {
   std::vector<fs::path> files;
   const auto text = read_file(compdb.string());
@@ -240,6 +246,9 @@ int run_analyzer(const Options& opt) {
       paths.insert(fs::weakly_canonical(de.path()));
   }
 
+  if (fs::exists(root / kDesignDoc))
+    paths.insert(fs::weakly_canonical(root / kDesignDoc));
+
   std::vector<FileStat> stats;
   for (const fs::path& p : paths) {
     std::error_code ec;
@@ -288,6 +297,7 @@ int run_analyzer(const Options& opt) {
               << " files unchanged)\n";
   } else {
     std::vector<SourceFile> files;
+    std::optional<std::string> design_doc;
     for (FileStat& st : stats) {
       if (st.content.empty() && st.size != 0) {
         const auto text = read_file(st.path.string());
@@ -296,6 +306,10 @@ int run_analyzer(const Options& opt) {
           return 2;
         }
         st.content = *text;
+      }
+      if (st.rel == kDesignDoc) {
+        design_doc = std::move(st.content);
+        continue;
       }
       SourceFile f;
       f.rel = st.rel;
@@ -315,7 +329,7 @@ int run_analyzer(const Options& opt) {
     const TreeModel model = build_model(std::move(files));
     run_determinism_rules(model, findings);
     run_atomics_rules(model, findings);
-    run_shard_rules(model, findings);
+    run_project_rules(model, design_doc, findings);
     std::sort(findings.begin(), findings.end(), finding_less);
     findings.erase(std::unique(findings.begin(), findings.end(),
                                [](const Finding& a, const Finding& b) {

@@ -1,8 +1,8 @@
 // dmr_verify driver: collects the file set (compile_commands.json plus
-// a recursive src/ header scan, like dmr_lint), runs the three rule
-// families, applies the allowlist, and reports. A whole-run result
-// cache keyed on each file's (mtime, size, content hash) makes the
-// no-change re-run — the common CI case — cost only file stats; the
+// a recursive src/ header scan, and DESIGN.md for config-doc), runs the
+// three rule families, applies the allowlist, and reports. A whole-run
+// result cache keyed on each file's (mtime, size, content hash) makes
+// the no-change re-run — the common CI case — cost only file stats; the
 // allowlist is applied after the cache so editing a justification never
 // invalidates it.
 #pragma once

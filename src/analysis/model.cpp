@@ -60,68 +60,6 @@ const char* kUnorderedTypes[] = {
     "std::unordered_map", "std::unordered_set", "std::unordered_multimap",
     "std::unordered_multiset"};
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && is_space(s[b])) ++b;
-  while (e > b && is_space(s[e - 1])) --e;
-  return s.substr(b, e - b);
-}
-
-/// Cuts a declaration segment at a bit-field colon (a ':' that is not
-/// part of '::').
-std::string cut_bitfield(const std::string& s) {
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != ':') continue;
-    const bool prev = i > 0 && s[i - 1] == ':';
-    const bool next = i + 1 < s.size() && s[i + 1] == ':';
-    if (prev || next) { ++i; continue; }
-    return s.substr(0, i);
-  }
-  return s;
-}
-
-/// Extracts one MemberDecl from a class-scope declaration segment, or
-/// returns false when the segment is not a data member.
-bool member_from_segment(const std::string& seg, MemberDecl& out) {
-  static const std::regex kAccess("\\b(public|private|protected)\\s*:(?!:)");
-  static const std::regex kNonMember(
-      "\\b(using|typedef|friend|static|constexpr|template|enum|class|struct|"
-      "union|operator)\\b");
-  std::string t = trim(std::regex_replace(seg, kAccess, " "));
-  if (t.empty()) return false;
-  if (std::regex_search(t, kNonMember)) return false;
-  std::string flat = strip_template_args(t);
-  if (flat.find('(') != std::string::npos) return false;  // function decl
-  if (flat.find("DMR_SHARD_SHARED") != std::string::npos)
-    out.shard = MemberDecl::Shard::kShared;
-  else if (flat.find("DMR_SHARD_LOCAL") != std::string::npos)
-    out.shard = MemberDecl::Shard::kLocal;
-  static const std::regex kMacro("\\bDMR_\\w+\\b");
-  flat = std::regex_replace(flat, kMacro, " ");
-  if (const std::size_t eq = flat.find('='); eq != std::string::npos)
-    flat = flat.substr(0, eq);
-  flat = cut_bitfield(flat);
-  if (const std::size_t br = flat.find('['); br != std::string::npos)
-    flat = flat.substr(0, br);
-  for (char& c : flat)
-    if (c == '*' || c == '&') c = ' ';
-  std::vector<std::string> toks;
-  std::string cur;
-  for (char c : flat) {
-    if (is_ident_char(c) || c == ':') cur += c;
-    else if (!cur.empty()) { toks.push_back(cur); cur.clear(); }
-  }
-  if (!cur.empty()) toks.push_back(cur);
-  if (toks.size() < 2) return false;  // need at least `Type name`
-  const std::string& name = toks.back();
-  if (name.find(':') != std::string::npos) return false;
-  if (!(std::isalpha(static_cast<unsigned char>(name[0])) != 0 ||
-        name[0] == '_'))
-    return false;
-  out.name = name;
-  return true;
-}
-
 void parse_sync_table(TreeModel& m) {
   if (const SourceFile* obs = m.find("src/shm/observer.hpp")) {
     m.sync.kinds_rel = obs->rel;
@@ -202,80 +140,6 @@ std::set<std::string> unordered_decl_names(const std::string& stripped) {
   return names;
 }
 
-std::vector<MemberDecl> parse_members(const SourceFile& file) {
-  const std::string& s = file.stripped;
-  struct Scope {
-    enum Kind { kNamespace, kClass, kFunction, kOther } kind = kOther;
-    std::string name;
-    bool nested = false;
-  };
-  std::vector<Scope> stack;
-  std::vector<MemberDecl> out;
-  std::string seg;
-  std::size_t seg_off = 0;
-  static const std::regex kClassRe(
-      "\\b(?:class|struct)\\s+(?:DMR_\\w+\\s*(?:\\([^)]*\\))?\\s*)?"
-      "([A-Za-z_]\\w*)");
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (c == '{') {
-      Scope sc;
-      std::smatch m;
-      const bool in_class = !stack.empty() && stack.back().kind == Scope::kClass;
-      if (seg.find("enum") != std::string::npos) {
-        sc.kind = Scope::kOther;
-      } else if (std::regex_search(seg, m, kClassRe)) {
-        sc.kind = Scope::kClass;
-        sc.name = m[1].str();
-        for (const Scope& e : stack)
-          if (e.kind == Scope::kClass || e.kind == Scope::kFunction)
-            sc.nested = true;
-      } else if (seg.find("class") != std::string::npos ||
-                 seg.find("struct") != std::string::npos ||
-                 seg.find("union") != std::string::npos) {
-        sc.kind = Scope::kOther;  // anonymous aggregate
-      } else if (looks_like_function_header(seg)) {
-        sc.kind = Scope::kFunction;
-      } else if (seg.find("namespace") != std::string::npos) {
-        sc.kind = Scope::kNamespace;
-      } else if (in_class) {
-        // Brace initializer of a member (`std::uint64_t seq_{0};`):
-        // skip it so the declarator stays in the current segment.
-        const std::size_t k = match_forward(s, i, '{', '}');
-        if (k != std::string::npos) { i = k - 1; continue; }
-        sc.kind = Scope::kOther;
-      } else {
-        sc.kind = Scope::kOther;
-      }
-      stack.push_back(sc);
-      seg.clear();
-      seg_off = i + 1;
-    } else if (c == '}') {
-      if (!stack.empty()) stack.pop_back();
-      seg.clear();
-      seg_off = i + 1;
-    } else if (c == ';') {
-      if (!stack.empty() && stack.back().kind == Scope::kClass) {
-        MemberDecl d;
-        if (member_from_segment(seg, d)) {
-          d.cls = stack.back().name;
-          d.file = file.rel;
-          d.nested = stack.back().nested;
-          std::size_t b = seg_off;
-          while (b < i && is_space(s[b])) ++b;
-          d.line = line_of_offset(s, b);
-          out.push_back(d);
-        }
-      }
-      seg.clear();
-      seg_off = i + 1;
-    } else {
-      seg += c;
-    }
-  }
-  return out;
-}
-
 TreeModel build_model(std::vector<SourceFile> files) {
   TreeModel m;
   std::sort(files.begin(), files.end(),
@@ -288,9 +152,6 @@ TreeModel build_model(std::vector<SourceFile> files) {
       m.unit_atomics[f.unit].insert(n);
     for (const std::string& n : unordered_decl_names(f.stripped))
       m.unit_unordered[f.unit].insert(n);
-    if (f.is_header)
-      for (MemberDecl& d : parse_members(f))
-        m.unit_members[f.unit].push_back(std::move(d));
     for (std::size_t j = 0; j < f.functions.size(); ++j) {
       m.fn_by_tail[f.functions[j].tail].push_back(m.all_fns.size());
       m.all_fns.emplace_back(i, j);

@@ -1,10 +1,9 @@
 // Whole-tree model for dmr_verify: files grouped into header/impl
-// units, per-unit declaration indexes (std::atomic members, unordered
-// containers, class data members with their shard annotations), a
-// tail-name function index for the transitive wall-clock walk, and the
-// machine-readable sync-channel table parsed from
-// src/shm/sync_channels.hpp (the same table mc::HbRaceDetector links
-// against, so the static and dynamic models cannot drift).
+// units, per-unit declaration indexes (std::atomic objects, unordered
+// containers), a tail-name function index for the transitive
+// wall-clock walk, and the machine-readable sync-channel table parsed
+// from src/shm/sync_channels.hpp (the same table mc::HbRaceDetector
+// links against, so the static and dynamic models cannot drift).
 #pragma once
 
 #include <map>
@@ -16,16 +15,6 @@
 #include "analysis/source.hpp"
 
 namespace dmr::analysis {
-
-/// A data-member declaration of a class/struct found in a header.
-struct MemberDecl {
-  std::string cls;   ///< declaring class
-  std::string name;  ///< member identifier
-  std::string file;  ///< rel path of the declaring file
-  int line = 0;
-  bool nested = false;  ///< nested class or function-local struct
-  enum class Shard { kNone, kLocal, kShared } shard = Shard::kNone;
-};
 
 /// Sync-channel table: SyncPoint::Kind enumerators (src/shm/observer.hpp)
 /// joined with the X-macro lists in src/shm/sync_channels.hpp.
@@ -49,8 +38,6 @@ struct TreeModel {
   std::map<std::string, std::set<std::string>> unit_atomics;
   /// unit key -> names of unordered containers declared in the unit.
   std::map<std::string, std::set<std::string>> unit_unordered;
-  /// unit key -> class data members (headers only).
-  std::map<std::string, std::vector<MemberDecl>> unit_members;
   /// unqualified function name -> indices into `all_fns`.
   std::map<std::string, std::vector<std::size_t>> fn_by_tail;
   /// flat function table: (file index, function index).
@@ -69,8 +56,5 @@ std::set<std::string> atomic_decl_names(const std::string& stripped);
 
 /// Names of objects declared with a std::unordered_* container type.
 std::set<std::string> unordered_decl_names(const std::string& stripped);
-
-/// Class data members of a header, with shard annotations.
-std::vector<MemberDecl> parse_members(const SourceFile& file);
 
 }  // namespace dmr::analysis

@@ -1,4 +1,4 @@
-// The three dmr_verify rule families (DESIGN.md §16). Each pass walks
+// The three dmr_verify rule families (DESIGN.md §13). Each pass walks
 // the TreeModel and appends findings; suppression (allowlist) and
 // reporting live in analyzer.cpp.
 //
@@ -13,12 +13,13 @@
 //                                       the justification)
 //                sync-channel           acquire/release sites vs the
 //                                       src/shm/sync_channels.hpp table
-//   shard        shard-annotation     des member lacking
-//                                     DMR_SHARD_LOCAL/_SHARED
-//                shard-channel-api    shard-shared state touched
-//                                     outside a DMR_CHANNEL_API fn
+//   project      mutex-annotation     bare std lock type, or a
+//                                     dmr::Mutex that guards nothing
+//                discarded-status     (void)-cast of a Status/Result call
+//                config-doc           config key missing from DESIGN.md
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,10 @@ struct Finding {
 
 void run_determinism_rules(const TreeModel& model, std::vector<Finding>& out);
 void run_atomics_rules(const TreeModel& model, std::vector<Finding>& out);
-void run_shard_rules(const TreeModel& model, std::vector<Finding>& out);
+/// `design_doc` is the text of <root>/DESIGN.md (nullopt when absent:
+/// then every parsed config key is undocumented).
+void run_project_rules(const TreeModel& model,
+                       const std::optional<std::string>& design_doc,
+                       std::vector<Finding>& out);
 
 }  // namespace dmr::analysis

@@ -28,8 +28,9 @@ const char* kSimRoots[] = {"src/des/",    "src/strategies/", "src/cm1/",
                            "src/cluster/", "src/fs/",        "src/simmpi/",
                            "src/iopath/", "src/sched/"};
 
-/// Actual wall-clock reads/sleeps (type mentions like std::chrono alone
-/// are dmr_lint's clock-mixing territory, not a read).
+/// Actual wall-clock reads/sleeps (a type mention like std::chrono
+/// alone is not a read). Reads through a clock alias are found by
+/// wall_clock_aliases() below.
 const char* kWallTokens[] = {"wall_now",
                              "steady_clock::now",
                              "system_clock::now",
@@ -316,13 +317,37 @@ const std::set<std::string>& std_method_names() {
   return names;
 }
 
+/// Names declared as a wall clock: `using Clock = std::chrono::
+/// steady_clock;` or the typedef spelling. `Clock::now()` is then a
+/// wall-clock read the plain tokens above do not match.
+std::set<std::string> wall_clock_aliases(const std::string& stripped) {
+  static const std::regex kUsing(
+      "\\busing\\s+([A-Za-z_]\\w*)\\s*=\\s*(?:::)?(?:\\w+::)*"
+      "(?:steady|system|high_resolution)_clock\\s*;");
+  static const std::regex kTypedef(
+      "\\btypedef\\s+(?:::)?(?:\\w+::)*(?:steady|system|high_resolution)"
+      "_clock\\s+([A-Za-z_]\\w*)\\s*;");
+  std::set<std::string> names;
+  for (const std::regex* re : {&kUsing, &kTypedef})
+    for (std::sregex_iterator it(stripped.begin(), stripped.end(), *re), end;
+         it != end; ++it)
+      names.insert((*it)[1].str());
+  return names;
+}
+
 struct FnAttrs {
-  const char* wall = nullptr;  ///< first wall token found, else null
+  std::string wall;  ///< first wall read found, else empty
   bool sim = false;
   std::set<std::string> callees;
 };
 
 void rule_wall_in_sim(const TreeModel& m, std::vector<Finding>& out) {
+  // Collected tree-wide: an alias declared in a header is visible
+  // wherever that header is included.
+  std::set<std::string> aliases;
+  for (const SourceFile& f : m.files)
+    aliases.merge(wall_clock_aliases(f.stripped));
+
   std::vector<FnAttrs> attrs(m.all_fns.size());
   for (std::size_t i = 0; i < m.all_fns.size(); ++i) {
     const auto& [fi, gi] = m.all_fns[i];
@@ -331,6 +356,12 @@ void rule_wall_in_sim(const TreeModel& m, std::vector<Finding>& out) {
     const std::string text = fn.header + fn.body;
     for (const char* t : kWallTokens)
       if (text.find(t) != std::string::npos) { attrs[i].wall = t; break; }
+    if (attrs[i].wall.empty())
+      for (const std::string& alias : aliases)
+        if (!word_occurrences(text, alias + "::now").empty()) {
+          attrs[i].wall = alias + "::now";
+          break;
+        }
     bool sim_root = false;
     for (const char* r : kSimRoots)
       if (f.rel.rfind(r, 0) == 0) { sim_root = true; break; }
@@ -370,7 +401,7 @@ void rule_wall_in_sim(const TreeModel& m, std::vector<Finding>& out) {
     std::size_t hit = SIZE_MAX;
     for (std::size_t qi = 0; qi < queue.size() && hit == SIZE_MAX; ++qi) {
       const std::size_t cur = queue[qi];
-      if (attrs[cur].wall != nullptr) { hit = cur; break; }
+      if (!attrs[cur].wall.empty()) { hit = cur; break; }
       std::size_t depth = 0;
       for (std::size_t p = cur; parent.count(p) != 0; p = parent[p]) ++depth;
       if (depth >= kMaxDepth) continue;

@@ -58,6 +58,8 @@ std::optional<std::string> read_file(const std::string& path) {
   return ss.str();
 }
 
+namespace {
+
 bool looks_like_function_header(const std::string& seg) {
   if (seg.find('(') == std::string::npos) return false;
   static const char* kContainers[] = {"namespace", "class ", "struct ",
@@ -77,8 +79,6 @@ bool looks_like_function_header(const std::string& seg) {
   }
   return true;
 }
-
-namespace {
 
 std::string function_name_of(const std::string& seg) {
   const std::size_t paren = seg.find('(');
@@ -103,25 +103,21 @@ std::string function_name_of(const std::string& seg) {
 std::vector<Function> extract_functions(const std::string& stripped) {
   std::vector<Function> fns;
   std::string seg;
-  std::size_t seg_off = 0;  // offset where the current segment started
   int line = 1;
   int depth = 0;      // brace depth outside any function
   int fn_depth = -1;  // depth at which the current function opened
   Function cur;
-  for (std::size_t i = 0; i < stripped.size(); ++i) {
-    const char c = stripped[i];
+  for (const char c : stripped) {
     if (c == '\n') ++line;
     if (fn_depth >= 0) {
       if (c == '{') ++depth;
       if (c == '}') {
         --depth;
         if (depth == fn_depth) {
-          cur.body_end = i;
           fns.push_back(cur);
           cur = Function{};
           fn_depth = -1;
           seg.clear();
-          seg_off = i + 1;
           continue;
         }
       }
@@ -134,20 +130,15 @@ std::vector<Function> extract_functions(const std::string& stripped) {
         cur.tail = tail_name(cur.name);
         cur.line = line;
         cur.header = seg;
-        cur.header_off = seg_off;
-        cur.body_off = i + 1;
         fn_depth = depth;
       }
       ++depth;
       seg.clear();
-      seg_off = i + 1;
     } else if (c == '}') {
       --depth;
       seg.clear();
-      seg_off = i + 1;
     } else if (c == ';') {
       seg.clear();
-      seg_off = i + 1;
     } else {
       seg += c;
     }
@@ -188,17 +179,6 @@ std::size_t match_forward(const std::string& text, std::size_t open,
     else if (text[i] == close_ch && --depth == 0) return i + 1;
   }
   return std::string::npos;
-}
-
-std::string strip_template_args(const std::string& seg) {
-  std::string out;
-  int depth = 0;
-  for (char c : seg) {
-    if (c == '<') { ++depth; continue; }
-    if (c == '>') { if (depth > 0) --depth; continue; }
-    if (depth == 0) out += c;
-  }
-  return out;
 }
 
 }  // namespace dmr::analysis

@@ -1,10 +1,8 @@
-// Lightweight C++ source model shared by the dmr_verify rule passes
-// (ISSUE 9 tentpole). Same philosophy as tools/dmr_lint: no libclang,
-// no preprocessor — a comment/string stripper, a heuristic brace
-// tracker that recovers function boundaries, and offset→line helpers.
-// dmr_verify layers per-function dataflow on top (see model.hpp), which
-// is why the extraction here also records byte offsets: the rules need
-// to ask "is this occurrence inside that function's body?".
+// Lightweight C++ source model shared by the dmr_verify rule passes:
+// no libclang, no preprocessor — a comment/string stripper, a
+// heuristic brace tracker that recovers function boundaries, and
+// offset→line helpers. The rules layer per-function dataflow on top
+// (see model.hpp).
 #pragma once
 
 #include <optional>
@@ -13,18 +11,14 @@
 
 namespace dmr::analysis {
 
-/// One function (or method) recovered from stripped text. Offsets index
-/// into the stripped text of the owning file; the stripper preserves
-/// newlines, so offsets and line numbers agree with the raw file.
+/// One function (or method) recovered from stripped text. The stripper
+/// preserves newlines, so line numbers agree with the raw file.
 struct Function {
   std::string name;    ///< as written, possibly qualified (Foo::bar)
   std::string tail;    ///< unqualified tail (bar)
   int line = 0;        ///< 1-based line of the opening brace
   std::string header;  ///< signature segment before the opening brace
   std::string body;    ///< stripped text between the braces
-  std::size_t header_off = 0;  ///< offset where the header segment starts
-  std::size_t body_off = 0;    ///< offset just past the opening brace
-  std::size_t body_end = 0;    ///< offset of the closing brace
 };
 
 /// A parsed source file: raw text (for comment-borne annotations like
@@ -53,10 +47,6 @@ std::optional<std::string> read_file(const std::string& path);
 /// function; nested braces stay inside it).
 std::vector<Function> extract_functions(const std::string& stripped);
 
-/// True when a brace-preceding segment looks like a function signature
-/// (shared between extract_functions and the class-member parser).
-bool looks_like_function_header(const std::string& seg);
-
 int line_of_offset(const std::string& text, std::size_t off);
 
 /// 1-based line of `off` within `fn.body`, in file coordinates.
@@ -71,10 +61,5 @@ std::string tail_name(const std::string& qualified);
 /// (text[open] must be `open_ch`); npos when unbalanced.
 std::size_t match_forward(const std::string& text, std::size_t open,
                           char open_ch, char close_ch);
-
-/// Removes balanced `<...>` template-argument groups from a declaration
-/// segment, so `std::deque<Waiter> waiters_` becomes
-/// `std::deque waiters_` and declarator parsing sees only the name.
-std::string strip_template_args(const std::string& seg);
 
 }  // namespace dmr::analysis

@@ -17,13 +17,13 @@
 // below wrap the std primitives with the attributes Clang needs. The
 // wrappers are zero-cost: every method is a single inlined forward.
 //
-// Conventions (enforced by tools/dmr_lint, rule mutex-annotation):
+// Conventions (enforced by tools/dmr_verify, rule mutex-annotation):
 //  - mutex members are dmr::Mutex (never a bare std::mutex) and every
 //    member they protect carries DMR_GUARDED_BY(that_mutex_);
 //  - private helpers that expect the lock held are suffixed _locked and
 //    annotated DMR_REQUIRES(mutex_);
 //  - the rare intentional exceptions (seqlock, virtual-thread models)
-//    live in tools/dmr_lint/allowlist.txt with a one-line justification.
+//    live in tools/dmr_verify/allowlist.txt with a one-line justification.
 #pragma once
 
 #include <condition_variable>
@@ -71,29 +71,6 @@
   DMR_THREAD_ANNOTATION(no_thread_safety_analysis)
 /// Function returns a reference to the named capability.
 #define DMR_RETURN_CAPABILITY(x) DMR_THREAD_ANNOTATION(lock_returned(x))
-
-// --- Sharding contracts (checked by tools/dmr_verify, not the compiler) ---
-//
-// The partitioned parallel DES engine (ROADMAP item 1) splits engine
-// state across shard threads. These macros declare, on each data member
-// of the src/des/ engine classes, which side of that split it lives on;
-// they expand to nothing on every compiler and are consumed textually
-// by dmr_verify's shard-safety rules:
-//  - every data member in src/des/ must carry exactly one of the two
-//    state annotations (rule shard-annotation);
-//  - DMR_SHARD_SHARED members may only be touched inside functions
-//    marked DMR_CHANNEL_API, plus the declaring class's constructors
-//    and destructors (rule shard-channel-api);
-//  - DMR_SHARD_LOCAL members must not be referenced outside their
-//    declaring unit (same rule).
-
-/// Member is owned by a single shard thread; no cross-shard access.
-#define DMR_SHARD_LOCAL
-/// Member crosses shards; access only through DMR_CHANNEL_API functions.
-#define DMR_SHARD_SHARED
-/// Function is a declared cross-shard channel endpoint and may touch
-/// DMR_SHARD_SHARED members.
-#define DMR_CHANNEL_API
 
 namespace dmr {
 

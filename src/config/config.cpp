@@ -457,7 +457,7 @@ Result<Config> Config::from_xml(const XmlNode& root) {
   //     <tenant id="1" name="cm1-a" arrival="0" nodes="4"
   //             strategy="damaris" iterations="8" slo_p95_ms="400"/>
   //   </tenants>
-  // </facility> — the multi-tenant facility (DESIGN.md §17). Structural
+  // </facility> — the multi-tenant facility (DESIGN.md §16). Structural
   // mistakes (negative arrivals, duplicate ids, unknown policy or
   // strategy names, more replicas than shards) are rejected here.
   if (const XmlNode* fac = root.child("facility")) {

@@ -141,7 +141,7 @@ struct FacilityPlacementDecl {
 
 /// The <facility> section: a multi-tenant run sharing one machine, with
 /// the sharded metadata service and the placement-policy engine
-/// (DESIGN.md §17). `declared` distinguishes "no section" from an
+/// (DESIGN.md §16). `declared` distinguishes "no section" from an
 /// explicit empty one.
 struct FacilityConfig {
   bool declared = false;

@@ -544,6 +544,8 @@ void DamarisNode::maybe_close_queue(Shard& shard, std::int64_t iteration) {
                             << " after iteration " << iteration;
   trace_fault(opts_.node_id, "queue-close", iteration);
   shard.queue.close();
+  MutexLock lock(stats_mutex_);
+  ++server_stats_.queue_closes;
 }
 
 void DamarisNode::register_builtin_actions() {
@@ -694,10 +696,6 @@ Status DamarisNode::copy_write(int client, std::uint32_t name_id,
     std::memcpy(buffer_->data(block.value()), data.data(), data.size());
     if (publish(client, name_id, iteration, block.value())) {
       degrade_->on_clear();
-      if (opts_.fault_checker != nullptr) {
-        opts_.fault_checker->note_write(client, iteration,
-                                        check::WriteOutcome::kPublished);
-      }
       outcome = WriteOutcome::kPublished;
     } else {
       st = degraded_write(
@@ -721,7 +719,13 @@ bool DamarisNode::publish(int client, std::uint32_t name_id,
   msg.iteration = iteration;
   msg.name_id = name_id;
   msg.block = block;
-  if (shards_[shard_of(client)]->queue.push(msg)) return true;
+  if (shards_[shard_of(client)]->queue.push(msg)) {
+    if (opts_.fault_checker != nullptr) {
+      opts_.fault_checker->note_write(client, iteration,
+                                      check::WriteOutcome::kPublished);
+    }
+    return true;
+  }
   // The server is shutting down and will never consume this block, so
   // the pusher must release it or it leaks until shutdown.
   buffer_->deallocate(block);

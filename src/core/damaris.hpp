@@ -132,6 +132,8 @@ struct ServerStats {
   Bytes sync_bytes = 0;
   /// Injected dedicated-core crash/restart cycles.
   std::uint64_t crashes = 0;
+  /// Injected shard-queue closes, counted once the queue is closed.
+  std::uint64_t queue_closes = 0;
   /// Degrade-controller transitions (pressure, escalations, recoveries).
   fault::DegradeStats degrade;
 
@@ -414,8 +416,9 @@ class DamarisNode {
   /// resolved. Blocking writes and the async worker both run it.
   Status copy_write(int client, std::uint32_t name_id, std::int64_t iteration,
                     std::span<const std::byte> data, WriteOutcome& outcome);
-  /// Hands a written block to the client's shard. A closed queue will
-  /// never consume it, so the block is released and false returned.
+  /// Hands a written block to the client's shard and records it as
+  /// published in the fault ledger. A closed queue will never consume
+  /// it, so the block is released and false returned.
   bool publish(int client, std::uint32_t name_id, std::int64_t iteration,
                const shm::Block& block);
   void record_write(int client, Bytes bytes, double seconds);

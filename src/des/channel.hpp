@@ -11,7 +11,6 @@
 #include <optional>
 #include <utility>
 
-#include "common/thread_annotations.hpp"
 #include "des/engine.hpp"
 
 namespace dmr::des {
@@ -28,7 +27,7 @@ class Channel {
    public:
     explicit RecvAwaiter(Channel* ch) : ch_(ch) {}
 
-    DMR_CHANNEL_API bool await_ready() {
+    bool await_ready() {
       if (!ch_->items_.empty()) {
         value_ = std::move(ch_->items_.front());
         ch_->items_.pop_front();
@@ -36,7 +35,7 @@ class Channel {
       }
       return false;
     }
-    DMR_CHANNEL_API void await_suspend(std::coroutine_handle<> h) {
+    void await_suspend(std::coroutine_handle<> h) {
       ch_->waiters_.push_back({h, this});
     }
     T await_resume() {
@@ -51,10 +50,10 @@ class Channel {
   };
 
   /// Awaitable receive.
-  DMR_CHANNEL_API RecvAwaiter recv() { return RecvAwaiter(this); }
+  RecvAwaiter recv() { return RecvAwaiter(this); }
 
   /// Non-suspending send.
-  DMR_CHANNEL_API void send(T value) {
+  void send(T value) {
     if (!waiters_.empty()) {
       Waiter w = waiters_.front();
       waiters_.pop_front();
@@ -66,10 +65,10 @@ class Channel {
   }
 
   /// Number of queued (unconsumed) values.
-  DMR_CHANNEL_API std::size_t size() const { return items_.size(); }
-  DMR_CHANNEL_API bool empty() const { return items_.empty(); }
+  std::size_t size() const { return items_.size(); }
+  bool empty() const { return items_.empty(); }
   /// Number of processes blocked in recv().
-  DMR_CHANNEL_API std::size_t waiting_receivers() const {
+  std::size_t waiting_receivers() const {
     return waiters_.size();
   }
 
@@ -79,9 +78,9 @@ class Channel {
     RecvAwaiter* awaiter;
   };
 
-  DMR_SHARD_LOCAL Engine* eng_;
-  DMR_SHARD_SHARED std::deque<T> items_;
-  DMR_SHARD_SHARED std::deque<Waiter> waiters_;
+  Engine* eng_;
+  std::deque<T> items_;
+  std::deque<Waiter> waiters_;
 };
 
 }  // namespace dmr::des

@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "common/units.hpp"
 
 namespace dmr::des {
@@ -120,13 +119,12 @@ class Engine {
   void dispatch(Event* ev);
   Event* pop_next();
 
-  DMR_SHARD_LOCAL Time now_ = 0.0;
-  DMR_SHARD_LOCAL std::uint64_t next_seq_ = 0;
-  DMR_SHARD_LOCAL std::uint64_t events_processed_ = 0;
-  DMR_SHARD_LOCAL std::priority_queue<Event*, std::vector<Event*>,
-                                      EventCompare> queue_;
-  DMR_SHARD_LOCAL std::unordered_map<std::uint64_t, Event*> active_callbacks_;
-  DMR_SHARD_LOCAL std::vector<std::coroutine_handle<>> owned_processes_;
+  Time now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t events_processed_ = 0;
+  std::priority_queue<Event*, std::vector<Event*>, EventCompare> queue_;
+  std::unordered_map<std::uint64_t, Event*> active_callbacks_;
+  std::vector<std::coroutine_handle<>> owned_processes_;
 
   friend class Process;
 };

@@ -19,7 +19,6 @@
 #include <exception>
 #include <utility>
 
-#include "common/thread_annotations.hpp"
 
 namespace dmr::des {
 
@@ -69,7 +68,7 @@ class Process {
     }
   }
 
-  DMR_SHARD_LOCAL std::coroutine_handle<promise_type> handle_;
+  std::coroutine_handle<promise_type> handle_;
 };
 
 }  // namespace dmr::des

@@ -24,7 +24,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "common/units.hpp"
 #include "des/engine.hpp"
 #include "fault/fault.hpp"
@@ -109,16 +108,16 @@ class ServiceQueue {
                                                        eng_->now());
   }
 
-  DMR_SHARD_LOCAL Engine* eng_;
-  DMR_SHARD_LOCAL double rate_;
-  DMR_SHARD_LOCAL Time overhead_;
-  DMR_SHARD_LOCAL Time free_at_ = 0.0;
-  DMR_SHARD_LOCAL Time total_busy_ = 0.0;
-  DMR_SHARD_LOCAL std::uint64_t ops_ = 0;
-  DMR_SHARD_LOCAL trace::EntityId trace_entity_{};
-  DMR_SHARD_LOCAL const char* trace_label_ = nullptr;
-  DMR_SHARD_LOCAL const fault::FaultInjector* fault_ = nullptr;
-  DMR_SHARD_LOCAL fault::Site fault_site_ = fault::Site::kServerSlow;
+  Engine* eng_;
+  double rate_;
+  Time overhead_;
+  Time free_at_ = 0.0;
+  Time total_busy_ = 0.0;
+  std::uint64_t ops_ = 0;
+  trace::EntityId trace_entity_{};
+  const char* trace_label_ = nullptr;
+  const fault::FaultInjector* fault_ = nullptr;
+  fault::Site fault_site_ = fault::Site::kServerSlow;
 };
 
 class SharedLink {
@@ -201,22 +200,21 @@ class SharedLink {
   void reschedule();
   void on_tick();
 
-  DMR_SHARD_LOCAL Engine* eng_;
-  DMR_SHARD_LOCAL double rate_;
-  DMR_SHARD_LOCAL Time latency_;
-  DMR_SHARD_LOCAL std::priority_queue<Flow, std::vector<Flow>,
-                                      FlowCompare> flows_;
-  DMR_SHARD_LOCAL double virtual_work_ = 0.0;  // W(t), bytes of service
-  DMR_SHARD_LOCAL std::uint64_t next_flow_seq_ = 0;
-  DMR_SHARD_LOCAL Time last_update_ = 0.0;
-  DMR_SHARD_LOCAL Time busy_accum_ = 0.0;
-  DMR_SHARD_LOCAL std::uint64_t bytes_delivered_ = 0;
-  DMR_SHARD_LOCAL std::uint64_t pending_tick_ = 0;
-  DMR_SHARD_LOCAL bool tick_scheduled_ = false;
-  DMR_SHARD_LOCAL trace::EntityId trace_entity_{};
-  DMR_SHARD_LOCAL const char* trace_label_ = nullptr;
-  DMR_SHARD_LOCAL const fault::FaultInjector* fault_ = nullptr;
-  DMR_SHARD_LOCAL fault::Site fault_site_ = fault::Site::kNetDegrade;
+  Engine* eng_;
+  double rate_;
+  Time latency_;
+  std::priority_queue<Flow, std::vector<Flow>, FlowCompare> flows_;
+  double virtual_work_ = 0.0;  // W(t), bytes of service
+  std::uint64_t next_flow_seq_ = 0;
+  Time last_update_ = 0.0;
+  Time busy_accum_ = 0.0;
+  std::uint64_t bytes_delivered_ = 0;
+  std::uint64_t pending_tick_ = 0;
+  bool tick_scheduled_ = false;
+  trace::EntityId trace_entity_{};
+  const char* trace_label_ = nullptr;
+  const fault::FaultInjector* fault_ = nullptr;
+  fault::Site fault_site_ = fault::Site::kNetDegrade;
 
   friend class TransferAwaiter;
 };

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/thread_annotations.hpp"
 #include "des/engine.hpp"
 
 namespace dmr::des {
@@ -23,7 +22,7 @@ class Latch {
   Latch(const Latch&) = delete;
   Latch& operator=(const Latch&) = delete;
 
-  DMR_CHANNEL_API void count_down(std::size_t n = 1) {
+  void count_down(std::size_t n = 1) {
     assert(count_ >= n);
     count_ -= n;
     if (count_ == 0) {
@@ -32,11 +31,11 @@ class Latch {
     }
   }
 
-  DMR_CHANNEL_API auto wait() {
+  auto wait() {
     struct Awaiter {
       Latch* latch;
-      DMR_CHANNEL_API bool await_ready() const { return latch->count_ == 0; }
-      DMR_CHANNEL_API void await_suspend(std::coroutine_handle<> h) {
+      bool await_ready() const { return latch->count_ == 0; }
+      void await_suspend(std::coroutine_handle<> h) {
         latch->waiters_.push_back(h);
       }
       void await_resume() const {}
@@ -44,12 +43,12 @@ class Latch {
     return Awaiter{this};
   }
 
-  DMR_CHANNEL_API std::size_t pending() const { return count_; }
+  std::size_t pending() const { return count_; }
 
  private:
-  DMR_SHARD_LOCAL Engine* eng_;
-  DMR_SHARD_SHARED std::size_t count_;
-  DMR_SHARD_SHARED std::vector<std::coroutine_handle<>> waiters_;
+  Engine* eng_;
+  std::size_t count_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 /// Counting semaphore: acquire() suspends while no permits are
@@ -62,17 +61,17 @@ class Semaphore {
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
 
-  DMR_CHANNEL_API auto acquire() {
+  auto acquire() {
     struct Awaiter {
       Semaphore* sem;
-      DMR_CHANNEL_API bool await_ready() {
+      bool await_ready() {
         if (sem->permits_ > 0) {
           --sem->permits_;
           return true;
         }
         return false;
       }
-      DMR_CHANNEL_API void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(std::coroutine_handle<> h) {
         sem->waiters_.push_back(h);
       }
       void await_resume() const {}
@@ -82,7 +81,7 @@ class Semaphore {
 
   /// Releases one permit; a waiter (if any) resumes at the current time
   /// already holding it.
-  DMR_CHANNEL_API void release() {
+  void release() {
     if (!waiters_.empty()) {
       auto h = waiters_.front();
       waiters_.erase(waiters_.begin());
@@ -92,13 +91,13 @@ class Semaphore {
     }
   }
 
-  DMR_CHANNEL_API int available() const { return permits_; }
-  DMR_CHANNEL_API std::size_t waiting() const { return waiters_.size(); }
+  int available() const { return permits_; }
+  std::size_t waiting() const { return waiters_.size(); }
 
  private:
-  DMR_SHARD_LOCAL Engine* eng_;
-  DMR_SHARD_SHARED int permits_;
-  DMR_SHARD_SHARED std::vector<std::coroutine_handle<>> waiters_;
+  Engine* eng_;
+  int permits_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 /// Cyclic barrier for a fixed group of processes. arrive_and_wait()
@@ -114,10 +113,10 @@ class Barrier {
   Barrier(const Barrier&) = delete;
   Barrier& operator=(const Barrier&) = delete;
 
-  DMR_CHANNEL_API auto arrive_and_wait() {
+  auto arrive_and_wait() {
     struct Awaiter {
       Barrier* b;
-      DMR_CHANNEL_API bool await_ready() {
+      bool await_ready() {
         if (b->arrived_ + 1 == b->parties_) {
           // Last arrival: release everyone at the current time.
           b->arrived_ = 0;
@@ -129,7 +128,7 @@ class Barrier {
         }
         return false;
       }
-      DMR_CHANNEL_API void await_suspend(std::coroutine_handle<> h) {
+      void await_suspend(std::coroutine_handle<> h) {
         ++b->arrived_;
         b->waiters_.push_back(h);
       }
@@ -138,13 +137,13 @@ class Barrier {
     return Awaiter{this};
   }
 
-  DMR_CHANNEL_API std::size_t parties() const { return parties_; }
+  std::size_t parties() const { return parties_; }
 
  private:
-  DMR_SHARD_LOCAL Engine* eng_;
-  DMR_SHARD_SHARED std::size_t parties_;
-  DMR_SHARD_SHARED std::size_t arrived_;
-  DMR_SHARD_SHARED std::vector<std::coroutine_handle<>> waiters_;
+  Engine* eng_;
+  std::size_t parties_;
+  std::size_t arrived_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace dmr::des

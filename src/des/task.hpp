@@ -18,7 +18,6 @@
 #include <optional>
 #include <utility>
 
-#include "common/thread_annotations.hpp"
 
 namespace dmr::des {
 
@@ -29,7 +28,7 @@ namespace detail {
 
 template <typename T>
 struct TaskPromiseBase {
-  DMR_SHARD_LOCAL std::coroutine_handle<> continuation;
+  std::coroutine_handle<> continuation;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -92,7 +91,7 @@ class Task {
       handle_ = nullptr;
     }
   }
-  DMR_SHARD_LOCAL std::coroutine_handle<promise_type> handle_;
+  std::coroutine_handle<promise_type> handle_;
 };
 
 template <>
@@ -133,7 +132,7 @@ class Task<void> {
       handle_ = nullptr;
     }
   }
-  DMR_SHARD_LOCAL std::coroutine_handle<promise_type> handle_;
+  std::coroutine_handle<promise_type> handle_;
 };
 
 }  // namespace dmr::des

@@ -25,10 +25,6 @@
 // byte-identical outcomes, and a single tenant arriving at t=0 with
 // default placement replays the exact event timeline of run_strategy()
 // (pinned by bench_facility --check and tests/facility_test.cpp).
-//
-// Everything here lives in one translation unit and is single-shard
-// DES-side state (DMR_SHARD_LOCAL, checked by dmr_verify's shard rules
-// — src/facility/ is a shard root like src/des/).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +35,6 @@
 
 #include "cluster/machine.hpp"
 #include "common/stats.hpp"
-#include "common/thread_annotations.hpp"
 #include "config/config.hpp"
 #include "des/channel.hpp"
 #include "des/engine.hpp"
@@ -66,94 +61,93 @@ const char* policy_name(PolicyKind kind);
 
 /// Placement-ladder configuration (the <placement> config section).
 struct PlacementSpec {
-  DMR_SHARD_LOCAL PolicyKind policy = PolicyKind::kStatic;
+  PolicyKind policy = PolicyKind::kStatic;
   /// Default per-tenant p95 SLO on observed write seconds; 0 = none.
-  DMR_SHARD_LOCAL double slo_p95_seconds = 0.0;
+  double slo_p95_seconds = 0.0;
   /// Consecutive violating phases before escalating one tier.
-  DMR_SHARD_LOCAL int trip_phases = 2;
+  int trip_phases = 2;
   /// Consecutive clean phases before recovering one tier.
-  DMR_SHARD_LOCAL int clear_phases = 3;
+  int clear_phases = 3;
   /// Absorption bandwidth of the staging-tier burst buffer, B/s.
-  DMR_SHARD_LOCAL double staging_bandwidth = 8.0 * GiB;
+  double staging_bandwidth = 8.0 * GiB;
   /// Data servers reserved per escalated tenant (the dedicated-node
   /// slice width); clamped to the server count.
-  DMR_SHARD_LOCAL int group_servers = 8;
+  int group_servers = 8;
 };
 
 /// One tenant of the facility schedule.
 struct TenantSpec {
-  DMR_SHARD_LOCAL int tenant_id = 0;
-  DMR_SHARD_LOCAL std::string display_name;
-  DMR_SHARD_LOCAL SimTime arrival_time = 0.0;
+  int tenant_id = 0;
+  std::string display_name;
+  SimTime arrival_time = 0.0;
   /// The tenant's full application configuration. Its platform/tracer/
   /// injector fields are ignored — the facility's machine and file
   /// system are shared. Transport::kDedicatedNodes is not admissible.
-  DMR_SHARD_LOCAL strategies::RunConfig base_run;
+  strategies::RunConfig base_run;
   /// Per-tenant SLO override; 0 inherits PlacementSpec::slo_p95_seconds.
-  DMR_SHARD_LOCAL double slo_p95_seconds = 0.0;
+  double slo_p95_seconds = 0.0;
   /// For achieved-vs-requested reporting; 0 derives the request from
   /// the workload (bytes per phase / write interval).
-  DMR_SHARD_LOCAL double requested_bandwidth = 0.0;
+  double requested_bandwidth = 0.0;
 };
 
 /// The whole facility run.
 struct FacilitySpec {
-  DMR_SHARD_LOCAL cluster::PlatformSpec platform_spec;
-  DMR_SHARD_LOCAL int facility_nodes = 8;
-  DMR_SHARD_LOCAL std::uint64_t facility_seed = 1;
-  DMR_SHARD_LOCAL PlacementSpec placement_spec;
-  DMR_SHARD_LOCAL std::vector<TenantSpec> tenant_specs;
+  cluster::PlatformSpec platform_spec;
+  int facility_nodes = 8;
+  std::uint64_t facility_seed = 1;
+  PlacementSpec placement_spec;
+  std::vector<TenantSpec> tenant_specs;
   /// Optional structured tracing for the whole facility (not owned).
-  DMR_SHARD_LOCAL trace::Tracer* tracer_hook = nullptr;
+  trace::Tracer* tracer_hook = nullptr;
   /// > 0: assemble a MonitorSnapshot with the per-tenant table every
   /// `snapshot_period` simulated seconds and hand it to snapshot_sink.
-  DMR_SHARD_LOCAL SimTime snapshot_period = 0.0;
-  DMR_SHARD_LOCAL std::function<void(const monitor::MonitorSnapshot&)>
-      snapshot_sink;
+  SimTime snapshot_period = 0.0;
+  std::function<void(const monitor::MonitorSnapshot&)> snapshot_sink;
 };
 
 /// Per-tenant QoS outcome.
 struct TenantOutcome {
-  DMR_SHARD_LOCAL int tenant_id = 0;
-  DMR_SHARD_LOCAL std::string display_name;
-  DMR_SHARD_LOCAL SimTime arrival_time = 0.0;
-  DMR_SHARD_LOCAL SimTime admitted_time = 0.0;
-  DMR_SHARD_LOCAL SimTime finished_time = 0.0;
-  DMR_SHARD_LOCAL Tier final_tier = Tier::kDedicatedCore;
-  DMR_SHARD_LOCAL int escalations = 0;
-  DMR_SHARD_LOCAL int recoveries = 0;
+  int tenant_id = 0;
+  std::string display_name;
+  SimTime arrival_time = 0.0;
+  SimTime admitted_time = 0.0;
+  SimTime finished_time = 0.0;
+  Tier final_tier = Tier::kDedicatedCore;
+  int escalations = 0;
+  int recoveries = 0;
   /// Phases whose observed write time crossed the tenant's SLO, out of
   /// the phases observed (0/0 when the tenant has no SLO).
-  DMR_SHARD_LOCAL std::uint64_t slo_violations = 0;
-  DMR_SHARD_LOCAL std::uint64_t slo_phases = 0;
+  std::uint64_t slo_violations = 0;
+  std::uint64_t slo_phases = 0;
   /// Jitter percentiles over the tenant's per-phase write observations.
-  DMR_SHARD_LOCAL trace::JitterSummary write_jitter;
+  trace::JitterSummary write_jitter;
   /// The raw per-phase write observations, in completion order — lets
   /// capacity planning window out warm-up phases (the ladder needs
   /// trip_phases observations per escalation step before it converges).
-  DMR_SHARD_LOCAL std::vector<SimTime> phase_write_log;
-  DMR_SHARD_LOCAL double achieved_bandwidth = 0.0;
-  DMR_SHARD_LOCAL double requested_bandwidth = 0.0;
-  DMR_SHARD_LOCAL strategies::RunResult run_result;
+  std::vector<SimTime> phase_write_log;
+  double achieved_bandwidth = 0.0;
+  double requested_bandwidth = 0.0;
+  strategies::RunResult run_result;
 };
 
 /// Facility-wide outcome.
 struct FacilityOutcome {
-  DMR_SHARD_LOCAL std::vector<TenantOutcome> tenant_outcomes;
-  DMR_SHARD_LOCAL SimTime makespan = 0.0;
+  std::vector<TenantOutcome> tenant_outcomes;
+  SimTime makespan = 0.0;
   /// Bytes the shared file system stored divided by the makespan.
-  DMR_SHARD_LOCAL double aggregate_bandwidth = 0.0;
+  double aggregate_bandwidth = 0.0;
   /// Jain's fairness index over the tenants' achieved bandwidths.
-  DMR_SHARD_LOCAL double fairness_index = 1.0;
-  DMR_SHARD_LOCAL Bytes stored_bytes = 0;
-  DMR_SHARD_LOCAL fs::FsStats facility_fs_stats;
-  DMR_SHARD_LOCAL fs::MdsShardMap mds_map;
+  double fairness_index = 1.0;
+  Bytes stored_bytes = 0;
+  fs::FsStats facility_fs_stats;
+  fs::MdsShardMap mds_map;
   /// Cumulative busy seconds of each metadata shard primary.
-  DMR_SHARD_LOCAL std::vector<SimTime> mds_shard_busy;
+  std::vector<SimTime> mds_shard_busy;
   /// Most tenants resident (admitted, unfinished) at once.
-  DMR_SHARD_LOCAL int peak_resident = 0;
-  DMR_SHARD_LOCAL std::uint64_t ladder_escalations = 0;
-  DMR_SHARD_LOCAL std::uint64_t ladder_recoveries = 0;
+  int peak_resident = 0;
+  std::uint64_t ladder_escalations = 0;
+  std::uint64_t ladder_recoveries = 0;
 };
 
 /// Jain's fairness index (Σx)² / (n·Σx²) ∈ (0, 1]; 1 when empty.
@@ -205,7 +199,7 @@ class PlacementEngine {
   std::uint64_t total_recoveries() const { return descend_total_; }
 
  private:
-  /// Per-tenant ladder state (nested: exempt from shard annotations).
+  /// Per-tenant ladder state.
   struct LadderState {
     double slo_seconds = 0.0;
     Tier tier = Tier::kDedicatedCore;
@@ -221,15 +215,15 @@ class PlacementEngine {
   const LadderState* state_of(int tenant_id) const;
   int reserve_group();
 
-  DMR_SHARD_LOCAL PlacementSpec ladder_spec_;
-  DMR_SHARD_LOCAL int server_count_;
-  DMR_SHARD_LOCAL int group_width_;
-  DMR_SHARD_LOCAL std::unique_ptr<des::ServiceQueue> staging_queue_;
-  DMR_SHARD_LOCAL std::vector<int> ladder_ids_;
-  DMR_SHARD_LOCAL std::vector<LadderState> ladder_states_;
-  DMR_SHARD_LOCAL std::vector<bool> group_taken_;
-  DMR_SHARD_LOCAL std::uint64_t climb_total_ = 0;
-  DMR_SHARD_LOCAL std::uint64_t descend_total_ = 0;
+  PlacementSpec ladder_spec_;
+  int server_count_;
+  int group_width_;
+  std::unique_ptr<des::ServiceQueue> staging_queue_;
+  std::vector<int> ladder_ids_;
+  std::vector<LadderState> ladder_states_;
+  std::vector<bool> group_taken_;
+  std::uint64_t climb_total_ = 0;
+  std::uint64_t descend_total_ = 0;
 };
 
 /// The facility driver. Construct, run() once, read the outcome.
@@ -244,8 +238,7 @@ class Facility {
   FacilityOutcome run();
 
  private:
-  /// Everything the facility tracks per tenant (nested: exempt from
-  /// shard annotations).
+  /// Everything the facility tracks per tenant.
   struct TenantRun;
   struct Controller;
 
@@ -258,21 +251,21 @@ class Facility {
   void claim_slice(int first, int nodes_wanted, bool taken);
   SimTime horizon() const;
 
-  DMR_SHARD_LOCAL FacilitySpec plan_;
-  DMR_SHARD_LOCAL des::Engine engine_;
-  DMR_SHARD_LOCAL cluster::Machine machine_;
-  DMR_SHARD_LOCAL fs::SimFs shared_fs_;
-  DMR_SHARD_LOCAL PlacementEngine placement_;
-  DMR_SHARD_LOCAL std::vector<std::unique_ptr<TenantRun>> tenant_runs_;
-  DMR_SHARD_LOCAL std::vector<bool> node_taken_;
-  DMR_SHARD_LOCAL std::unique_ptr<des::Channel<int>> done_channel_;
+  FacilitySpec plan_;
+  des::Engine engine_;
+  cluster::Machine machine_;
+  fs::SimFs shared_fs_;
+  PlacementEngine placement_;
+  std::vector<std::unique_ptr<TenantRun>> tenant_runs_;
+  std::vector<bool> node_taken_;
+  std::unique_ptr<des::Channel<int>> done_channel_;
   /// All tenants' phase observations pooled (for the snapshot's
   /// facility-wide jitter block).
-  DMR_SHARD_LOCAL Sample all_phase_write_;
-  DMR_SHARD_LOCAL int resident_count_ = 0;
-  DMR_SHARD_LOCAL int peak_resident_ = 0;
-  DMR_SHARD_LOCAL int finished_count_ = 0;
-  DMR_SHARD_LOCAL std::int64_t snapshot_seq_ = 0;
+  Sample all_phase_write_;
+  int resident_count_ = 0;
+  int peak_resident_ = 0;
+  int finished_count_ = 0;
+  std::int64_t snapshot_seq_ = 0;
 };
 
 }  // namespace dmr::facility

@@ -1,10 +1,10 @@
 // Golden-output tests for tools/dmr_verify: each fixture mini-tree
 // under tools/dmr_verify/testdata/ seeds one violation class of the
-// dataflow analyzer (determinism sinks, atomics discipline, sync
-// channels, shard contracts), plus a self-check that the real tree is
-// clean under its audited allowlist. The tests spawn the actual
+// analyzer (determinism sinks and wall-clock reads, atomics discipline,
+// sync channels, the project rules), plus a self-check that the real
+// tree is clean under its audited allowlist. The tests spawn the actual
 // binary — the contract under test is the CLI (exit code + findings
-// lines + cache messages), exactly what scripts/check.sh --verify
+// lines + cache messages), exactly what scripts/check.sh --static
 // consumes.
 #include <gtest/gtest.h>
 
@@ -108,6 +108,60 @@ TEST(DmrVerify, WallClockReachableFromSimIsReportedWithPath) {
       << r.output;
   EXPECT_NE(r.output.find("steady_clock::now"), std::string::npos)
       << r.output;
+  // Reads through a `using` or `typedef` alias of a std clock.
+  EXPECT_NE(r.output.find("src/des/alias.cpp:10: [det-wall-in-sim] "
+                          "simulated-time function reaches a wall-clock "
+                          "read: aliased_tick (Clock::now)"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("src/des/alias.cpp:15: [det-wall-in-sim] "
+                          "simulated-time function reaches a wall-clock "
+                          "read: typedef_tick (SysClock::now)"),
+            std::string::npos)
+      << r.output;
+  // src/mix.cpp adds the fourth; DmrLint.ClockMixingIsFlaggedPerFunction
+  // asserts it.
+  EXPECT_NE(r.output.find("4 finding(s), 4 unsuppressed"), std::string::npos)
+      << r.output;
+}
+
+TEST(DmrVerify, BareStdMutexIsFlagged) {
+  const VerifyRun r = run_on_fixture("bare_mutex");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("src/q.hpp:4: [mutex-annotation] bare std::mutex"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(DmrVerify, MutexGuardingNothingIsFlagged) {
+  const VerifyRun r = run_on_fixture("idle_mutex");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("src/idle.hpp:3: [mutex-annotation] Mutex member "
+                          "'lonely_mutex_' guards nothing"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(DmrVerify, DiscardedStatusIsFlagged) {
+  const VerifyRun r = run_on_fixture("discarded");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("src/io.cpp:2: [discarded-status] (void)-cast "
+                          "discards the Status/Result of 'do_io'"),
+            std::string::npos)
+      << r.output;
+  // Exactly one finding: the handled call site is clean.
+  EXPECT_NE(r.output.find("1 finding(s), 1 unsuppressed"), std::string::npos)
+      << r.output;
+}
+
+TEST(DmrVerify, UndocumentedConfigKeyIsFlagged) {
+  const VerifyRun r = run_on_fixture("config_doc");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("src/config/config.cpp:4: [config-doc] config key "
+                          "\"secret_knob\""),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("documented_key"), std::string::npos) << r.output;
 }
 
 TEST(DmrVerify, ImplicitSeqCstIsFlaggedInBothShapes) {
@@ -142,13 +196,26 @@ TEST(DmrVerify, AllowlistSuppressesJustifiedRelaxed) {
       << r.output;
 }
 
+TEST(DmrVerify, AllowlistSuppressesProjectRuleFinding) {
+  // The entry's symbol is `std::mutex`: only the first ':' splits it
+  // from the path.
+  const std::string root = std::string(DMR_VERIFY_TESTDATA) + "/bare_mutex";
+  const VerifyRun r =
+      run_verify("--root " + root + " --allowlist " + root + "/allowlist.txt");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("1 finding(s), 0 unsuppressed"), std::string::npos)
+      << r.output;
+}
+
 TEST(DmrVerify, AllowlistEntryWithoutJustificationIsItselfAFinding) {
   const std::string root =
       std::string(DMR_VERIFY_TESTDATA) + "/atomics_relaxed";
   const VerifyRun r = run_verify("--root " + root + " --allowlist " + root +
                                  "/allowlist_bad.txt");
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("[allowlist]"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("[allowlist] malformed allowlist entry"),
+            std::string::npos)
+      << r.output;
   // The malformed entry suppresses nothing: the relaxed findings stay.
   EXPECT_NE(r.output.find("[atomic-relaxed-justify]"), std::string::npos)
       << r.output;
@@ -207,28 +274,6 @@ TEST(DmrVerify, SyncChannelTableDriftAndSitesAreChecked) {
       << r.output;
 }
 
-TEST(DmrVerify, ShardContractsAreEnforced) {
-  const VerifyRun r = run_on_fixture("shard");
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  // Missing contract on stray_.
-  EXPECT_NE(r.output.find("'Mailbox::stray_' lacks a sharding contract"),
-            std::string::npos)
-      << r.output;
-  // Shared member touched outside a channel-API function.
-  EXPECT_NE(r.output.find(
-                "'Mailbox::slots_' touched outside a DMR_CHANNEL_API"),
-            std::string::npos)
-      << r.output;
-  // Local member referenced from a different unit in the shard root.
-  EXPECT_NE(r.output.find("'Mailbox::seq_' (declared in src/des/chan.hpp) "
-                          "referenced outside its unit"),
-            std::string::npos)
-      << r.output;
-  // The annotated post() and same-unit local_seq() stay clean.
-  EXPECT_NE(r.output.find("3 finding(s), 3 unsuppressed"), std::string::npos)
-      << r.output;
-}
-
 TEST(DmrVerify, CacheHitIsReportedAndInvalidatedOnChange) {
   namespace fs = std::filesystem;
   const std::string dir = ::testing::TempDir() + "/dmr_verify_cache_fixture_" +
@@ -265,6 +310,39 @@ TEST(DmrVerify, CacheHitIsReportedAndInvalidatedOnChange) {
   fs::remove(cache);
 }
 
+// config-doc reads DESIGN.md, which is not under src/: the cache must
+// still key it, or a stale run would hide a fixed (or new) finding.
+TEST(DmrVerify, CacheIsInvalidatedByDesignDocEdit) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "/dmr_verify_design_cache_" +
+                          std::to_string(::getpid());
+  const std::string cache = dir + ".cache";
+  fs::remove_all(dir);
+  fs::remove(cache);
+  fs::copy(std::string(DMR_VERIFY_TESTDATA) + "/config_doc", dir,
+           fs::copy_options::recursive);
+  const std::string args = "--root " + dir + " --cache " + cache;
+
+  const VerifyRun cold = run_verify(args);
+  EXPECT_EQ(cold.exit_code, 1) << cold.output;
+  const VerifyRun warm = run_verify(args);
+  EXPECT_EQ(warm.exit_code, 1) << warm.output;
+  EXPECT_NE(warm.output.find("analysis cache hit"), std::string::npos)
+      << warm.output;
+
+  std::ofstream(dir + "/DESIGN.md", std::ios::app) << "And `secret_knob`.\n";
+  const VerifyRun edited = run_verify(args);
+  EXPECT_EQ(edited.exit_code, 0) << edited.output;
+  EXPECT_EQ(edited.output.find("analysis cache hit"), std::string::npos)
+      << edited.output;
+  EXPECT_NE(edited.output.find("0 finding(s), 0 unsuppressed"),
+            std::string::npos)
+      << edited.output;
+
+  fs::remove_all(dir);
+  fs::remove(cache);
+}
+
 TEST(DmrVerify, JsonOutputIsWritten) {
   const std::string json =
       ::testing::TempDir() + "/dmr_verify_findings_" +
@@ -285,13 +363,90 @@ TEST(DmrVerify, JsonOutputIsWritten) {
 
 // The gate itself: the real tree must stay clean (the binary picks up
 // the audited tools/dmr_verify/allowlist.txt under --root). A
-// regression here means a new determinism, atomics or shard violation
-// landed.
+// regression here means a new determinism, atomics or project-rule
+// violation landed.
 TEST(DmrVerify, RealTreeIsClean) {
   const VerifyRun r = run_verify(std::string("--root ") + DMR_REPO_ROOT);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_EQ(r.output.find("unused allowlist entry"), std::string::npos)
       << r.output;
+}
+
+// DmrLint: the project rule family (mutex-annotation, discarded-status,
+// config-doc) and the per-function wall-clock check, each run end to
+// end through the same binary.
+
+TEST(DmrLint, CleanTreePasses) {
+  // The fixture holds a dmr::Mutex that guards a member and a
+  // DESIGN.md: no project rule fires.
+  const VerifyRun r = run_on_fixture("clean");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  for (const char* rule :
+       {"[mutex-annotation]", "[discarded-status]", "[config-doc]"}) {
+    EXPECT_EQ(r.output.find(rule), std::string::npos) << r.output;
+  }
+  EXPECT_NE(r.output.find("0 unsuppressed"), std::string::npos) << r.output;
+}
+
+TEST(DmrLint, ClockMixingIsFlaggedPerFunction) {
+  // Outside the sim roots, a SimTime parameter marks simulated-time
+  // code: drift() also reads the wall clock, its sibling pure_sim()
+  // in the same file does not and must not be flagged.
+  const VerifyRun r = run_on_fixture("wall_in_sim");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("src/mix.cpp:3: [det-wall-in-sim] simulated-time "
+                          "function reaches a wall-clock read: drift "),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("pure_sim"), std::string::npos) << r.output;
+}
+
+TEST(DmrLint, AllowlistEntryWithoutJustificationIsItselfAFinding) {
+  const std::string root = std::string(DMR_VERIFY_TESTDATA) + "/bare_mutex";
+  const VerifyRun r = run_verify("--root " + root + " --allowlist " + root +
+                                 "/allowlist_bad.txt");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("[allowlist] malformed allowlist entry"),
+            std::string::npos)
+      << r.output;
+  // The malformed entry suppresses nothing: the underlying finding stays.
+  EXPECT_NE(r.output.find("src/q.hpp:4: [mutex-annotation]"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(DmrLint, JsonOutputIsWritten) {
+  const std::string json = ::testing::TempDir() + "/dmr_lint_findings_" +
+                           std::to_string(::getpid()) + ".json";
+  const VerifyRun r = run_on_fixture("bare_mutex", "--json " + json);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  std::ifstream in(json);
+  ASSERT_TRUE(in.good());
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  EXPECT_NE(ss.str().find("{\"rule\": \"mutex-annotation\", \"file\": "
+                          "\"src/q.hpp\", \"line\": 4, \"symbol\": "
+                          "\"std::mutex\", \"suppressed\": false"),
+            std::string::npos)
+      << ss.str();
+  EXPECT_NE(ss.str().find("\"unsuppressed\": 1"), std::string::npos)
+      << ss.str();
+  std::remove(json.c_str());
+}
+
+// The real tree's project-rule findings are all audited: each one the
+// allowlist covers shows up as suppressed, none is left over.
+TEST(DmrLint, RealTreeIsClean) {
+  const VerifyRun r =
+      run_verify(std::string("--root ") + DMR_REPO_ROOT + " --verbose");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("[mutex-annotation] suppressed: Mutex member "
+                          "'g_emit_mutex'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("[discarded-status] suppressed"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find(" 0 unsuppressed"), std::string::npos) << r.output;
 }
 
 }  // namespace

@@ -586,6 +586,27 @@ TEST_F(FaultNodeFixture, IdenticalSeedIdenticalOutcome) {
   EXPECT_GT(std::get<3>(a), 0u);
 }
 
+// The zero-copy alloc/commit path publishes without copy_write; its
+// blocks must enter the ledger like written ones.
+TEST_F(FaultNodeFixture, AllocCommitIsAccountedInLedger) {
+  check::FaultChecker checker;
+  make_node(/*clients=*/1, fault::FaultPlan{}, fault::ResilienceConfig{},
+            &checker);
+  ASSERT_TRUE(node_->start().is_ok());
+  Client client = node_->client(0);
+  auto span = client.alloc("temperature", 0);
+  ASSERT_TRUE(span.is_ok()) << span.status().to_string();
+  std::memset(span.value().data(), 0x2a, span.value().size());
+  ASSERT_TRUE(client.commit("temperature", 0).is_ok());
+  ASSERT_TRUE(client.end_iteration(0).is_ok());
+  ASSERT_TRUE(client.finalize().is_ok());
+  ASSERT_TRUE(node_->stop().is_ok());
+  const auto report = checker.finalize();
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  EXPECT_EQ(report.published, 1u);
+  EXPECT_EQ(report.persisted, 1u);
+}
+
 // Mixed plan under real client threads: the chaos scenario exercised by
 // the TSan matrix (scripts/check.sh --tsan).
 TEST_F(FaultNodeFixture, FaultChaosMixedPlanUnderThreads) {

@@ -1,20 +1,18 @@
-// dmr_verify — dataflow-level static analyzer (ISSUE 9 tentpole).
+// dmr_verify — the project's static analyzer.
 //
 // Three rule families over the whole tree (src/analysis/ holds the
-// implementation; DESIGN.md §16 the semantics):
+// implementation; DESIGN.md §13 the semantics):
 //
 //   determinism   det-unordered-sink, det-pointer-key, det-wall-in-sim
 //   atomics       atomic-implicit-order, atomic-relaxed-justify,
 //                 sync-channel (vs src/shm/sync_channels.hpp)
-//   shard-safety  shard-annotation, shard-channel-api
-//                 (DMR_SHARD_LOCAL / DMR_SHARD_SHARED / DMR_CHANNEL_API
-//                 across src/des/)
+//   project       mutex-annotation, discarded-status, config-doc
+//                 (vs <root>/DESIGN.md)
 //
-// Same contract as dmr_lint: findings are suppressed only by
-// tools/dmr_verify/allowlist.txt entries of the form
-// `rule path[:symbol]  # justification`; an entry without a
-// justification is itself a finding, unused entries warn. Exit 0 =
-// clean, 1 = unsuppressed findings, 2 = usage/IO error.
+// Findings are suppressed only by tools/dmr_verify/allowlist.txt
+// entries of the form `rule path[:symbol]  # justification`; an entry
+// without a justification is itself a finding, unused entries warn.
+// Exit 0 = clean, 1 = unsuppressed findings, 2 = usage/IO error.
 #include <iostream>
 #include <string>
 
