@@ -1,12 +1,12 @@
 // Quickstart: the paper's §III-D example, in C++.
 //
 // One SMP node with three compute threads (clients) and one dedicated
-// I/O core (the DamarisNode's server thread). Each client submits a 3-D
-// variable with write_async() — the call copies and returns
-// immediately, so the "computation" of the next step overlaps the
-// handoff — then signals an event and ends the iteration, which fences
-// the outstanding ticket before the dedicated core persists everything
-// to one DH5 file per iteration.
+// I/O core (the DamarisNode's server thread). Each client writes a 3-D
+// variable with write_async() — one copy into shared memory on the
+// client's own thread, after which the ticket is done — then signals an
+// event and ends the iteration. The dedicated core persists everything
+// to one DH5 file per iteration while the clients compute the next
+// step.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
@@ -61,10 +61,10 @@ int main() {
                        0.001f * static_cast<float>(i);
         }
         // df_write + df_signal, as in the paper's Fortran example —
-        // except the write is a ticket: the buffer is reusable the
-        // moment write_async() returns, and end_iteration() fences the
-        // ticket (wait() would too; checking the final status here
-        // keeps the example honest about failures).
+        // except the write returns a ticket: the buffer is reusable
+        // the moment write_async() returns, and wait() hands back the
+        // write's final status (checked here to keep the example
+        // honest about failures).
         auto ticket = client.write_async(
             "my_variable", step,
             std::as_bytes(std::span<const float>(my_data)));

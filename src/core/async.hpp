@@ -1,9 +1,10 @@
 // Task-aware asynchronous write API (TASIO-shaped, see PAPERS.md).
 //
-// The paper's dedicated core exists to overlap computation with I/O,
-// but a blocking Client::write() can never *express* that overlap: the
-// compute core stalls for the shm handoff even though nothing forces it
-// to. The async surface makes the handoff itself a task:
+// The paper's dedicated core exists to overlap computation with I/O:
+// a write is one copy into shared memory, and persistence proceeds on
+// the dedicated core while the client computes its next step. The
+// async surface names that handoff as a task, so writes can be
+// ordered, observed and awaited uniformly:
 //
 //   dmr::core::WriteBatch batch;
 //   auto t1 = client.write_async("u", step, data_u);
@@ -14,25 +15,28 @@
 //   Status st = batch.wait_all();                    // or t2.wait()
 //
 // Semantics:
-//  - Submission order per client is execution order (a per-client FIFO
-//    worker), except that a ticket with dependences (`after`) holds the
-//    worker until each dependence completes. Dependences may come from
-//    other clients or nodes; cycles are impossible by construction — a
-//    ticket can only depend on tickets that already exist.
-//  - The payload is copied at submission, so the caller's buffer is
-//    free the moment write_async() returns (the dc_alloc/dc_commit pair
-//    remains the zero-copy path).
-//  - A completion callback runs on the worker thread after the final
+//  - write_async runs on the calling thread, like the blocking
+//    Client::write(): it waits for each `after` ticket to resolve,
+//    copies the payload straight into shared memory and notifies the
+//    dedicated core, all through the one write function the blocking
+//    path uses. It takes no thread hop, so it returns with its ticket
+//    done, and the caller's buffer is free at once (the
+//    dc_alloc/dc_commit pair remains the zero-copy path).
+//  - A dependence is met once its write resolved (status and outcome
+//    set), not once its callback returned, so a callback may name its
+//    own ticket in `after`. Dependences may come from other clients or
+//    nodes; cycles are impossible by construction — a ticket can only
+//    depend on tickets that already exist.
+//  - A full shared buffer blocks write_async in allocation, exactly as
+//    it blocks write(), up to the same timeout and degrade ladder.
+//  - The completion callback runs on the calling thread after the final
 //    Status/WriteOutcome are set and *before* the ticket reports done —
 //    wait() returning (or done() turning true) implies the callback has
-//    finished.
-//  - Only write_async uses the worker. The blocking Client::write()/
-//    write_sized()/commit() run on the caller, after fencing the
-//    client's outstanding tickets, and take no ticket; the worker calls
-//    the same write function, so there is one write code path.
-//  - Client::end_iteration()/finalize() fence the same way, preserving
-//    the blocking API's ordering guarantees for mixed async/blocking
-//    programs.
+//    finished. completion_seq numbers completions densely, node-wide,
+//    in the order their outcomes were set.
+//  - A client's tickets are therefore all complete before its thread
+//    reaches write(), commit(), end_iteration() or finalize(), so mixed
+//    async/blocking programs keep the blocking API's ordering.
 //
 // Thread-safety: WriteTicket and WriteBatch are value types sharing an
 // internal state block guarded by its own mutex (annotated for
@@ -88,7 +92,7 @@ using TicketStatePtr = std::shared_ptr<TicketState>;
 
 }  // namespace detail
 
-/// Completion callback; runs on the submission worker thread.
+/// Completion callback; runs on the thread that called write_async.
 using WriteCallback = std::function<void(const WriteTicket&)>;
 
 /// Handle to one asynchronous write. Copyable and cheap; all copies
@@ -126,10 +130,10 @@ class WriteTicket {
 
 /// Submission options for Client::write_async().
 struct AsyncWriteOptions {
-  /// Tickets that must complete before this write executes (ordering
-  /// dependences, possibly across clients or nodes).
+  /// Tickets whose writes must resolve before this write executes
+  /// (ordering dependences, possibly across clients or nodes).
   std::vector<WriteTicket> after;
-  /// Runs on the worker thread once Status/WriteOutcome are final,
+  /// Runs on the calling thread once Status/WriteOutcome are final,
   /// before the ticket reports done.
   WriteCallback on_complete;
 };

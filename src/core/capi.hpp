@@ -33,10 +33,11 @@ int df_finalize();
 /// Copies `data` (size from the configured layout) into shared memory.
 int df_write(const char* variable, std::int64_t step, const void* data);
 
-/// Asynchronous df_write: submits the copy and returns a positive
-/// ticket handle immediately (negative on failure). The calling client
-/// keeps computing; pass the handle to df_wait / df_test, or call
-/// df_wait_all before df_end_iteration. Handles are per-thread.
+/// df_write with a ticket: copies `data` into shared memory on the
+/// calling thread, like df_write, and returns a positive ticket handle
+/// (negative on failure) whose write has already completed. Collect its
+/// status with df_wait or df_wait_all; df_test polls it. Handles are
+/// per-thread.
 std::int64_t df_write_async(const char* variable, std::int64_t step,
                             const void* data);
 
@@ -44,8 +45,9 @@ std::int64_t df_write_async(const char* variable, std::int64_t step,
 /// and releases the handle.
 int df_wait(std::int64_t ticket);
 
-/// Non-blocking poll: 1 when done, 0 while pending, negative for an
-/// unknown handle. Does not release the handle.
+/// Non-blocking poll: 1 when done, 0 while pending (a handle from
+/// df_write_async is done when returned), negative for an unknown
+/// handle. Does not release the handle.
 int df_test(std::int64_t ticket);
 
 /// Waits for every outstanding async ticket of the calling thread;

@@ -122,9 +122,6 @@ DamarisNode::DamarisNode(config::Config cfg, int num_clients,
 }
 
 DamarisNode::~DamarisNode() {
-  // Submission workers exist independently of started_ and hold
-  // references into the buffer and queues: retire them first.
-  stop_async_workers();
   if (started_.load(std::memory_order_acquire)) {
     for (auto& shard : shards_) shard->queue.close();
     for (auto& shard : shards_) {
@@ -138,13 +135,18 @@ std::uint32_t DamarisNode::name_id(const std::string& name) const {
   return it == ids_.end() ? ~0u : it->second.id;
 }
 
-Result<const DamarisNode::NameInfo*> DamarisNode::resolve(
-    int client, const std::string& variable, std::size_t bytes,
-    bool sized) const {
+Status DamarisNode::check_client(int client) const {
   if (client < 0 || client >= num_clients_) {
     return invalid_argument("client id " + std::to_string(client) +
                             " out of range");
   }
+  return Status::ok();
+}
+
+Result<const DamarisNode::NameInfo*> DamarisNode::resolve(
+    int client, const std::string& variable, std::size_t bytes,
+    bool sized) const {
+  if (Status st = check_client(client); !st.is_ok()) return st;
   auto it = ids_.find(variable);
   if (it == ids_.end() || it->second.layout == nullptr) {
     return not_found("variable '" + variable + "' not configured");
@@ -185,9 +187,6 @@ Client DamarisNode::client(int id) { return Client(this, id); }
 Status DamarisNode::stop() {
   if (!started_.load(std::memory_order_acquire))
     return failed_precondition("node not started");
-  // Drain queued async submissions while the servers can still consume
-  // them, then close the shard queues.
-  stop_async_workers();
   for (auto& shard : shards_) shard->queue.close();
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
@@ -626,16 +625,16 @@ WriteTicket Client::write_async(const std::string& variable,
                                 std::int64_t iteration,
                                 std::span<const std::byte> data,
                                 AsyncWriteOptions opts) {
-  return node_->submit(id_, variable, iteration, data, /*sized=*/false,
-                       std::move(opts));
+  return node_->write_ticketed(id_, variable, iteration, data,
+                               /*sized=*/false, opts);
 }
 
 WriteTicket Client::write_sized_async(const std::string& variable,
                                       std::int64_t iteration,
                                       std::span<const std::byte> data,
                                       AsyncWriteOptions opts) {
-  return node_->submit(id_, variable, iteration, data, /*sized=*/true,
-                       std::move(opts));
+  return node_->write_ticketed(id_, variable, iteration, data,
+                               /*sized=*/true, opts);
 }
 
 // ------------------------------------------------------- the write path
@@ -646,17 +645,8 @@ Status DamarisNode::write_blocking(int client, const std::string& variable,
                                    bool sized) {
   auto var = resolve(client, variable, data.size(), sized);
   if (!var.is_ok()) return var.status();
-  fence(client);
   WriteOutcome outcome = WriteOutcome::kPending;
   return copy_write(client, var.value()->id, iteration, data, outcome);
-}
-
-void DamarisNode::fence(int client) {
-  if (client < 0 || client >= num_clients_) return;
-  ClientState& state = *clients_[static_cast<std::size_t>(client)];
-  if (state.pending.load(std::memory_order_acquire) == 0) return;
-  MutexLock lock(state.mutex);
-  while (!state.queue.empty() || state.in_flight) state.cv.wait(state.mutex);
 }
 
 Result<shm::Block> DamarisNode::reserve(int client, std::int64_t iteration,
@@ -831,17 +821,45 @@ Status DamarisNode::sync_write(int client, std::uint32_t name_id,
 
 // ------------------------------------------------------------ write_async
 
-WriteTicket DamarisNode::failed_ticket(const Status& status,
-                                       const WriteCallback& cb) {
+WriteTicket DamarisNode::write_ticketed(int client, const std::string& variable,
+                                        std::int64_t iteration,
+                                        std::span<const std::byte> data,
+                                        bool sized,
+                                        const AsyncWriteOptions& opts) {
   auto state = std::make_shared<detail::TicketState>(
       ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
+  auto var = resolve(client, variable, data.size(), sized);
+  if (!var.is_ok()) {
+    return complete(std::move(state), var.status(), WriteOutcome::kFailed,
+                    opts.on_complete);
+  }
+  // A dependence is met once its write resolved, not once its callback
+  // returned, so a callback may name its own ticket. Cycles are
+  // impossible: a ticket only names tickets that already exist.
+  for (const WriteTicket& dep : opts.after) {
+    if (dep.state_ == nullptr) continue;
+    MutexLock lock(dep.state_->mutex);
+    while (dep.state_->outcome == WriteOutcome::kPending) {
+      dep.state_->cv.wait(dep.state_->mutex);
+    }
+  }
+  WriteOutcome outcome = WriteOutcome::kFailed;
+  const Status st =
+      copy_write(client, var.value()->id, iteration, data, outcome);
+  return complete(std::move(state), st, outcome, opts.on_complete);
+}
+
+WriteTicket DamarisNode::complete(detail::TicketStatePtr state,
+                                  const Status& status, WriteOutcome outcome,
+                                  const WriteCallback& cb) {
   {
     MutexLock lock(state->mutex);
     state->status = status;
-    state->outcome = WriteOutcome::kFailed;
+    state->outcome = outcome;
     state->completion_seq =
         ticket_completions_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
+  state->cv.notify_all();  // the outcome meets dependences
   if (cb) cb(WriteTicket(state));
   {
     MutexLock lock(state->mutex);
@@ -849,113 +867,6 @@ WriteTicket DamarisNode::failed_ticket(const Status& status,
   }
   state->cv.notify_all();
   return WriteTicket(std::move(state));
-}
-
-WriteTicket DamarisNode::submit(int client, const std::string& variable,
-                                std::int64_t iteration,
-                                std::span<const std::byte> data, bool sized,
-                                AsyncWriteOptions opts) {
-  auto var = resolve(client, variable, data.size(), sized);
-  if (!var.is_ok()) return failed_ticket(var.status(), opts.on_complete);
-  AsyncSubmission sub;
-  sub.state = std::make_shared<detail::TicketState>(
-      ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  sub.name_id = var.value()->id;
-  sub.iteration = iteration;
-  sub.payload.assign(data.begin(), data.end());
-  for (const WriteTicket& dep : opts.after) {
-    if (dep.state_ != nullptr) sub.deps.push_back(dep.state_);
-  }
-  sub.on_complete = std::move(opts.on_complete);
-  WriteTicket ticket(sub.state);
-  ClientState& state = *clients_[static_cast<std::size_t>(client)];
-  state.pending.fetch_add(1, std::memory_order_relaxed);
-  {
-    MutexLock lock(state.mutex);
-    state.queue.push_back(std::move(sub));
-    // While stopping, the draining worker takes this submission before
-    // it exits (stop_async_workers).
-    if (!state.stopping && !state.worker.joinable()) {
-      state.worker = spawn_worker(client, state);
-    }
-  }
-  state.cv.notify_all();
-  return ticket;
-}
-
-void DamarisNode::async_worker_main(int client, ClientState& state) {
-  for (;;) {
-    AsyncSubmission sub;
-    {
-      MutexLock lock(state.mutex);
-      while (state.queue.empty() && !state.stopping) state.cv.wait(state.mutex);
-      if (state.queue.empty()) return;  // stopping and fully drained
-      sub = std::move(state.queue.front());
-      state.queue.pop_front();
-      state.in_flight = true;
-    }
-    // Honour dependences before touching shared memory. Cycles are
-    // impossible (a ticket only depends on already-created tickets).
-    for (const detail::TicketStatePtr& dep : sub.deps) {
-      MutexLock lock(dep->mutex);
-      while (!dep->done) dep->cv.wait(dep->mutex);
-    }
-    WriteOutcome outcome = WriteOutcome::kFailed;
-    const Status st =
-        copy_write(client, sub.name_id, sub.iteration, sub.payload, outcome);
-    // Ordering contract (core/async.hpp): publish Status/outcome, run the
-    // callback, and only then flip done — wait() returning implies the
-    // callback finished.
-    const std::uint64_t seq =
-        ticket_completions_.fetch_add(1, std::memory_order_relaxed) + 1;
-    {
-      MutexLock lock(sub.state->mutex);
-      sub.state->status = st;
-      sub.state->outcome = outcome;
-      sub.state->completion_seq = seq;
-    }
-    if (sub.on_complete) sub.on_complete(WriteTicket(sub.state));
-    {
-      MutexLock lock(sub.state->mutex);
-      sub.state->done = true;
-    }
-    sub.state->cv.notify_all();
-    {
-      MutexLock lock(state.mutex);
-      state.in_flight = false;
-    }
-    state.pending.fetch_sub(1, std::memory_order_release);
-    state.cv.notify_all();  // wake fence() waiters
-  }
-}
-
-std::thread DamarisNode::spawn_worker(int client, ClientState& state) {
-  return std::thread(
-      [this, client, &state] { async_worker_main(client, state); });
-}
-
-void DamarisNode::stop_async_workers() {
-  for (int c = 0; c < num_clients_; ++c) {
-    ClientState& state = *clients_[static_cast<std::size_t>(c)];
-    std::thread worker;
-    {
-      MutexLock lock(state.mutex);
-      state.stopping = true;
-      worker = std::move(state.worker);
-    }
-    state.cv.notify_all();
-    for (;;) {
-      if (worker.joinable()) worker.join();
-      MutexLock lock(state.mutex);
-      // Empty means drained: later submissions spawn a fresh worker.
-      if (state.queue.empty()) {
-        state.stopping = false;
-        break;
-      }
-      // Submitted after the worker saw an empty queue: drain it too.
-      worker = spawn_worker(c, state);
-    }
-  }
 }
 
 Result<std::span<std::byte>> Client::alloc(const std::string& variable,
@@ -985,8 +896,6 @@ Status Client::commit(const std::string& variable, std::int64_t iteration) {
     block = it->second;
     node_->pending_allocs_.erase(it);
   }
-  // Commits order with this client's pending async writes.
-  node_->fence(id_);
   const auto t0 = Clock::now();
   if (!node_->publish(id_, var.value()->id, iteration, block)) {
     return resource_busy("commit of '" + variable +
@@ -997,6 +906,7 @@ Status Client::commit(const std::string& variable, std::int64_t iteration) {
 }
 
 Status Client::signal(const std::string& event, std::int64_t iteration) {
+  if (Status st = node_->check_client(id_); !st.is_ok()) return st;
   const std::uint32_t id = node_->name_id(event);
   if (id == ~0u) return not_found("event '" + event + "' unknown");
   if (!node_->cfg_.find_event(event)) {
@@ -1015,9 +925,7 @@ Status Client::signal(const std::string& event, std::int64_t iteration) {
 }
 
 Status Client::end_iteration(std::int64_t iteration) {
-  // Fence: an iteration must not complete under this client's pending
-  // async writes (preserves the blocking API's ordering guarantees).
-  node_->fence(id_);
+  if (Status st = node_->check_client(id_); !st.is_ok()) return st;
   shm::Message msg;
   msg.type = shm::MessageType::kUserEvent;
   msg.client_id = id_;
@@ -1030,7 +938,7 @@ Status Client::end_iteration(std::int64_t iteration) {
 }
 
 Status Client::finalize() {
-  node_->fence(id_);
+  if (Status st = node_->check_client(id_); !st.is_ok()) return st;
   shm::Message msg;
   msg.type = shm::MessageType::kClientFinalize;
   msg.client_id = id_;

@@ -29,7 +29,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -175,9 +174,8 @@ class Client {
 
   /// df_write: copies `data` into shared memory and notifies the server,
   /// on the calling thread. The variable must be declared in the
-  /// configuration; `data` must match its layout size. Fences this
-  /// client's outstanding write_async tickets first, so it completes
-  /// after them; it takes no ticket itself.
+  /// configuration; `data` must match its layout size. It takes no
+  /// ticket.
   Status write(const std::string& variable, std::int64_t iteration,
                std::span<const std::byte> data);
 
@@ -187,11 +185,12 @@ class Client {
   Status write_sized(const std::string& variable, std::int64_t iteration,
                      std::span<const std::byte> data);
 
-  /// Asynchronous df_write: copies `data` and returns a ticket
-  /// immediately; the handoff to the dedicated core happens on this
-  /// client's submission worker, after every ticket in `opts.after`
-  /// completed. Layout-checked like write(); a validation failure
-  /// returns an already-failed ticket (never an invalid handle).
+  /// df_write with a ticket: runs on the calling thread like write(),
+  /// once every ticket in `opts.after` has resolved, and returns a ticket
+  /// that is already done (its callback has run). The asynchrony is the
+  /// dedicated core's: persistence still overlaps the caller's next
+  /// step. Layout-checked like write(); a validation failure returns a
+  /// failed ticket (never an invalid handle).
   WriteTicket write_async(const std::string& variable, std::int64_t iteration,
                           std::span<const std::byte> data,
                           AsyncWriteOptions opts = {});
@@ -209,7 +208,7 @@ class Client {
                                      std::int64_t iteration);
 
   /// dc_commit: publishes a block previously obtained from alloc(), on
-  /// the calling thread, after fencing this client's async tickets.
+  /// the calling thread.
   Status commit(const std::string& variable, std::int64_t iteration);
 
   /// df_signal: sends a user-defined event to this client's dedicated
@@ -219,13 +218,11 @@ class Client {
 
   /// Declares this client done with `iteration`; when all clients of the
   /// shard have, the shard runs the end-of-iteration behaviour
-  /// (persist + free). Fences this client's outstanding async tickets
-  /// first, so an iteration never completes under its own writes.
+  /// (persist + free).
   Status end_iteration(std::int64_t iteration);
 
-  /// df_finalize for this client (fences outstanding async tickets).
-  /// After the last client of a shard finalizes, that shard drains and
-  /// exits.
+  /// df_finalize for this client. After the last client of a shard
+  /// finalizes, that shard drains and exits.
   Status finalize();
 
   int id() const { return id_; }
@@ -279,7 +276,8 @@ class DamarisNode {
                           : std::vector<plugin::PluginStats>{};
   }
 
-  /// Async write tickets submitted but not yet completed — the TASIO
+  /// write_async calls in progress on client threads (a ticket is
+  /// outstanding from its creation until its outcome is set) — the TASIO
   /// task-state view the monitor streams. Monotonic reads: completions
   /// is loaded first so the difference never goes negative.
   std::uint64_t outstanding_tickets() const {
@@ -354,31 +352,10 @@ class DamarisNode {
   };
   using NameTable = std::map<std::string, NameInfo>;
 
-  /// One write_async submission; it owns its copy of the payload.
-  struct AsyncSubmission {
-    detail::TicketStatePtr state;
-    std::uint32_t name_id = 0;
-    std::int64_t iteration = 0;
-    std::vector<std::byte> payload;
-    std::vector<detail::TicketStatePtr> deps;
-    WriteCallback on_complete;
-  };
-
-  /// Per-client state: write-side stats and the write_async worker, a
-  /// FIFO queue drained by a thread spawned on the first submission, so
-  /// submission order is execution order and a single client's async
-  /// timeline is deterministic.
+  /// Per-client write-side stats, off the node-wide stats mutex.
   struct ClientState {
     Mutex mutex;
-    CondVar cv;
     ClientStats stats DMR_GUARDED_BY(mutex);
-    std::deque<AsyncSubmission> queue DMR_GUARDED_BY(mutex);
-    bool in_flight DMR_GUARDED_BY(mutex) = false;
-    bool stopping DMR_GUARDED_BY(mutex) = false;
-    std::thread worker DMR_GUARDED_BY(mutex);
-    /// Tickets submitted and not yet done: lets the blocking path skip
-    /// the fence without taking the mutex.
-    std::atomic<std::uint64_t> pending{0};
   };
 
   int shard_of(int client) const {
@@ -393,6 +370,8 @@ class DamarisNode {
   void register_builtin_actions();
 
   std::uint32_t name_id(const std::string& name) const;  // ~0u if unknown
+  /// invalid_argument unless `client` is in [0, num_clients).
+  Status check_client(int client) const;
   /// Resolves a variable for a write by `client` with one name-table
   /// lookup; checks the payload against the layout size unless `sized`.
   Result<const NameInfo*> resolve(int client, const std::string& variable,
@@ -400,20 +379,17 @@ class DamarisNode {
 
   // --- the write path: plain functions on the calling thread ---
 
-  /// Client::write/write_sized: resolve, fence, copy_write.
+  /// Client::write/write_sized: resolve, then copy_write.
   Status write_blocking(int client, const std::string& variable,
                         std::int64_t iteration, std::span<const std::byte> data,
                         bool sized);
-  /// Waits until `client`'s write_async tickets are all done; returns at
-  /// once when none are outstanding.
-  void fence(int client);
   /// Reserves a block: injected exhaustion, a single probe in a degraded
   /// mode, else a blocking allocate.
   Result<shm::Block> reserve(int client, std::int64_t iteration, Bytes size);
   Result<shm::Block> blocking_allocate(Bytes size, int client);
   /// Copies `data` into a new block and notifies the dedicated core, or
   /// routes through the degrade ladder; `outcome` reports how it
-  /// resolved. Blocking writes and the async worker both run it.
+  /// resolved. Blocking and ticketed writes both run it.
   Status copy_write(int client, std::uint32_t name_id, std::int64_t iteration,
                     std::span<const std::byte> data, WriteOutcome& outcome);
   /// Hands a written block to the client's shard and records it as
@@ -435,20 +411,17 @@ class DamarisNode {
 
   // --- write_async (core/async.hpp) ---
 
-  /// Client::write_async/write_sized_async: queues a copy of `data` on
-  /// the client's worker and returns its ticket (an already-failed one
-  /// when the variable does not resolve).
-  WriteTicket submit(int client, const std::string& variable,
-                     std::int64_t iteration, std::span<const std::byte> data,
-                     bool sized, AsyncWriteOptions opts);
-  /// A ticket born completed (validation failures); runs `cb` inline.
-  WriteTicket failed_ticket(const Status& status, const WriteCallback& cb);
-  void async_worker_main(int client, ClientState& state);
-  std::thread spawn_worker(int client, ClientState& state);
-  /// Joins every worker once its queue drained (stop() and the
-  /// destructor). Submissions made meanwhile, e.g. by a completion
-  /// callback, are drained too; a later one spawns a fresh worker.
-  void stop_async_workers();
+  /// Client::write_async/write_sized_async: resolve, wait for each
+  /// `after` ticket to resolve, copy_write, complete. The returned ticket
+  /// is done (a failed one when the variable does not resolve).
+  WriteTicket write_ticketed(int client, const std::string& variable,
+                             std::int64_t iteration,
+                             std::span<const std::byte> data, bool sized,
+                             const AsyncWriteOptions& opts);
+  /// Sets the ticket's status, outcome and completion_seq, runs `cb`,
+  /// and only then marks the ticket done (core/async.hpp).
+  WriteTicket complete(detail::TicketStatePtr state, const Status& status,
+                       WriteOutcome outcome, const WriteCallback& cb);
 
   /// Injected dedicated-core crash/restart at an iteration boundary.
   void maybe_crash(Shard& shard, std::int64_t iteration);

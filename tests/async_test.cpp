@@ -1,9 +1,11 @@
 // The task-aware async write surface (core/async.hpp, DESIGN.md §14.1):
 // ticket lifecycle and the callback-before-done ordering contract,
-// dependence chains, WriteBatch, the end_iteration()/finalize() fence,
-// degrade-ladder outcomes (a ticket that fell to sync/drop reports the
-// same resolution the blocking path would have returned), and the
-// determinism of completion timelines across identical runs.
+// write_async running on the caller, dependence chains (within a client,
+// across clients, and on the caller's own ticket), WriteBatch, ordering
+// against end_iteration() and blocking writes, degrade-ladder outcomes (a
+// ticket that fell to sync/drop reports the same resolution the blocking
+// path would have returned), and the determinism of completion timelines
+// across identical runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -147,6 +149,25 @@ TEST_F(AsyncNodeFixture, UnknownVariableYieldsFailedTicket) {
   finish(client, 0);
 }
 
+TEST_F(AsyncNodeFixture, TicketIsDoneWhenWriteAsyncReturns) {
+  // write_async runs on the caller: no thread hop, so the ticket is
+  // complete on return and its callback ran on this thread.
+  make_node(1);
+  Client client = node_->client(0);
+  const auto data = field();
+  std::thread::id callback_thread;
+  AsyncWriteOptions opts;
+  opts.on_complete = [&](const WriteTicket&) {
+    callback_thread = std::this_thread::get_id();
+  };
+  WriteTicket t = client.write_async("temperature", 0, data, std::move(opts));
+  EXPECT_TRUE(t.done());
+  EXPECT_EQ(t.outcome(), WriteOutcome::kPublished);
+  EXPECT_EQ(callback_thread, std::this_thread::get_id());
+  EXPECT_EQ(node_->outstanding_tickets(), 0u);
+  finish(client, 0);
+}
+
 // ------------------------------------------------- callback ordering
 
 TEST_F(AsyncNodeFixture, CallbackRunsBeforeTicketReportsDone) {
@@ -199,6 +220,73 @@ TEST_F(AsyncNodeFixture, DependencesCrossClients) {
   opts.after.push_back(t0);
   WriteTicket t1 = c1.write_async("temperature", 0, data, std::move(opts));
   EXPECT_TRUE(t1.wait().is_ok());
+  EXPECT_LT(t0.completion_seq(), t1.completion_seq());
+  EXPECT_TRUE(c0.end_iteration(0).is_ok());
+  EXPECT_TRUE(c1.end_iteration(0).is_ok());
+  EXPECT_TRUE(c0.finalize().is_ok());
+  EXPECT_TRUE(c1.finalize().is_ok());
+  EXPECT_TRUE(node_->stop().is_ok());
+}
+
+TEST_F(AsyncNodeFixture, CallbackMayNameItsOwnTicket) {
+  // A dependence is met once its write resolved, so a write submitted
+  // from a callback may depend on the ticket whose callback is running.
+  make_node(1);
+  Client client = node_->client(0);
+  const auto data = field();
+  WriteTicket inner;
+  AsyncWriteOptions opts;
+  opts.on_complete = [&](const WriteTicket& self) {
+    AsyncWriteOptions dep;
+    dep.after.push_back(self);
+    inner = client.write_async("pressure", 0, data, std::move(dep));
+  };
+  WriteTicket outer =
+      client.write_async("temperature", 0, data, std::move(opts));
+  EXPECT_TRUE(outer.done());
+  ASSERT_TRUE(inner.valid());
+  EXPECT_TRUE(inner.wait().is_ok());
+  EXPECT_EQ(inner.outcome(), WriteOutcome::kPublished);
+  EXPECT_LT(outer.completion_seq(), inner.completion_seq());
+  finish(client, 0);
+}
+
+TEST_F(AsyncNodeFixture, CrossClientDependenceWaitsForTheOutcomeOnly) {
+  // Client 0 is held inside its callback, so its ticket has an outcome
+  // but is not done. A write on client 1's thread that depends on it
+  // completes meanwhile, after that outcome.
+  make_node(2);
+  Client c0 = node_->client(0);
+  Client c1 = node_->client(1);
+  const auto data = field();
+  std::promise<WriteTicket> handed_over;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  AsyncWriteOptions opts0;
+  opts0.on_complete = [&](const WriteTicket& self) {
+    handed_over.set_value(self);
+    opened.wait();
+  };
+  std::thread client0([&] {
+    EXPECT_TRUE(
+        c0.write_async("temperature", 0, data, std::move(opts0)).done());
+  });
+  const WriteTicket t0 = handed_over.get_future().get();
+  EXPECT_FALSE(t0.done());  // its callback is still running
+  std::future<WriteTicket> dependent = std::async(std::launch::async, [&] {
+    AsyncWriteOptions opts1;
+    opts1.after.push_back(t0);
+    return c1.write_async("temperature", 0, data, std::move(opts1));
+  });
+  EXPECT_EQ(dependent.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "the dependent write waited for client 0's callback";
+  EXPECT_FALSE(t0.done());
+  gate.set_value();
+  client0.join();
+  const WriteTicket t1 = dependent.get();
+  EXPECT_TRUE(t1.done());
+  EXPECT_EQ(t1.outcome(), WriteOutcome::kPublished);
   EXPECT_LT(t0.completion_seq(), t1.completion_seq());
   EXPECT_TRUE(c0.end_iteration(0).is_ok());
   EXPECT_TRUE(c1.end_iteration(0).is_ok());
@@ -260,7 +348,7 @@ TEST_F(AsyncNodeFixture, BatchReportsFirstFailureInSubmissionOrder) {
   finish(client, 0);
 }
 
-// ------------------------------------------------------------- fences
+// ------------------------------------------- ordering and shutdown
 
 TEST_F(AsyncNodeFixture, EndIterationFencesOutstandingTickets) {
   make_node(1);
@@ -279,43 +367,31 @@ TEST_F(AsyncNodeFixture, EndIterationFencesOutstandingTickets) {
   EXPECT_TRUE(node_->stop().is_ok());
 }
 
-TEST_F(AsyncNodeFixture, SubmissionDuringStopDrainsAndLaterOnesStillRun) {
-  // A completion callback submits while stop() drains the worker: the
-  // draining worker takes that submission, and a write_async after
-  // stop() gets a worker of its own. A few rounds, since a second worker
-  // racing the draining one would only sometimes strand the late write.
+TEST_F(AsyncNodeFixture, CallbackSubmitsAndWriteAfterStopFails) {
+  // A completion callback may submit a write of its own. Once stop()
+  // closed the shard queues, a write_async still completes, with a
+  // failed outcome: no dedicated core is left to take the block.
+  make_node(1);
+  Client client = node_->client(0);
   const auto data = field();
-  for (int round = 0; round < 3 && !HasFailure(); ++round) {
-    make_node(1);
-    Client client = node_->client(0);
-    std::promise<void> gate;
-    std::shared_future<void> opened = gate.get_future().share();
-    WriteTicket inner;
-    AsyncWriteOptions opts;
-    opts.on_complete = [&](const WriteTicket&) {
-      opened.wait();
-      inner = client.write_async("pressure", 0, data);
-    };
-    WriteTicket outer =
-        client.write_async("temperature", 0, data, std::move(opts));
-    std::thread stopper([&] { EXPECT_TRUE(node_->stop().is_ok()); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // stop() begins
-    gate.set_value();
-    stopper.join();
-    EXPECT_TRUE(outer.done());
-    ASSERT_TRUE(inner.valid());
-    EXPECT_TRUE(inner.done());
-    EXPECT_EQ(inner.outcome(), WriteOutcome::kPublished);
+  WriteTicket inner;
+  AsyncWriteOptions opts;
+  opts.on_complete = [&](const WriteTicket&) {
+    inner = client.write_async("pressure", 0, data);
+  };
+  WriteTicket outer =
+      client.write_async("temperature", 0, data, std::move(opts));
+  EXPECT_TRUE(outer.done());
+  ASSERT_TRUE(inner.valid());
+  EXPECT_TRUE(inner.done());
+  EXPECT_EQ(inner.outcome(), WriteOutcome::kPublished);
+  EXPECT_TRUE(node_->stop().is_ok());
 
-    // The queues are closed now, so the write fails, but it must complete.
-    WriteTicket late = client.write_async("temperature", 1, data);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (!late.done() && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_TRUE(late.done()) << "round " << round;
-  }
+  WriteTicket late = client.write_async("temperature", 1, data);
+  EXPECT_TRUE(late.done());
+  EXPECT_EQ(late.outcome(), WriteOutcome::kFailed);
+  EXPECT_FALSE(late.status().is_ok());
+  EXPECT_EQ(node_->buffer().used(), 0u);  // the unpublished block is freed
 }
 
 TEST_F(AsyncNodeFixture, BlockingWriteRunsAfterQueuedTicketsAndTakesNone) {

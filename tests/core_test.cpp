@@ -228,6 +228,33 @@ TEST_F(NodeFixture, RejectsUnknownVariableAndWrongSize) {
   ASSERT_TRUE(node_->stop().is_ok());
 }
 
+TEST_F(NodeFixture, ClientCallsRejectIdsOutsideTheNode) {
+  // Only clients 0..2 exist: a handle for any other id must not count
+  // toward an iteration's end, a global event or the finalize quorum.
+  ASSERT_TRUE(node_->start().is_ok());
+  auto data = field(1.0f);
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_TRUE(node_->client(c).write("temperature", 0, data).is_ok());
+    ASSERT_TRUE(node_->client(c).end_iteration(0).is_ok());
+  }
+  for (int bad : {-1, 3, 5}) {
+    Client cl = node_->client(bad);
+    EXPECT_EQ(cl.end_iteration(0).code(), ErrorCode::kInvalidArgument) << bad;
+    EXPECT_EQ(cl.signal("dump", 0).code(), ErrorCode::kInvalidArgument) << bad;
+    EXPECT_EQ(cl.finalize().code(), ErrorCode::kInvalidArgument) << bad;
+  }
+  Client last = node_->client(2);
+  ASSERT_TRUE(last.write("temperature", 0, data).is_ok());
+  ASSERT_TRUE(last.end_iteration(0).is_ok());
+  for (int c = 0; c < 3; ++c) EXPECT_TRUE(node_->client(c).finalize().is_ok());
+  ASSERT_TRUE(node_->stop().is_ok());
+  // Iteration 0 completed once, when client 2 ended it, with all three
+  // blocks.
+  const auto stats = node_->stats();
+  ASSERT_EQ(stats.iterations.size(), 1u);
+  EXPECT_EQ(stats.iterations[0].blocks, 3u);
+}
+
 TEST_F(NodeFixture, StatsPluginPublishesAnalytics) {
   ASSERT_TRUE(node_->start().is_ok());
   std::vector<std::thread> clients;
