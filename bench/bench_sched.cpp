@@ -324,13 +324,7 @@ int main(int argc, char** argv) {
           ", \"blocks_verified\": " + std::to_string(ckpt.blocks_verified) +
           "}\n}\n";
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
+  if (!bench::write_file(out_path, json)) return 2;
   std::printf("\nwrote %s\n", out_path.c_str());
 
   if (check) {

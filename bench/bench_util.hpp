@@ -1,16 +1,11 @@
-// Shared helpers for the per-figure bench binaries.
+// Shared helpers for the bench binaries.
 #pragma once
 
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <string>
 
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "strategies/strategy.hpp"
-#include "trace/chrome_export.hpp"
-#include "trace/tracer.hpp"
 
 namespace dmr::bench {
 
@@ -31,56 +26,23 @@ inline std::string mib_per_s(double bytes_per_sec) {
   return Table::num(bytes_per_sec / static_cast<double>(MiB), 0);
 }
 
-/// Opt-in tracing for the figure benches: `--trace-out <path>` (or
-/// `--trace-out=<path>`). Without the flag every run is untraced and
-/// the bench output is byte-identical to before the flag existed. With
-/// it, the bench hands the tracer to exactly one run — its smallest /
-/// most interesting one, via tracer_once() — and a Chrome trace_event
-/// JSON (load in Perfetto or chrome://tracing) is written on scope
-/// exit. In builds with DMR_TRACE off the file is still written but
-/// holds only metadata (hooks are compiled out).
-class TraceSession {
- public:
-  TraceSession(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-        path_ = argv[i + 1];
-      } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-        path_ = argv[i] + 12;
-      }
-    }
-    if (!path_.empty()) tracer_ = std::make_unique<trace::Tracer>();
+/// Writes `content` to `path`. Returns false, with a message on stderr,
+/// when the open, the write or the close fails: a buffered write to a
+/// full device only fails at fclose.
+inline bool write_file(const std::string& path, const std::string& content) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return false;
   }
-
-  ~TraceSession() {
-    if (!tracer_) return;
-    Status s = trace::write_chrome_trace(path_, *tracer_);
-    if (s.is_ok()) {
-      std::printf("\ntrace: wrote %s (%llu events, %llu dropped)\n",
-                  path_.c_str(),
-                  static_cast<unsigned long long>(tracer_->recorded()),
-                  static_cast<unsigned long long>(tracer_->overwritten()));
-    } else {
-      std::fprintf(stderr, "trace: %s\n", s.message().c_str());
-    }
+  const bool written =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
+    std::fprintf(stderr, "write to %s failed\n", path.c_str());
+    return false;
   }
-
-  TraceSession(const TraceSession&) = delete;
-  TraceSession& operator=(const TraceSession&) = delete;
-
-  /// The tracer on the first call (nullptr without --trace-out),
-  /// nullptr afterwards — so a bench looping over scales/strategies
-  /// traces one run instead of piling every run into one timeline.
-  trace::Tracer* tracer_once() {
-    if (taken_) return nullptr;
-    taken_ = true;
-    return tracer_.get();
-  }
-
- private:
-  std::string path_;
-  std::unique_ptr<trace::Tracer> tracer_;
-  bool taken_ = false;
-};
+  return true;
+}
 
 }  // namespace dmr::bench

@@ -1,5 +1,5 @@
-// Reproduction-report generator: re-runs every reproduced figure/table
-// with the bench binaries' exact configurations and emits
+// Reproduction-report generator, the only program that runs the paper's
+// figures and tables: runs every reproduced one and emits
 //   --md <path>        the generated paper-vs-measured markdown block
 //                      (spliced into EXPERIMENTS.md between the
 //                      BEGIN/END GENERATED markers by
@@ -9,27 +9,14 @@
 //                      aggregate report.json
 //
 // Output is deterministic (fixed-seed simulation, fixed formatting):
-// the CI docs-drift gate relies on byte-identical regeneration.
+// the CI docs-drift gate relies on byte-identical regeneration. Exits 1
+// when an output file cannot be written, 2 on a usage error.
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "experiments/report.hpp"
-
-namespace {
-
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "gen_experiments: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fputs(content.c_str(), f);
-  std::fclose(f);
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string md_path, json_dir;
@@ -57,6 +44,7 @@ int main(int argc, char** argv) {
   const std::vector<dmr::experiments::FigureReport> reports =
       dmr::experiments::generate_figure_reports();
 
+  using dmr::bench::write_file;
   bool ok = true;
   if (!md_path.empty()) {
     ok = write_file(md_path,

@@ -1,6 +1,6 @@
 // Experiment harness: canned configurations reproducing the paper's
-// evaluation setups (§IV-B) and small helpers shared by the bench
-// binaries. One bench binary per table/figure lives in bench/.
+// evaluation setups (§IV-B) and small helpers shared by the figure
+// generators (report.hpp), the bench harnesses and the examples.
 #pragma once
 
 #include <vector>

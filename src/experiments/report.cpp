@@ -63,11 +63,10 @@ class JsonObj {
   std::string body_;
 };
 
-std::string figure_json(const std::string& id, const std::string& bench,
-                        const JsonObj& measured,
+std::string figure_json(const std::string& id, const JsonObj& measured,
                         const trace::JitterReport* jitter) {
-  std::string out = "{\n  \"id\": \"" + id + "\",\n  \"bench\": \"" + bench +
-                    "\",\n  \"measured\": " + measured.str();
+  std::string out =
+      "{\n  \"id\": \"" + id + "\",\n  \"measured\": " + measured.str();
   if (jitter != nullptr && !jitter->empty()) {
     out += ",\n  \"jitter\": " + jitter->to_json();
   }
@@ -120,8 +119,7 @@ FigureReport fig2_report(const std::vector<KrakenRun>& runs) {
 
   FigureReport rep;
   rep.id = "fig2";
-  rep.heading =
-      "## Figure 2 — write-phase duration on Kraken (`fig2_jitter_kraken`)";
+  rep.heading = "## Figure 2 — write-phase duration on Kraken";
   rep.body_md = md_table({
       {"quantity", "paper", "measured"},
       {"Damaris visible write, any scale", "~0.2 s",
@@ -165,7 +163,7 @@ FigureReport fig2_report(const std::vector<KrakenRun>& runs) {
   m.add_num("collective_phase_max_9216_s", coll.phase_seconds.max());
   m.add_num("fpp_phase_min_9216_s", fpp.phase_seconds.min());
   m.add_num("fpp_phase_max_9216_s", fpp.phase_seconds.max());
-  rep.json = figure_json(rep.id, "fig2_jitter_kraken", m, &jitter);
+  rep.json = figure_json(rep.id, m, &jitter);
   return rep;
 }
 
@@ -179,9 +177,7 @@ FigureReport fig6_report(const std::vector<KrakenRun>& runs) {
 
   FigureReport rep;
   rep.id = "fig6";
-  rep.heading =
-      "## Figure 6 — aggregate throughput on Kraken "
-      "(`fig6_throughput_kraken`)";
+  rep.heading = "## Figure 6 — aggregate throughput on Kraken";
   rep.body_md = md_table({
       {"quantity", "paper", "measured"},
       {"Damaris at 9216", "~10 GB/s class", gib_s(dam) + " GiB/s"},
@@ -220,7 +216,7 @@ FigureReport fig6_report(const std::vector<KrakenRun>& runs) {
   m.add_num("damaris_over_fpp", dam / fpp);
   m.add_num("damaris_over_collective", dam / coll);
   m.add_raw("per_scale", per_scale);
-  rep.json = figure_json(rep.id, "fig6_throughput_kraken", m, nullptr);
+  rep.json = figure_json(rep.id, m, nullptr);
   return rep;
 }
 
@@ -251,9 +247,7 @@ FigureReport fig3_report() {
 
   FigureReport rep;
   rep.id = "fig3";
-  rep.heading =
-      "## Figure 3 — jitter vs output volume on BluePrint "
-      "(`fig3_jitter_blueprint`)";
+  rep.heading = "## Figure 3 — jitter vs output volume on BluePrint";
   rep.body_md = md_table({
       {"quantity", "paper", "measured"},
       {"FPP write time grows with volume", "✓",
@@ -285,7 +279,7 @@ FigureReport fig3_report() {
             f1.phase_seconds.max() - f1.phase_seconds.min());
   m.add_num("damaris_phase_s_min", dmin);
   m.add_num("damaris_phase_s_max", dmax);
-  rep.json = figure_json(rep.id, "fig3_jitter_blueprint", m, &jitter);
+  rep.json = figure_json(rep.id, m, &jitter);
   return rep;
 }
 
@@ -335,9 +329,7 @@ FigureReport fig4_report() {
 
   FigureReport rep;
   rep.id = "fig4";
-  rep.heading =
-      "## Figure 4 — scalability, 50 iterations + 1 write "
-      "(`fig4_scalability_kraken`)";
+  rep.heading = "## Figure 4 — scalability, 50 iterations + 1 write";
   rep.body_md = md_table({
       {"quantity", "paper", "measured"},
       {"Damaris scaling", "almost perfect",
@@ -369,7 +361,7 @@ FigureReport fig4_report() {
             100.0 * (1.0 - dam.runtime / fpp.runtime));
   m.add_num("runtime_ratio_vs_collective", coll.runtime / dam.runtime);
   m.add_raw("per_scale", per_scale);
-  rep.json = figure_json(rep.id, "fig4_scalability_kraken", m, nullptr);
+  rep.json = figure_json(rep.id, m, nullptr);
   return rep;
 }
 
@@ -408,8 +400,7 @@ FigureReport fig5_report() {
 
   FigureReport rep;
   rep.id = "fig5";
-  rep.heading =
-      "## Figure 5 — dedicated-core write vs spare time (`fig5_overlap`)";
+  rep.heading = "## Figure 5 — dedicated-core write vs spare time";
   rep.body_md = md_table({
       {"quantity", "paper", "measured"},
       {"Dedicated cores idle 75–99% of the time", "✓",
@@ -453,7 +444,7 @@ FigureReport fig5_report() {
             blueprint.front().second.dedicated_write_seconds.mean());
   m.add_num("blueprint_write_s_largest",
             blueprint.back().second.dedicated_write_seconds.mean());
-  rep.json = figure_json(rep.id, "fig5_overlap", m, &jitter);
+  rep.json = figure_json(rep.id, m, &jitter);
   return rep;
 }
 
@@ -537,7 +528,7 @@ FigureReport fig5_plugins_report() {
   }
   per_scale += "]";
   m.add_raw("per_scale", per_scale);
-  rep.json = figure_json(rep.id, "bench_plugin", m, nullptr);
+  rep.json = figure_json(rep.id, m, nullptr);
   return rep;
 }
 
@@ -557,8 +548,7 @@ FigureReport table1_report() {
 
   FigureReport rep;
   rep.id = "table1";
-  rep.heading =
-      "## Table I — Grid'5000, 672 cores (`table1_throughput_grid5000`)";
+  rep.heading = "## Table I — Grid'5000, 672 cores";
   rep.body_md = md_table({
       {"approach", "paper", "measured"},
       {"file-per-process", "695 MB/s",
@@ -591,7 +581,7 @@ FigureReport table1_report() {
   m.add_num("damaris_mib_s", res[2].aggregate_throughput / mib);
   m.add_num("fpp_slowest_rank_s", fpp.rank_write_seconds.max());
   m.add_num("fpp_fastest_rank_s", fpp.rank_write_seconds.min());
-  rep.json = figure_json(rep.id, "table1_throughput_grid5000", m, &jitter);
+  rep.json = figure_json(rep.id, m, &jitter);
   return rep;
 }
 
@@ -630,9 +620,7 @@ FigureReport fig7_report() {
 
   FigureReport rep;
   rep.id = "fig7";
-  rep.heading =
-      "## Figure 7 + §IV-D — compression & scheduling "
-      "(`fig7_spare_strategies`)";
+  rep.heading = "## Figure 7 + §IV-D — compression & scheduling";
   rep.body_md = md_table({
       {"quantity", "paper", "measured"},
       {"Slot scheduling at 2304 cores", "9.7 → 13.1 GB/s",
@@ -651,7 +639,7 @@ FigureReport fig7_report() {
        num(ratio(kr_comp) * 100.0, 0) +
            "% (simulated); real from-scratch codecs (xor-delta + LZ77 + "
            "Huffman) on a CM1-like field with a turbulent storm region: "
-           "177% at ~30 MiB/s (`micro_codec`)"},
+           "177% (pinned in `tests/format_test.cpp`)"},
       {"16-bit + lossless ratio", "~600%",
        num(ratio(kr_p16) * 100.0, 0) +
            "% (simulated); real codecs: ~780% on the same field"},
@@ -683,7 +671,7 @@ FigureReport fig7_report() {
   m.add_num("precision16_ratio_pct", ratio(kr_p16) * 100.0);
   m.add_num("busy_per_iter_plain_s", busy(kr_plain));
   m.add_num("busy_per_iter_compression_s", busy(kr_comp));
-  rep.json = figure_json(rep.id, "fig7_spare_strategies", m, &jitter);
+  rep.json = figure_json(rep.id, m, &jitter);
   return rep;
 }
 
@@ -727,7 +715,7 @@ FigureReport breakeven_report() {
 
   FigureReport rep;
   rep.id = "breakeven";
-  rep.heading = "## §V-A — break-even model (`model_breakeven`)";
+  rep.heading = "## §V-A — break-even model";
   rep.body_md = md_table({
       {"quantity", "paper", "measured"},
       {"p = 100/(N−1); N=24 → " + num(p24, 2) + "%", "✓",
@@ -746,7 +734,7 @@ FigureReport breakeven_report() {
   m.add_num("crossover_lower_pct", lose_frac);
   m.add_num("crossover_upper_pct", win_frac);
   m.add_raw("sweep", sweep);
-  rep.json = figure_json(rep.id, "model_breakeven", m, nullptr);
+  rep.json = figure_json(rep.id, m, nullptr);
   return rep;
 }
 
@@ -833,7 +821,7 @@ FigureReport facility_report() {
 
   JsonObj m;
   m.add_raw("sweep", sweep);
-  rep.json = figure_json(rep.id, "bench_facility", m, nullptr);
+  rep.json = figure_json(rep.id, m, nullptr);
   return rep;
 }
 

@@ -1,12 +1,12 @@
 // Reproduction reports: the paper-vs-measured tables of EXPERIMENTS.md,
 // generated from the simulation instead of hand-transcribed.
 //
-// Each figure/table of the paper's evaluation (§IV) has a generator
-// that re-runs the exact configurations of its bench binary, derives
-// the headline quantities (means, maxima, spreads, ratios) and renders
-// them twice: as a markdown section spliced into EXPERIMENTS.md between
-// the BEGIN/END GENERATED markers (scripts/gen_experiments_md.sh), and
-// as machine-readable JSON with full trace::JitterReport distributions
+// Each figure/table of the paper's evaluation (§IV) has a generator in
+// report.cpp, the only copy of its configurations. It runs them,
+// derives the headline quantities (means, maxima, spreads, ratios) and
+// renders them twice: as a markdown section spliced into EXPERIMENTS.md
+// between the BEGIN/END GENERATED markers (scripts/gen_experiments_md.sh),
+// and as machine-readable JSON with full trace::JitterReport distributions
 // (count/mean/p50/p95/max/spread + histogram per strategy and scale).
 //
 // Determinism is the contract: every number comes from the fixed-seed
@@ -34,10 +34,10 @@ struct FigureReport {
 };
 
 /// Runs every reproduced figure/table (fig2–fig7, Table I, the §V-A
-/// break-even model) with the same configurations as the bench binaries
-/// and derives the paper-vs-measured quantities. Figures sharing runs
-/// (fig2/fig6 use identical configs) are simulated once. Takes tens of
-/// seconds of wall time (the 9216-core sweeps dominate).
+/// break-even model) and derives the paper-vs-measured quantities.
+/// Figures sharing runs (fig2/fig6 use identical configs) are simulated
+/// once. Takes tens of seconds of wall time (the 9216-core sweeps
+/// dominate).
 std::vector<FigureReport> generate_figure_reports();
 
 /// The full generated markdown block (all sections, no markers).

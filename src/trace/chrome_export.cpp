@@ -101,8 +101,9 @@ Status write_chrome_trace(const std::string& path, const Tracer& tracer) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return io_error("cannot open " + path + " for writing");
   const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (n != json.size()) return io_error("short write to " + path);
+  // A buffered write to a full device fails only when fclose flushes.
+  const bool closed = std::fclose(f) == 0;
+  if (n != json.size() || !closed) return io_error("short write to " + path);
   return Status::ok();
 }
 

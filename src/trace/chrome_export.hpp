@@ -26,7 +26,8 @@ class Tracer;
 /// Renders the event stream as a Chrome trace JSON document.
 std::string chrome_trace_json(const std::vector<TraceEvent>& events);
 
-/// Drains `tracer` and writes the JSON to `path`.
+/// Drains `tracer` and writes the JSON to `path`; an io_error when the
+/// file cannot be opened, written or closed.
 Status write_chrome_trace(const std::string& path, const Tracer& tracer);
 
 }  // namespace dmr::trace

@@ -12,8 +12,7 @@
 //  - compile time: hooks all over the codebase call trace::current();
 //    with the DMR_TRACE CMake option OFF this is a constexpr nullptr
 //    and every hook folds away, leaving the zero-trace hot path
-//    byte-identical (verified by the DES determinism digests and the
-//    bench_pipeline trace-overhead comparison);
+//    byte-identical (verified by the DES determinism digests);
 //  - runtime: with DMR_TRACE on, hooks fire only when a Tracer is
 //    installed *and* the event's category is enabled on it.
 //

@@ -350,7 +350,9 @@ TEST_F(AsyncNodeFixture, BatchReportsFirstFailureInSubmissionOrder) {
 
 // ------------------------------------------- ordering and shutdown
 
-TEST_F(AsyncNodeFixture, EndIterationFencesOutstandingTickets) {
+TEST_F(AsyncNodeFixture, TicketsAreDoneBeforeEndIteration) {
+  // write_async runs on the caller, so a ticket is done when the call
+  // returns: end_iteration has nothing left to wait for.
   make_node(1);
   Client client = node_->client(0);
   const auto data = field();
@@ -360,7 +362,7 @@ TEST_F(AsyncNodeFixture, EndIterationFencesOutstandingTickets) {
   }
   EXPECT_TRUE(client.end_iteration(0).is_ok());
   for (const WriteTicket& t : tickets) {
-    EXPECT_TRUE(t.done());  // the fence waited for them
+    EXPECT_TRUE(t.done());
     EXPECT_TRUE(t.status().is_ok());
   }
   EXPECT_TRUE(client.finalize().is_ok());
@@ -394,9 +396,9 @@ TEST_F(AsyncNodeFixture, CallbackSubmitsAndWriteAfterStopFails) {
   EXPECT_EQ(node_->buffer().used(), 0u);  // the unpublished block is freed
 }
 
-TEST_F(AsyncNodeFixture, BlockingWriteRunsAfterQueuedTicketsAndTakesNone) {
-  // A blocking write runs on the caller after fencing the client's
-  // queued tickets: it completes after them, and it takes no ticket.
+TEST_F(AsyncNodeFixture, BlockingWriteLandsAfterEarlierTicketsAndTakesNone) {
+  // The client's earlier write_async calls are done before its blocking
+  // write starts, so that write lands after them; it takes no ticket.
   make_node(1);
   Client client = node_->client(0);
   const auto stale = field(std::byte{0x11});
@@ -489,10 +491,11 @@ TEST_F(AsyncNodeFixture, NoFallbackAllowedReportsFailed) {
 // -------------------------------------------------------- determinism
 
 TEST_F(AsyncNodeFixture, CompletionTimelineIsDeterministic) {
-  // One client, a mixed chain of dependent and independent writes: the
-  // per-client FIFO makes the completion timeline (ids and sequence
-  // numbers) a pure function of the submission sequence. Two identical
-  // runs must produce identical timelines.
+  // One client, a mixed chain of dependent and independent writes: each
+  // write_async completes on the caller before it returns, so the
+  // completion timeline (ids and sequence numbers) is a pure function
+  // of the submission sequence. Two identical runs must produce
+  // identical timelines.
   const auto timeline = [this] {
     make_node(1);
     Client client = node_->client(0);

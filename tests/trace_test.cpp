@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -249,6 +250,14 @@ TEST(ChromeExport, EscapesQuotesAndBackslashes) {
   events.push_back(span("a\"b\\c", 0.0, 1.0, {EntityType::kRank, 0}));
   const std::string json = chrome_trace_json(events);
   EXPECT_NE(json.find("\"name\": \"a\\\"b\\\\c\""), std::string::npos);
+}
+
+TEST(ChromeExport, FailedWriteIsReported) {
+  // /dev/full accepts the open and the buffered write; the flush in
+  // fclose is what fails, and the caller must hear about it.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Tracer tracer;
+  EXPECT_FALSE(write_chrome_trace("/dev/full", tracer).is_ok());
 }
 
 // ------------------------------------------------------------ JitterReport
