@@ -33,6 +33,7 @@
 
 #include "bench_util.hpp"
 #include "check/fault_checker.hpp"
+#include "common/clock.hpp"
 #include "core/damaris.hpp"
 #include "fault/degrade.hpp"
 #include "fault/fault.hpp"
@@ -40,7 +41,6 @@
 namespace {
 
 using namespace dmr;
-using Clock = std::chrono::steady_clock;
 
 constexpr int kClients = 3;
 constexpr int kIterations = 16;
@@ -72,8 +72,8 @@ struct Outcome {
 /// Blocks until the node reports a closed shard queue, for at most
 /// 10 s (a close that never comes shows up as sync_files == 0).
 void wait_for_queue_close(const core::DamarisNode& node) {
-  const auto deadline = Clock::now() + std::chrono::seconds(10);
-  while (node.stats().queue_closes == 0 && Clock::now() < deadline) {
+  const auto deadline = WallClock::now() + std::chrono::seconds(10);
+  while (node.stats().queue_closes == 0 && WallClock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
@@ -110,7 +110,7 @@ Outcome run_scenario(const fault::FaultPlan& plan,
 
   std::vector<std::byte> payload(kBlockBytes, std::byte{0x42});
   std::vector<std::uint64_t> failures(kClients, 0);
-  const auto t0 = Clock::now();
+  const auto t0 = WallClock::now();
   (void)node.start();
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
@@ -128,8 +128,7 @@ Outcome run_scenario(const fault::FaultPlan& plan,
   (void)node.stop();
 
   Outcome out;
-  out.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
+  out.wall_seconds = seconds_since(t0);
   const core::ServerStats stats = node.stats();
   for (int c = 0; c < kClients; ++c) {
     out.max_write_seconds = std::max(

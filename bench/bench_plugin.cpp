@@ -34,6 +34,7 @@
 
 #include "bench_util.hpp"
 #include "check/fault_checker.hpp"
+#include "common/clock.hpp"
 #include "core/damaris.hpp"
 #include "monitor/client.hpp"
 #include "monitor/node_source.hpp"
@@ -42,7 +43,6 @@
 namespace {
 
 using namespace dmr;
-using Clock = std::chrono::steady_clock;
 
 constexpr int kClients = 12;
 constexpr int kIterations = 12;
@@ -122,7 +122,7 @@ Outcome run_scenario(const char* xml, int pace_us = 0,
   core::DamarisNode node(std::move(cfg.value()), kClients, opts);
   if (live_node != nullptr) *live_node = &node;
 
-  const auto t0 = Clock::now();
+  const auto t0 = WallClock::now();
   if (Status s = node.start(); !s.is_ok()) {
     std::fprintf(stderr, "start: %s\n", s.to_string().c_str());
     std::exit(2);
@@ -157,7 +157,7 @@ Outcome run_scenario(const char* xml, int pace_us = 0,
   if (live_node != nullptr) *live_node = nullptr;
 
   Outcome out;
-  out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  out.wall_seconds = seconds_since(t0);
   const core::ServerStats stats = node.stats();
   out.shards = stats.shards;
   for (const core::IterationRecord& rec : stats.iterations) {
@@ -203,8 +203,8 @@ Observed observe(const std::string& socket_path,
   }
   if (!client.connected()) return obs;
   obs.connected = true;
-  const auto deadline = Clock::now() + std::chrono::seconds(10);
-  while (Clock::now() < deadline) {
+  const auto deadline = WallClock::now() + std::chrono::seconds(10);
+  while (WallClock::now() < deadline) {
     auto snap = client.snapshot(/*timeout_ms=*/2000);
     if (!snap.is_ok()) break;
     ++obs.polls;

@@ -9,7 +9,6 @@
 // behaviour whose jitter the paper measures.
 //
 // Build & run:  ./build/examples/cm1_damaris [output_every=2] [steps=6]
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -17,17 +16,12 @@
 #include <vector>
 
 #include "cm1/solver.hpp"
+#include "common/clock.hpp"
 #include "config/config.hpp"
 #include "core/damaris.hpp"
 #include "format/dh5.hpp"
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 dmr::cm1::Cm1Config solver_config() {
   dmr::cm1::Cm1Config cfg;
@@ -83,7 +77,7 @@ int main(int argc, char** argv) {
     (void)node.start();
 
     dmr::cm1::Cm1Solver solver(cm1_cfg);
-    const auto t0 = Clock::now();
+    const auto t0 = dmr::WallClock::now();
     std::vector<float> pack(field_elems);
     for (int step = 0; step < steps; ++step) {
       solver.exchange_halos();
@@ -95,7 +89,7 @@ int main(int argc, char** argv) {
         for (auto& t : workers) t.join();
       }
       if ((step + 1) % output_every == 0) {
-        const auto w0 = Clock::now();
+        const auto w0 = dmr::WallClock::now();
         for (int s = 0; s < ncores; ++s) {
           auto client = node.client(s);
           for (int f = 0; f < dmr::cm1::kNumFields; ++f) {
@@ -106,12 +100,12 @@ int main(int argc, char** argv) {
           }
           (void)client.end_iteration(step);
         }
-        damaris_write_time += seconds_since(w0);
+        damaris_write_time += dmr::seconds_since(w0);
       }
     }
     for (int s = 0; s < ncores; ++s) (void)node.client(s).finalize();
     (void)node.stop();
-    damaris_total = seconds_since(t0);
+    damaris_total = dmr::seconds_since(t0);
 
     const auto stats = node.stats();
     std::printf("[damaris] %zu iterations persisted, compression %.0f%%, "
@@ -127,7 +121,7 @@ int main(int argc, char** argv) {
   {
     std::filesystem::create_directories("cm1_out/fpp");
     dmr::cm1::Cm1Solver solver(cm1_cfg);
-    const auto t0 = Clock::now();
+    const auto t0 = dmr::WallClock::now();
     std::vector<float> pack(field_elems);
     for (int step = 0; step < steps; ++step) {
       solver.exchange_halos();
@@ -139,7 +133,7 @@ int main(int argc, char** argv) {
         for (auto& t : workers) t.join();
       }
       if ((step + 1) % output_every == 0) {
-        const auto w0 = Clock::now();
+        const auto w0 = dmr::WallClock::now();
         // Every "core" writes its own file, synchronously (the paper's
         // baseline). Compression enabled like the HDF5 per-process path.
         for (int s = 0; s < ncores; ++s) {
@@ -164,10 +158,10 @@ int main(int argc, char** argv) {
           }
           (void)writer.value().finalize();
         }
-        fpp_write_time += seconds_since(w0);
+        fpp_write_time += dmr::seconds_since(w0);
       }
     }
-    fpp_total = seconds_since(t0);
+    fpp_total = dmr::seconds_since(t0);
   }
 
   std::printf("\n%-18s %12s %18s\n", "", "run time", "in write phases");

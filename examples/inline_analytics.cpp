@@ -1,7 +1,7 @@
 // Inline analytics on the dedicated core — the "smart actions" of §III-A
 // and the spare-time uses of §IV-D.
 //
-// A custom plugin registered with the event processing engine detects
+// A custom action registered with the event processing engine detects
 // the strongest updraft in the simulated storm *while the simulation
 // keeps computing*: the compute threads only signal an event; the
 // dedicated core scans the shared-memory blocks, publishes analytics and
@@ -53,17 +53,18 @@ int main() {
   opts.persist_on_end_iteration = false;  // the plugin decides instead
   dmr::core::DamarisNode node(std::move(cfg.value()), ncores, opts);
 
-  // The user-provided plugin: runs on the dedicated core, with zero-copy
-  // access to every client's block of the iteration.
+  // The user-provided action: runs on the dedicated core and reads every
+  // client's block of the iteration in place, through the same block
+  // views the <plugins> chain reads.
   std::atomic<int> persisted{0};
   node.plugins().register_action(
       "detect_updraft", [&](dmr::core::EventContext& ctx) {
         float w_max = 0.0f;
-        for (const auto* block : ctx.metadata.blocks_of(ctx.iteration)) {
-          if (block->variable != "w") continue;
-          const float* vals = reinterpret_cast<const float*>(
-              ctx.buffer.data(block->block));
-          const std::size_t n = block->size / sizeof(float);
+        for (const dmr::plugin::BlockView& block : ctx.blocks) {
+          if (block.variable != "w") continue;
+          const float* vals =
+              reinterpret_cast<const float*>(block.data.data());
+          const std::size_t n = block.data.size() / sizeof(float);
           for (std::size_t i = 0; i < n; ++i) {
             if (vals[i] > w_max) w_max = vals[i];
           }

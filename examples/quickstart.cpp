@@ -47,7 +47,10 @@ int main() {
 
   const int kClients = 3;
   dmr::core::DamarisNode node(std::move(cfg.value()), kClients, opts);
-  (void)node.start();
+  if (auto s = node.start(); !s.is_ok()) {
+    std::fprintf(stderr, "start failed: %s\n", s.to_string().c_str());
+    return 1;
+  }
 
   std::vector<std::thread> compute;
   for (int c = 0; c < kClients; ++c) {

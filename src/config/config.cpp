@@ -292,9 +292,8 @@ Result<Config> Config::from_xml(const XmlNode& root) {
       if (const std::string* a = deg->attr("block_timeout_ms")) {
         s = parse_int(*a, "degrade block_timeout_ms", p.block_timeout_ms);
         if (!s.is_ok()) return s;
-        if (p.block_timeout_ms < -1) {
-          return invalid_argument(
-              "degrade block_timeout_ms must be >= -1");
+        if (p.block_timeout_ms < 0) {
+          return invalid_argument("degrade block_timeout_ms must be >= 0");
         }
       }
       if (const std::string* a = deg->attr("sync")) {

@@ -78,12 +78,12 @@ struct SchedulingConfig {
 };
 
 /// One in-situ plugin instance from the <plugins> section (paper §III-C:
-/// analytics running on the dedicated core's spare time). `type` names a
-/// factory in plugin::PluginRegistry ("statistics", "minmax_index",
-/// "downsample" builtin, or a caller-registered custom type).
+/// analytics running on the dedicated core's spare time). `type` names
+/// one of the builtins plugin::build_pipeline() creates ("statistics",
+/// "minmax_index", "downsample"); custom analytics are event actions.
 struct PluginDecl {
   std::string name;                    // unique instance name
-  std::string type;                    // registry factory key
+  std::string type;                    // builtin plugin type
   std::vector<std::string> variables;  // filter; empty = every variable
   int stride = 4;                      // downsampler decimation factor
 };

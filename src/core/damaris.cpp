@@ -6,17 +6,12 @@
 #include <filesystem>
 
 #include "common/log.hpp"
+#include "plugin/builtin.hpp"
 #include "trace/tracer.hpp"
 
 namespace dmr::core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 shm::AllocPolicy policy_from(const config::Config& cfg) {
   return cfg.buffer_policy() == "partitioned"
@@ -162,19 +157,25 @@ Result<const DamarisNode::NameInfo*> DamarisNode::resolve(
 Status DamarisNode::start() {
   if (started_.load(std::memory_order_acquire))
     return failed_precondition("node already started");
-  // Instantiate the <plugins> in-situ chain before any shard thread
-  // exists: a bad declaration (unknown type) fails start() instead of
-  // surfacing mid-run. Rebuilt on every start so a restarted node gets
-  // fresh accounting.
+  // Bind every event to its action and instantiate the <plugins> in-situ
+  // chain before any shard thread exists: a bad declaration fails
+  // start() instead of surfacing mid-run. The chain is rebuilt on every
+  // start so a restarted node gets fresh accounting.
+  for (const auto& [name, decl] : cfg_.events()) {
+    if (plugins_.find(decl.action) == nullptr) {
+      return not_found("event '" + name + "': action '" + decl.action +
+                       "' is not registered");
+    }
+  }
   if (!cfg_.plugins().empty()) {
-    auto pipeline = plugin::build_pipeline(cfg_.plugins(), plugin_types_);
+    auto pipeline = plugin::build_pipeline(cfg_.plugins());
     if (!pipeline.is_ok()) return pipeline.status();
     block_plugins_ = std::move(pipeline).value();
   } else {
     block_plugins_.reset();
   }
   started_.store(true, std::memory_order_release);
-  start_time_ = Clock::now();
+  start_time_ = WallClock::now();
   for (auto& shard : shards_) {
     Shard* s = shard.get();
     s->thread = std::thread([this, s] { server_main(*s); });
@@ -315,7 +316,7 @@ void DamarisNode::server_main(Shard& shard) {
   // message queued since the last wake-up is handled in FIFO order.
   std::deque<shm::Message> batch;
   while (shard.queue.pop_all(batch)) {
-    const auto t0 = Clock::now();
+    const auto t0 = WallClock::now();
     for (const shm::Message& msg : batch) handle_message(shard, msg);
     const double dt = seconds_since(t0);
     MutexLock lock(stats_mutex_);
@@ -397,18 +398,42 @@ void DamarisNode::handle_message(Shard& shard, const shm::Message& msg) {
 
 void DamarisNode::run_event(Shard& shard, const config::EventDecl& decl,
                             std::int64_t iteration, int source) {
-  const PluginFn* fn = plugins_.find(decl.action);
-  if (!fn) {
-    DMR_LOG(kWarn, "damaris")
-        << "event '" << decl.name << "': unknown action '" << decl.action
-        << "'";
-    return;
+  // start() made sure the action is registered.
+  const PluginFn& fn = *plugins_.find(decl.action);
+  EventContext ctx{*this, decl.name, iteration, source, shard.id, {}};
+  for (const VariableBlock* b : shard.metadata.blocks_of(iteration)) {
+    ctx.blocks.push_back(view_of(*b));
   }
-  EventContext ctx{*this,     shard.metadata, *buffer_, decl.name,
-                   iteration, source,         shard.id};
-  (*fn)(ctx);
+  fn(ctx);
   MutexLock lock(stats_mutex_);
   ++server_stats_.events_handled;
+}
+
+plugin::BlockView DamarisNode::view_of(const VariableBlock& b) const {
+  plugin::BlockView v;
+  v.variable = b.variable;
+  v.iteration = b.iteration;
+  v.source = b.source;
+  v.layout = b.layout;
+  v.data = std::span<const std::byte>(buffer_->data(b.block),
+                                      static_cast<std::size_t>(b.size));
+  return v;
+}
+
+void DamarisNode::run_chain(plugin::PluginPipeline& chain, int shard,
+                            std::int64_t iteration,
+                            std::span<const plugin::BlockView> views) {
+  plugin::PluginContext ctx;
+  ctx.shard = shard;
+  ctx.publish = [this](const std::string& key, double value) {
+    publish_analytic(key, value);
+  };
+  if (Status s = chain.run_iteration(iteration, views, ctx); !s.is_ok()) {
+    // Already counted and logged per plugin by the pipeline.
+    DMR_LOG(kWarn, "damaris")
+        << "plugin chain reported an error on iteration " << iteration
+        << ": " << s.to_string();
+  }
 }
 
 void DamarisNode::complete_iteration(Shard& shard, std::int64_t iteration) {
@@ -430,36 +455,13 @@ void DamarisNode::complete_iteration(Shard& shard, std::int64_t iteration) {
   if (block_plugins_ != nullptr && !block_plugins_->empty()) {
     std::vector<plugin::BlockView> views;
     views.reserve(blocks.size());
-    for (const auto& b : blocks) {
-      plugin::BlockView v;
-      v.variable = b.variable;
-      v.iteration = b.iteration;
-      v.source = b.source;
-      v.layout = b.layout;
-      v.data = std::span<const std::byte>(buffer_->data(b.block),
-                                          static_cast<std::size_t>(b.size));
-      views.push_back(v);
-    }
-    plugin::PluginContext ctx;
-    ctx.shard = shard.id;
-    ctx.publish = [this](const std::string& key, double value) {
-      publish_analytic(key, value);
-    };
-    const auto p0 = Clock::now();
-    Status plugin_status =
-        block_plugins_->run_iteration(iteration, views, ctx);
+    for (const auto& b : blocks) views.push_back(view_of(b));
+    const auto p0 = WallClock::now();
+    run_chain(*block_plugins_, shard.id, iteration, views);
     rec.plugin_seconds = seconds_since(p0);
-    if (!plugin_status.is_ok()) {
-      // Already counted + logged per plugin by the pipeline; the
-      // iteration proceeds regardless (a broken plugin must never fail
-      // a persist).
-      DMR_LOG(kWarn, "damaris")
-          << "plugin chain reported an error on iteration " << iteration
-          << ": " << plugin_status.to_string();
-    }
   }
 
-  const auto t0 = Clock::now();
+  const auto t0 = WallClock::now();
   Status persist_status = Status::ok();
   if (opts_.persist_on_end_iteration) {
     const std::uint64_t retries_before = shard.persistency.stats().retries;
@@ -553,43 +555,21 @@ void DamarisNode::register_builtin_actions() {
   plugins_.register_action("write", [this](EventContext& ctx) {
     complete_iteration(*shards_[ctx.shard], ctx.iteration);
   });
-  // "stats": publish min/max/mean of every float32 block of the
-  // iteration (a representative inline-analytics plugin).
+  // "stats": the statistics plugin over the blocks the event sees,
+  // publishing "<variable>.count/.min/.max/.mean/.stddev".
   plugins_.register_action("stats", [this](EventContext& ctx) {
-    for (const VariableBlock* b : ctx.metadata.blocks_of(ctx.iteration)) {
-      if (b->layout == nullptr ||
-          b->layout->type != format::DataType::kFloat32) {
-        continue;
-      }
-      const std::size_t n = b->size / sizeof(float);
-      if (n == 0) continue;
-      const float* vals =
-          reinterpret_cast<const float*>(buffer_->data(b->block));
-      float lo = vals[0], hi = vals[0];
-      double sum = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        lo = std::min(lo, vals[i]);
-        hi = std::max(hi, vals[i]);
-        sum += vals[i];
-      }
-      const std::string var(b->variable);
-      publish_analytic(var + ".min", lo);
-      publish_analytic(var + ".max", hi);
-      publish_analytic(var + ".mean", sum / static_cast<double>(n));
-    }
+    plugin::PluginPipeline chain;
+    chain.add(std::make_unique<plugin::StatisticsPlugin>("stats"));
+    run_chain(chain, ctx.shard, ctx.iteration, ctx.blocks);
   });
 }
 
 // ---------------------------------------------------------------- client
 
-std::chrono::milliseconds DamarisNode::block_timeout() const {
-  return resilience_.degrade.block_timeout_ms >= 0
-             ? std::chrono::milliseconds(resilience_.degrade.block_timeout_ms)
-             : opts_.alloc_timeout;
-}
-
 Result<shm::Block> DamarisNode::blocking_allocate(Bytes size, int client) {
-  const auto deadline = Clock::now() + block_timeout();
+  const auto deadline =
+      WallClock::now() +
+      std::chrono::milliseconds(resilience_.degrade.block_timeout_ms);
   bool stalled = false;
   for (;;) {
     auto r = buffer_->allocate(size, client);
@@ -602,7 +582,7 @@ Result<shm::Block> DamarisNode::blocking_allocate(Bytes size, int client) {
       return r;
     }
     if (r.status().code() != ErrorCode::kOutOfMemory) return r;
-    if (Clock::now() >= deadline) {
+    if (WallClock::now() >= deadline) {
       return out_of_memory("allocation timed out after waiting for server");
     }
     stalled = true;
@@ -672,7 +652,7 @@ Status DamarisNode::copy_write(int client, std::uint32_t name_id,
                                std::int64_t iteration,
                                std::span<const std::byte> data,
                                WriteOutcome& outcome) {
-  const auto t0 = Clock::now();
+  const auto t0 = WallClock::now();
   Result<shm::Block> block = reserve(client, iteration, data.size());
   Status st = Status::ok();
   if (!block.is_ok()) {
@@ -896,7 +876,7 @@ Status Client::commit(const std::string& variable, std::int64_t iteration) {
     block = it->second;
     node_->pending_allocs_.erase(it);
   }
-  const auto t0 = Clock::now();
+  const auto t0 = WallClock::now();
   if (!node_->publish(id_, var.value()->id, iteration, block)) {
     return resource_busy("commit of '" + variable +
                          "' dropped: server queue already closed");

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -39,6 +38,7 @@
 
 #include "check/fault_checker.hpp"
 #include "check/protocol_checker.hpp"
+#include "common/clock.hpp"
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
 #include "config/config.hpp"
@@ -49,7 +49,6 @@
 #include "fault/degrade.hpp"
 #include "fault/fault.hpp"
 #include "plugin/pipeline.hpp"
-#include "plugin/registry.hpp"
 #include "shm/event_queue.hpp"
 #include "shm/shared_buffer.hpp"
 
@@ -59,9 +58,6 @@ struct NodeOptions {
   std::string output_dir = "damaris_out";
   std::string file_prefix = "damaris";
   int node_id = 0;
-  /// Client-side blocking-allocation timeout: a write spins (yielding)
-  /// until the server frees space or this much time has passed.
-  std::chrono::milliseconds alloc_timeout{5000};
   /// Persist all blocks of an iteration once every client of the shard
   /// has called end_iteration() (the default "write" behaviour).
   bool persist_on_end_iteration = true;
@@ -247,7 +243,9 @@ class DamarisNode {
   DamarisNode& operator=(const DamarisNode&) = delete;
 
   /// Launches the dedicated-core thread(s). Must be called before
-  /// clients write.
+  /// clients write. Fails with kNotFound, before any thread starts, when
+  /// a configured event names an unregistered action or a <plugin> an
+  /// unknown type.
   Status start();
 
   /// Client handle for compute core `id` in [0, num_clients).
@@ -258,13 +256,9 @@ class DamarisNode {
   /// after processing what was already queued).
   Status stop();
 
-  /// Register custom actions before start().
+  /// Event actions ("write" and "stats" are builtin). Register custom
+  /// actions before start().
   PluginRegistry& plugins() { return plugins_; }
-
-  /// Factory table for the <plugins> in-situ chain (pre-seeded with the
-  /// builtins). Register custom plugin types before start(); start()
-  /// instantiates the configuration's chain from it.
-  plugin::PluginRegistry& plugin_types() { return plugin_types_; }
 
   /// The running in-situ chain (nullptr when the configuration declares
   /// no plugins). Plugin instances are safe to inspect after stop().
@@ -368,6 +362,14 @@ class DamarisNode {
   void run_event(Shard& shard, const config::EventDecl& decl,
                  std::int64_t iteration, int source);
   void register_builtin_actions();
+  /// The plugin view of a published block: its bytes in shared memory.
+  plugin::BlockView view_of(const VariableBlock& b) const;
+  /// Runs `chain` over `views` on `shard`, publishing into analytics().
+  /// A plugin error is logged, never propagated: a broken plugin must
+  /// not fail the iteration.
+  void run_chain(plugin::PluginPipeline& chain, int shard,
+                 std::int64_t iteration,
+                 std::span<const plugin::BlockView> views);
 
   std::uint32_t name_id(const std::string& name) const;  // ~0u if unknown
   /// invalid_argument unless `client` is in [0, num_clients).
@@ -427,7 +429,6 @@ class DamarisNode {
   void maybe_crash(Shard& shard, std::int64_t iteration);
   /// Injected queue close at an iteration boundary (server gone).
   void maybe_close_queue(Shard& shard, std::int64_t iteration);
-  std::chrono::milliseconds block_timeout() const;
 
   config::Config cfg_;
   int num_clients_;
@@ -437,11 +438,9 @@ class DamarisNode {
   std::vector<std::unique_ptr<Shard>> shards_;
   PluginRegistry plugins_;
 
-  /// In-situ analytics (DESIGN.md §15): the factory table callers may
-  /// extend before start(), and the chain built from the <plugins>
-  /// section. The pipeline serializes itself; shard threads call into
-  /// it from complete_iteration().
-  plugin::PluginRegistry plugin_types_ = plugin::PluginRegistry::with_builtins();
+  /// In-situ analytics (DESIGN.md §15): the chain built from the
+  /// <plugins> section. The pipeline serializes itself; shard threads
+  /// call into it from complete_iteration().
   std::unique_ptr<plugin::PluginPipeline> block_plugins_;
 
   /// Resolved resilience policy (NodeOptions override or config).
@@ -470,7 +469,7 @@ class DamarisNode {
   mutable Mutex stats_mutex_;
   ServerStats server_stats_ DMR_GUARDED_BY(stats_mutex_);
   std::map<std::string, double> analytics_ DMR_GUARDED_BY(stats_mutex_);
-  std::chrono::steady_clock::time_point start_time_;
+  WallClock::time_point start_time_;
 
   mutable Mutex params_mutex_;
   std::map<std::string, std::string> parameters_ DMR_GUARDED_BY(params_mutex_);

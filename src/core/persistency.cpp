@@ -1,19 +1,13 @@
 #include "core/persistency.hpp"
 
-#include <chrono>
 #include <filesystem>
 
+#include "common/clock.hpp"
 #include "trace/tracer.hpp"
 
 namespace dmr::core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// Records a finished persistency step as a wall-clock span
 /// (Category::kPersist) on the node's lane: `dur` seconds ending now.
@@ -113,7 +107,7 @@ Status PersistencyLayer::write_blocks_once(
     // plain copy, so splitting from the container write is lossless).
     const iopath::CompressionModel model =
         compression_model_for(cfg, info.name);
-    auto t0 = Clock::now();
+    auto t0 = WallClock::now();
     format::EncodedBuffer encoded = model.codec_pipeline().encode(raw);
     double dt = seconds_since(t0);
     {
@@ -124,7 +118,7 @@ Status PersistencyLayer::write_blocks_once(
     trace_persist(node_id_, "transform", dt, b.size, b.iteration);
 
     // Storage: append the encoded dataset to the container.
-    t0 = Clock::now();
+    t0 = WallClock::now();
     Status s = writer.value().add_encoded(info, encoded, raw.size());
     dt = seconds_since(t0);
     {
@@ -142,7 +136,7 @@ Status PersistencyLayer::write_blocks_once(
     stats_.raw_bytes += writer.value().raw_bytes();
     stats_.stored_bytes += writer.value().stored_bytes();
   }
-  const auto t0 = Clock::now();
+  const auto t0 = WallClock::now();
   Status s = writer.value().finalize();
   const double dt = seconds_since(t0);
   {

@@ -41,9 +41,9 @@ enum class DegradeMode : int { kNormal = 0, kSync = 1, kDrop = 2 };
 const char* degrade_mode_name(DegradeMode mode);
 
 struct DegradePolicy {
-  /// Blocking-allocation timeout in kNormal, milliseconds; -1 inherits
-  /// the node's legacy alloc_timeout option.
-  int block_timeout_ms = -1;
+  /// Blocking-allocation timeout in kNormal, milliseconds: a write
+  /// waits (yielding) this long for the dedicated core to free space.
+  int block_timeout_ms = 5000;
   /// Allow the synchronous-passthrough fallback.
   bool allow_sync = false;
   /// Allow dropping writes (with accounting) as the last resort.

@@ -17,6 +17,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 
@@ -71,17 +72,14 @@ template <typename Fn, typename OnRetry>
 Status retry_sync(const RetryPolicy& policy, std::uint64_t seed, Fn&& fn,
                   OnRetry&& on_retry) {
   Backoff backoff(policy, seed);
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = WallClock::now();
   Status last = Status::ok();
   for (int attempt = 1;; ++attempt) {
     last = fn(attempt);
     if (last.is_ok() || attempt >= policy.max_attempts) return last;
     const double delay = backoff.next();
-    if (policy.deadline > 0.0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (elapsed + delay > policy.deadline) return last;
+    if (policy.deadline > 0.0 && seconds_since(t0) + delay > policy.deadline) {
+      return last;
     }
     on_retry(attempt, delay, last);
     std::this_thread::sleep_for(std::chrono::duration<double>(delay));

@@ -1,8 +1,9 @@
 #include "mc/scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
+
+#include "common/clock.hpp"
 
 namespace dmr::mc {
 
@@ -376,7 +377,7 @@ std::vector<int> Scheduler::minimized(const std::vector<int>& tids0) const {
 McResult Scheduler::explore() {
   McResult res;
   frames_.clear();
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = WallClock::now();
 
   while (true) {
     RunOutcome run = run_one();
@@ -407,9 +408,7 @@ McResult Scheduler::explore() {
       return res;
     }
 
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double elapsed = seconds_since(t0);
     if (res.executions >= opts_.max_executions ||
         elapsed > opts_.time_budget_s) {
       res.budget_exhausted = true;

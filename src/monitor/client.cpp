@@ -1,13 +1,14 @@
 #include "monitor/client.hpp"
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
+
+#include "common/clock.hpp"
 
 namespace dmr::monitor {
 
@@ -19,7 +20,7 @@ Status errno_error(const std::string& what) {
 
 std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
+             WallClock::now().time_since_epoch())
       .count();
 }
 

@@ -31,9 +31,9 @@ Status set_nonblocking(int fd) {
   return Status::ok();
 }
 
-std::int64_t ms_since(std::chrono::steady_clock::time_point t0) {
+std::int64_t ms_since(WallClock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now() - t0)
+             WallClock::now() - t0)
       .count();
 }
 
@@ -97,7 +97,7 @@ Status MonitorServer::start() {
   wake_write_fd_ = pipe_fds[1];
 
   sequence_ = 0;
-  started_at_ = std::chrono::steady_clock::now();
+  started_at_ = WallClock::now();
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { loop(); });
   DMR_LOG(kInfo, "monitor") << "serving on " << opts_.socket_path;

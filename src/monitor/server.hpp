@@ -32,13 +32,13 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
 #include "monitor/snapshot.hpp"
@@ -119,7 +119,7 @@ class MonitorServer {
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::int64_t sequence_ = 0;  // loop thread only
-  std::chrono::steady_clock::time_point started_at_;
+  WallClock::time_point started_at_;
 
   mutable Mutex stats_mutex_;
   Stats stats_ DMR_GUARDED_BY(stats_mutex_);

@@ -203,4 +203,30 @@ const std::vector<double>& DownsamplePlugin::latest(
   return it == latest_.end() ? kEmpty : it->second;
 }
 
+Result<std::unique_ptr<PluginPipeline>> build_pipeline(
+    const config::PluginsConfig& cfg) {
+  PipelineOptions opts;
+  opts.iteration_budget_seconds = cfg.budget_ms / 1000.0;
+  opts.on_error = cfg.on_error == "disable" ? FailurePolicy::kDisable
+                                            : FailurePolicy::kWarn;
+  opts.on_overrun = cfg.on_overrun == "disable" ? FailurePolicy::kDisable
+                                                : FailurePolicy::kWarn;
+  auto pipeline = std::make_unique<PluginPipeline>(opts);
+  for (const config::PluginDecl& d : cfg.plugins) {
+    std::unique_ptr<BlockPlugin> plugin;
+    if (d.type == "statistics") {
+      plugin = std::make_unique<StatisticsPlugin>(d.name);
+    } else if (d.type == "minmax_index") {
+      plugin = std::make_unique<MinMaxIndexPlugin>(d.name);
+    } else if (d.type == "downsample") {
+      plugin = std::make_unique<DownsamplePlugin>(d.name, d.stride);
+    } else {
+      return not_found("unknown plugin type '" + d.type + "' (plugin '" +
+                       d.name + "')");
+    }
+    pipeline->add(std::move(plugin), d.variables);
+  }
+  return pipeline;
+}
+
 }  // namespace dmr::plugin

@@ -2,7 +2,8 @@
 // dedicated core's spare time (§IV-C3): statistics, indexing,
 // downsampling/compression. All three are deterministic functions of
 // the published data, which is what lets bench_plugin pin
-// "identical seed ⇒ identical plugin outputs".
+// "identical seed ⇒ identical plugin outputs". build_pipeline() makes
+// the <plugins> chain out of them.
 //
 // Thread-safety: driven only through PluginPipeline's serializing
 // mutex; see plugin.hpp.
@@ -10,9 +11,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/status.hpp"
+#include "config/config.hpp"
+#include "plugin/pipeline.hpp"
 #include "plugin/plugin.hpp"
 
 namespace dmr::plugin {
@@ -96,5 +101,12 @@ class DownsamplePlugin : public BlockPlugin {
   int stride_;
   std::map<std::string, std::vector<double>> latest_;
 };
+
+/// Builds the whole chain from a parsed <plugins> section: policies
+/// from the section attributes, one builtin instance per <plugin>
+/// declaration, in declaration order. kNotFound names the first
+/// declaration of an unknown type.
+Result<std::unique_ptr<PluginPipeline>> build_pipeline(
+    const config::PluginsConfig& cfg);
 
 }  // namespace dmr::plugin

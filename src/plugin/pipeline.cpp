@@ -1,9 +1,9 @@
 #include "plugin/pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 
+#include "common/clock.hpp"
 #include "common/log.hpp"
 #include "trace/event.hpp"
 #include "trace/tracer.hpp"
@@ -11,12 +11,6 @@
 namespace dmr::plugin {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// One plugin over one iteration's (filtered) blocks, exceptions
 /// contained. Returns the first non-OK status.
@@ -80,31 +74,15 @@ Status PluginPipeline::run_iteration(std::int64_t iteration,
   trace::Tracer* tracer = trace::current();
   const trace::EntityId entity{trace::EntityType::kWriter,
                                static_cast<std::uint32_t>(ctx.shard)};
-  const auto chain_t0 = Clock::now();
+  const auto chain_t0 = WallClock::now();
   const double budget = opts_.iteration_budget_seconds;
-  // The tenant quota caps what *this* tenant's chain may consume per
-  // iteration; crossing it cuts only this tenant's iteration.
-  const double tenant_budget = opts_.tenant_budget_seconds;
-  auto tenant_row = tenants_.end();
-  {
-    auto it = std::lower_bound(
-        tenants_.begin(), tenants_.end(), ctx.tenant,
-        [](const TenantUsage& u, int t) { return u.tenant < t; });
-    if (it == tenants_.end() || it->tenant != ctx.tenant) {
-      TenantUsage fresh;
-      fresh.tenant = ctx.tenant;
-      it = tenants_.insert(it, fresh);
-    }
-    tenant_row = it;
-  }
-  ++tenant_row->iterations;
   bool budget_blown = false;
 
   for (Entry& e : entries_) {
     if (e.stats.disabled) continue;
     if (budget_blown) break;
 
-    const auto t0 = Clock::now();
+    const auto t0 = WallClock::now();
     std::uint64_t blocks_seen = 0;
     Bytes bytes_seen = 0;
     Status s = run_plugin(*e.plugin, iteration, blocks, ctx, e.variables,
@@ -116,7 +94,6 @@ Status PluginPipeline::run_iteration(std::int64_t iteration,
     e.stats.bytes += bytes_seen;
     e.stats.seconds += dt;
     e.stats.max_iteration_seconds = std::max(e.stats.max_iteration_seconds, dt);
-    tenant_row->seconds += dt;
 
     if (tracer && tracer->enabled(trace::Category::kPlugin)) {
       tracer->record_span(entity, trace::Category::kPlugin, "plugin.run",
@@ -159,22 +136,6 @@ Status PluginPipeline::run_iteration(std::int64_t iteration,
         tracer->record_instant(entity, trace::Category::kPlugin,
                                "plugin.overrun", tracer->wall_now());
       }
-    } else if (tenant_budget > 0.0 &&
-               seconds_since(chain_t0) > tenant_budget) {
-      // Tenant quota exceeded: stop the chain for this tenant's
-      // iteration (other tenants' iterations run the full chain). The
-      // plugin is NOT disabled and no chain-level overrun is charged —
-      // this is fair-share throttling, not a failure.
-      ++tenant_row->overruns;
-      budget_blown = true;
-      DMR_LOG(kWarn, "plugin")
-          << "tenant " << ctx.tenant << " exhausted its plugin quota ("
-          << tenant_budget << "s) on iteration " << iteration
-          << "; chain cut after '" << e.stats.name << "'";
-      if (tracer && tracer->enabled(trace::Category::kPlugin)) {
-        tracer->record_instant(entity, trace::Category::kPlugin,
-                               "plugin.tenant_overrun", tracer->wall_now());
-      }
     }
   }
 
@@ -193,18 +154,6 @@ std::vector<PluginStats> PluginPipeline::stats() const {
   out.reserve(entries_.size());
   for (const Entry& e : entries_) out.push_back(e.stats);
   return out;
-}
-
-double PluginPipeline::total_seconds() const {
-  MutexLock lock(mutex_);
-  double total = 0.0;
-  for (const Entry& e : entries_) total += e.stats.seconds;
-  return total;
-}
-
-std::vector<TenantUsage> PluginPipeline::tenant_usage() const {
-  MutexLock lock(mutex_);
-  return tenants_;
 }
 
 BlockPlugin* PluginPipeline::find(const std::string& name) const {

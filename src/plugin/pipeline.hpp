@@ -2,15 +2,15 @@
 // between publish and persist (DamarisNode::complete_iteration), with
 // the per-plugin wall-clock accounting that backs the Fig 5 idle-budget
 // reproduction (BENCH_plugin.json) and the live monitor's plugin table.
+// build_pipeline() (builtin.hpp) makes it from the <plugins> section;
+// the builtin "stats" event action runs a one-plugin chain of its own
+// over the blocks its event sees.
 //
 // Policies (from the <plugins> section):
 //  - budget: `iteration_budget_seconds` caps the *chain's* wall time
 //    per iteration. The plugin that crosses the line is charged an
 //    overrun and the rest of the chain is skipped for that iteration —
 //    analytics must never push persist out of the idle window;
-//  - tenant quotas: `tenant_budget_seconds` is the same cut applied per
-//    PluginContext::tenant, so a facility tenant that overruns its
-//    analytics budget only loses the rest of *its own* chain;
 //  - on_error / on_overrun: "warn" keeps the offending plugin running,
 //    "disable" drops it from the chain for the rest of the run. Errors
 //    never propagate to the iteration itself: a broken plugin cannot
@@ -44,21 +44,8 @@ enum class FailurePolicy { kWarn, kDisable };
 struct PipelineOptions {
   /// Wall-clock budget per iteration for the whole chain; 0 = unlimited.
   double iteration_budget_seconds = 0.0;
-  /// Per-tenant chain budget per iteration (keyed by PluginContext::
-  /// tenant); 0 = unlimited. When a tenant's chain crosses it, the rest
-  /// of the chain is skipped for *that tenant's* iteration only — one
-  /// tenant's analytics overrun cannot starve another's.
-  double tenant_budget_seconds = 0.0;
   FailurePolicy on_error = FailurePolicy::kWarn;
   FailurePolicy on_overrun = FailurePolicy::kWarn;
-};
-
-/// Per-tenant chain accounting (quota enforcement evidence).
-struct TenantUsage {
-  int tenant = 0;
-  std::uint64_t iterations = 0;
-  double seconds = 0.0;
-  std::uint64_t overruns = 0;  // iterations cut by the tenant budget
 };
 
 class PluginPipeline {
@@ -84,11 +71,6 @@ class PluginPipeline {
 
   /// Per-plugin accounting snapshot (chain order).
   std::vector<PluginStats> stats() const;
-  /// Total wall seconds the chain has consumed.
-  double total_seconds() const;
-  /// Per-tenant accounting snapshot, sorted by tenant id (empty until
-  /// the first run_iteration()).
-  std::vector<TenantUsage> tenant_usage() const;
 
   /// The plugin instance registered under `name` (nullptr when absent).
   /// For tests and steering code; the pointer stays owned by the
@@ -107,7 +89,6 @@ class PluginPipeline {
   PipelineOptions opts_;
   mutable Mutex mutex_;
   std::vector<Entry> entries_ DMR_GUARDED_BY(mutex_);
-  std::vector<TenantUsage> tenants_ DMR_GUARDED_BY(mutex_);
 };
 
 }  // namespace dmr::plugin

@@ -9,10 +9,11 @@
 // writes them out (the only window where the data is complete, still in
 // shared memory, and the clients are already computing the next
 // iteration — so plugin time is invisible to the simulation as long as
-// it fits the idle budget). This is deliberately distinct from
-// core::PluginRegistry's event *actions* (df_signal handlers): actions
-// run in response to explicit events, BlockPlugins run on every
-// iteration's data.
+// it fits the idle budget). Event actions (core/plugin.hpp, the
+// df_signal handlers) read the same BlockViews when their event fires;
+// the builtin "stats" action is StatisticsPlugin run over them.
+// Analytics that fit none of the three builtin types are written as
+// actions.
 //
 // Thread-safety: a plugin instance is driven by PluginPipeline
 // (pipeline.hpp), which serializes all calls under its own mutex;
@@ -48,10 +49,6 @@ struct BlockView {
 /// monitor pick it up.
 struct PluginContext {
   int shard = 0;
-  /// Facility tenant this iteration's analytics run on behalf of (0 in
-  /// single-application runs). PluginPipeline charges its per-tenant
-  /// quota accounting against this id.
-  int tenant = 0;
   std::function<void(const std::string& key, double value)> publish;
 };
 

@@ -61,7 +61,7 @@ Tracer::Tracer(TracerOptions opts)
       ring_capacity_(opts.ring_capacity),
       categories_(opts.categories),
       shards_(std::make_unique<std::atomic<TraceRing*>[]>(num_shards_)),
-      t0_(std::chrono::steady_clock::now()) {
+      t0_(WallClock::now()) {
   for (std::size_t i = 0; i < num_shards_; ++i) {
     shards_[i].store(nullptr, std::memory_order_relaxed);
   }
@@ -145,10 +145,7 @@ void Tracer::record_counter(EntityId entity, Category cat, const char* name,
   record(ev);
 }
 
-double Tracer::wall_now() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
-      .count();
-}
+double Tracer::wall_now() const { return seconds_since(t0_); }
 
 std::uint64_t Tracer::recorded() const {
   std::uint64_t n = 0;

@@ -26,11 +26,11 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "trace/event.hpp"
 #include "trace/ring.hpp"
 
@@ -91,7 +91,7 @@ class Tracer {
   const std::size_t ring_capacity_;
   std::atomic<std::uint32_t> categories_;
   std::unique_ptr<std::atomic<TraceRing*>[]> shards_;
-  std::chrono::steady_clock::time_point t0_;
+  WallClock::time_point t0_;
 };
 
 /// Installs `t` as the process-wide tracer and returns the previous one

@@ -30,14 +30,14 @@ void register_render_action(core::DamarisNode& node,
                             RenderOptions opts) {
   node.plugins().register_action(
       action_name, [&node, opts](core::EventContext& ctx) {
-        const auto blocks = ctx.metadata.blocks_of(ctx.iteration);
-        // Collect this variable's blocks and check shapes.
-        std::vector<const core::VariableBlock*> var_blocks;
-        for (const auto* b : blocks) {
-          if (b->variable == opts.variable && b->layout != nullptr &&
-              b->layout->type == format::DataType::kFloat32 &&
-              b->layout->dims.size() == 3) {
-            var_blocks.push_back(b);
+        // Collect this variable's full-size blocks and check shapes.
+        std::vector<const plugin::BlockView*> var_blocks;
+        for (const plugin::BlockView& b : ctx.blocks) {
+          if (b.variable == opts.variable && b.layout != nullptr &&
+              b.layout->type == format::DataType::kFloat32 &&
+              b.layout->dims.size() == 3 &&
+              b.data.size() == b.layout->byte_size()) {
+            var_blocks.push_back(&b);
           }
         }
         const int expected = opts.px * opts.py;
@@ -53,6 +53,11 @@ void register_render_action(core::DamarisNode& node,
         const int ly = static_cast<int>(dims[1]);
         const int lz = static_cast<int>(dims[2]);
         if (opts.k_slice < 0 || opts.k_slice >= lz) return;
+        const auto values = [&](const plugin::BlockView& b) {
+          return std::span<const float>(
+              reinterpret_cast<const float*>(b.data.data()),
+              static_cast<std::size_t>(lx) * ly * lz);
+        };
 
         // Color range: fixed, or auto-scaled over this frame's slice.
         float lo = opts.lo, hi = opts.hi;
@@ -60,8 +65,7 @@ void register_render_action(core::DamarisNode& node,
           lo = std::numeric_limits<float>::max();
           hi = std::numeric_limits<float>::lowest();
           for (const auto* b : var_blocks) {
-            const float* vals =
-                reinterpret_cast<const float*>(ctx.buffer.data(b->block));
+            const std::span<const float> vals = values(*b);
             for (int i = 0; i < lx; ++i) {
               for (int j = 0; j < ly; ++j) {
                 const float v =
@@ -78,12 +82,8 @@ void register_render_action(core::DamarisNode& node,
         for (const auto* b : var_blocks) {
           const int cx = b->source % opts.px;
           const int cy = b->source / opts.px;
-          const float* vals =
-              reinterpret_cast<const float*>(ctx.buffer.data(b->block));
-          blit_slice(frame, cx * lx, cy * ly,
-                     std::span<const float>(
-                         vals, static_cast<std::size_t>(lx) * ly * lz),
-                     lx, ly, lz, opts.k_slice, lo, hi);
+          blit_slice(frame, cx * lx, cy * ly, values(*b), lx, ly, lz,
+                     opts.k_slice, lo, hi);
         }
 
         std::error_code ec;

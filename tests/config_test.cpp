@@ -231,7 +231,7 @@ TEST(Config, FaultPlanDefaultsEmpty) {
   EXPECT_FALSE(res.retry.enabled());
   EXPECT_FALSE(res.degrade.allow_sync);
   EXPECT_FALSE(res.degrade.allow_drop);
-  EXPECT_EQ(res.degrade.block_timeout_ms, -1);
+  EXPECT_EQ(res.degrade.block_timeout_ms, 5000);
 }
 
 TEST(Config, RejectsMalformedFaultPlans) {
@@ -314,6 +314,9 @@ TEST(Config, RejectsMalformedResilience) {
                    .is_ok());
   EXPECT_FALSE(Config::from_string(R"(
     <damaris><resilience><degrade block_timeout_ms="-2"/></resilience></damaris>)")
+                   .is_ok());
+  EXPECT_FALSE(Config::from_string(R"(
+    <damaris><resilience><degrade block_timeout_ms="-1"/></resilience></damaris>)")
                    .is_ok());
 }
 

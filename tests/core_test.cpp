@@ -125,6 +125,8 @@ const char* kConfigXml = R"(
   <buffer size="8388608" policy="firstfit"/>
   <layout name="grid" type="float32" dimensions="16,16,4"/>
   <layout name="packed_grid" type="float32" dimensions="16,16,4"/>
+  <layout name="counts" type="int32" dimensions="8"/>
+  <variable name="cells" layout="counts"/>
   <variable name="temperature" layout="grid"/>
   <variable name="wind" layout="grid" pipeline="lossless"/>
   <event name="analyze" action="stats" scope="local"/>
@@ -276,6 +278,38 @@ TEST_F(NodeFixture, StatsPluginPublishesAnalytics) {
   EXPECT_GT(analytics["temperature.mean"], 0.0);
 }
 
+// "stats" is the statistics plugin over every block the event sees: one
+// signal after all three clients wrote covers all three blocks, and an
+// int32 variable gets its keys too.
+TEST_F(NodeFixture, StatsActionCoversTheWholeIteration) {
+  ASSERT_TRUE(node_->start().is_ok());
+  for (int c = 0; c < 3; ++c) {
+    ASSERT_TRUE(node_->client(c)
+                    .write("temperature", 0, field(100.0f * (c + 1)))
+                    .is_ok());
+  }
+  const std::vector<std::int32_t> cells = {-3, 7, 2, 0, 5, 1, 9, -1};
+  Client first = node_->client(0);
+  ASSERT_TRUE(first.write("cells", 0, std::as_bytes(std::span(cells))).is_ok());
+  ASSERT_TRUE(first.signal("analyze", 0).is_ok());
+  for (int c = 0; c < 3; ++c) {
+    ASSERT_TRUE(node_->client(c).end_iteration(0).is_ok());
+    ASSERT_TRUE(node_->client(c).finalize().is_ok());
+  }
+  ASSERT_TRUE(node_->stop().is_ok());
+  auto analytics = node_->analytics();
+  EXPECT_DOUBLE_EQ(analytics["temperature.count"], 3 * 16 * 16 * 4);
+  EXPECT_NEAR(analytics["temperature.min"], 100.0, 1e-4);
+  EXPECT_NEAR(analytics["temperature.max"], 300.99, 1e-4);
+  // i % 100 over 1024 elements averages 48.609375.
+  EXPECT_NEAR(analytics["temperature.mean"], 200.48609375, 1e-3);
+  EXPECT_EQ(analytics.count("temperature.stddev"), 1u);
+  EXPECT_DOUBLE_EQ(analytics["cells.count"], 8.0);
+  EXPECT_DOUBLE_EQ(analytics["cells.min"], -3.0);
+  EXPECT_DOUBLE_EQ(analytics["cells.max"], 9.0);
+  EXPECT_DOUBLE_EQ(analytics["cells.mean"], 2.5);
+}
+
 // Analytics are consumed in serialized form (vis/render tables, the
 // steering loop's published keys): pin the sorted-key contract so a
 // switch to a hash map can never leak seed-dependent order downstream.
@@ -387,6 +421,29 @@ TEST_F(NodeFixture, CompressionRatioReported) {
   for (auto& t : clients) t.join();
   ASSERT_TRUE(node_->stop().is_ok());
   EXPECT_GT(node_->stats().persistency.compression_ratio(), 1.2);
+}
+
+TEST(Node, StartRequiresEveryEventActionToBeRegistered) {
+  auto cfg = config::Config::from_string(R"(
+<damaris>
+  <buffer size="1048576" policy="firstfit"/>
+  <event name="poke" action="custom" scope="local"/>
+</damaris>)");
+  ASSERT_TRUE(cfg.is_ok()) << cfg.status().to_string();
+  DamarisNode node(std::move(cfg.value()), 1);
+  const Status st = node.start();
+  EXPECT_EQ(st.code(), ErrorCode::kNotFound);
+  EXPECT_NE(st.message().find("'poke'"), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find("'custom'"), std::string::npos) << st.message();
+
+  std::atomic<int> calls{0};
+  node.plugins().register_action("custom",
+                                 [&](EventContext&) { calls.fetch_add(1); });
+  ASSERT_TRUE(node.start().is_ok());
+  ASSERT_TRUE(node.client(0).signal("poke", 0).is_ok());
+  ASSERT_TRUE(node.client(0).finalize().is_ok());
+  ASSERT_TRUE(node.stop().is_ok());
+  EXPECT_EQ(calls.load(), 1);
 }
 
 // ------------------------------------------------------------------ capi

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "check/fault_checker.hpp"
+#include "common/clock.hpp"
 #include "config/config.hpp"
 #include "core/damaris.hpp"
 #include "monitor/client.hpp"
@@ -357,10 +358,8 @@ TEST_F(ServerFixture, DisconnectMidStreamLeavesServerServing) {
   }
   // The server eventually notices the dropped subscriber (its periodic
   // send hits EPIPE/ECONNRESET) and cleans it up without dying.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server_->stats().disconnected < 1 &&
-         std::chrono::steady_clock::now() < deadline) {
+  const auto deadline = WallClock::now() + std::chrono::seconds(5);
+  while (server_->stats().disconnected < 1 && WallClock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GE(server_->stats().disconnected, 1u);
@@ -379,10 +378,8 @@ TEST_F(ServerFixture, ClientAcceptedAfterPriorDisconnectIsServed) {
     ASSERT_TRUE(first.connect(opts_.socket_path).is_ok());
     ASSERT_TRUE(first.snapshot().is_ok());
   }  // destructor closes; the server's next round sees POLLIN|POLLHUP
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server_->stats().disconnected < 1 &&
-         std::chrono::steady_clock::now() < deadline) {
+  const auto deadline = WallClock::now() + std::chrono::seconds(5);
+  while (server_->stats().disconnected < 1 && WallClock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_GE(server_->stats().disconnected, 1u);
@@ -476,9 +473,8 @@ TEST(NodeMonitor, ObservesLiveSimulation) {
   std::int64_t best_jitter = 0;
   std::int64_t best_published = 0;
   std::string mode;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
+  const auto deadline = WallClock::now() + std::chrono::seconds(10);
+  while (WallClock::now() < deadline) {
     auto snap = mc.snapshot(2000);
     ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();
     const Json& j = snap.value();

@@ -26,7 +26,6 @@
 #include "core/damaris.hpp"
 #include "plugin/builtin.hpp"
 #include "plugin/pipeline.hpp"
-#include "plugin/registry.hpp"
 
 namespace dmr::plugin {
 namespace {
@@ -321,53 +320,6 @@ TEST(PluginPipeline, OnOverrunDisableRemovesTheOffender) {
   EXPECT_TRUE(pipe.stats()[0].disabled);
 }
 
-TEST(PluginPipeline, TenantQuotaCutsOnlyTheOverrunningTenant) {
-  PipelineOptions opts;
-  opts.tenant_budget_seconds = 0.005;
-  PluginPipeline pipe(opts);
-  // The slow plugin only sees tenant 7's variable, so tenant 3's
-  // iterations stay cheap while sharing the exact same chain.
-  pipe.add(std::make_unique<ScriptedPlugin>("slow", ScriptedPlugin::Mode::kSleep,
-                                            /*sleep_seconds=*/0.02),
-           {"heavy"});
-  auto after = std::make_unique<ScriptedPlugin>("after", ScriptedPlugin::Mode::kOk);
-  auto* after_raw = after.get();
-  pipe.add(std::move(after));
-
-  const auto layout = float_layout(1);
-  const auto data = float_bytes({1.0f});
-  const BlockView heavy[] = {view_of("heavy", 0, 0, layout, data)};
-  const BlockView light[] = {view_of("light", 0, 0, layout, data)};
-
-  // Tenant 7 blows its per-tenant quota: the rest of ITS chain is cut.
-  PluginContext hog;
-  hog.tenant = 7;
-  hog.publish = [](const std::string&, double) {};
-  EXPECT_TRUE(pipe.run_iteration(0, heavy, hog).is_ok());
-  EXPECT_EQ(after_raw->calls, 0);
-
-  // Tenant 3 stays under quota and runs the full chain, untouched by
-  // tenant 7's overrun.
-  PluginContext other;
-  other.tenant = 3;
-  other.publish = [](const std::string&, double) {};
-  EXPECT_TRUE(pipe.run_iteration(0, light, other).is_ok());
-  EXPECT_EQ(after_raw->calls, 1);
-
-  const auto usage = pipe.tenant_usage();
-  ASSERT_EQ(usage.size(), 2u);  // sorted by tenant id
-  EXPECT_EQ(usage[0].tenant, 3);
-  EXPECT_EQ(usage[0].overruns, 0u);
-  EXPECT_EQ(usage[0].iterations, 1u);
-  EXPECT_EQ(usage[1].tenant, 7);
-  EXPECT_EQ(usage[1].overruns, 1u);
-  EXPECT_GE(usage[1].seconds, 0.02);
-  // Fair-share throttling, not a failure: nothing was disabled and no
-  // chain-level overrun was charged.
-  EXPECT_FALSE(pipe.stats()[0].disabled);
-  EXPECT_EQ(pipe.stats()[0].overruns, 0u);
-}
-
 TEST(PluginPipeline, VariableFilterRoutesBlocks) {
   PluginPipeline pipe;
   auto only_a = std::make_unique<ScriptedPlugin>("a", ScriptedPlugin::Mode::kOk);
@@ -385,38 +337,40 @@ TEST(PluginPipeline, VariableFilterRoutesBlocks) {
   EXPECT_EQ(pipe.stats()[0].blocks, 1u);
 }
 
-// ---------------------------------------------- registry + config glue
+// ------------------------------------------------------ config glue
 
 TEST(PluginRegistry, BuildsBuiltinsFromConfig) {
-  const auto registry = PluginRegistry::with_builtins();
-  EXPECT_TRUE(registry.contains("statistics"));
-  EXPECT_TRUE(registry.contains("minmax_index"));
-  EXPECT_TRUE(registry.contains("downsample"));
-
   config::PluginsConfig cfg;
   cfg.budget_ms = 10.0;
   cfg.on_error = "disable";
-  config::PluginDecl d;
-  d.name = "s";
-  d.type = "statistics";
-  d.variables = {"field"};
-  cfg.plugins.push_back(d);
-  auto pipe = build_pipeline(cfg, registry);
+  for (const char* type : {"statistics", "minmax_index", "downsample"}) {
+    config::PluginDecl d;
+    d.name = type;
+    d.type = type;
+    d.variables = {"field"};
+    cfg.plugins.push_back(d);
+  }
+  auto pipe = build_pipeline(cfg);
   ASSERT_TRUE(pipe.is_ok());
-  EXPECT_EQ(pipe.value()->size(), 1u);
-  EXPECT_NE(pipe.value()->find("s"), nullptr);
+  EXPECT_EQ(pipe.value()->size(), 3u);
+  EXPECT_NE(dynamic_cast<StatisticsPlugin*>(pipe.value()->find("statistics")),
+            nullptr);
+  EXPECT_NE(
+      dynamic_cast<MinMaxIndexPlugin*>(pipe.value()->find("minmax_index")),
+      nullptr);
+  EXPECT_NE(dynamic_cast<DownsamplePlugin*>(pipe.value()->find("downsample")),
+            nullptr);
   EXPECT_EQ(pipe.value()->options().on_error, FailurePolicy::kDisable);
   EXPECT_DOUBLE_EQ(pipe.value()->options().iteration_budget_seconds, 0.01);
 }
 
 TEST(PluginRegistry, RejectsUnknownType) {
-  const auto registry = PluginRegistry::with_builtins();
   config::PluginsConfig cfg;
   config::PluginDecl d;
   d.name = "x";
   d.type = "no_such_plugin";
   cfg.plugins.push_back(d);
-  EXPECT_FALSE(build_pipeline(cfg, registry).is_ok());
+  EXPECT_EQ(build_pipeline(cfg).status().code(), ErrorCode::kNotFound);
 }
 
 // --------------------------------------------------- node integration
