@@ -37,8 +37,13 @@ bool read_bytes(std::FILE* f, void* p, std::size_t n) {
 
 // ------------------------------------------------------------- writer
 
-Dh5Writer::~Dh5Writer() {
-  if (file_) std::fclose(file_);
+Dh5Writer::~Dh5Writer() { discard(); }
+
+void Dh5Writer::discard() {
+  if (!file_) return;
+  std::fclose(file_);
+  file_ = nullptr;
+  std::remove(tmp_path().c_str());
 }
 
 Dh5Writer::Dh5Writer(Dh5Writer&& o) noexcept
@@ -52,7 +57,7 @@ Dh5Writer::Dh5Writer(Dh5Writer&& o) noexcept
 
 Dh5Writer& Dh5Writer::operator=(Dh5Writer&& o) noexcept {
   if (this != &o) {
-    if (file_) std::fclose(file_);
+    discard();
     file_ = o.file_;
     path_ = std::move(o.path_);
     offsets_ = std::move(o.offsets_);
@@ -64,13 +69,13 @@ Dh5Writer& Dh5Writer::operator=(Dh5Writer&& o) noexcept {
 }
 
 Result<Dh5Writer> Dh5Writer::create(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return io_error("cannot create " + path);
   Dh5Writer w;
-  w.file_ = f;
   w.path_ = path;
-  if (!write_bytes(f, kFileMagic, 4) || !write_scalar(f, kVersion) ||
-      !write_scalar<std::uint64_t>(f, 0)) {
+  w.file_ = std::fopen(w.tmp_path().c_str(), "wb");
+  if (!w.file_) return io_error("cannot create " + w.tmp_path());
+  if (!write_bytes(w.file_, kFileMagic, 4) ||
+      !write_scalar(w.file_, kVersion) ||
+      !write_scalar<std::uint64_t>(w.file_, 0)) {
     return io_error("cannot write superblock of " + path);
   }
   return w;
@@ -140,11 +145,12 @@ Status Dh5Writer::finalize() {
        write_scalar<std::uint64_t>(file_, offsets_.size()) &&
        write_bytes(file_, kEndMagic, 4);
   if (!ok) return io_error("cannot write index of " + path_);
-  if (std::fclose(file_) != 0) {
-    file_ = nullptr;
-    return io_error("close failed for " + path_);
-  }
+  const int closed = std::fclose(file_);
   file_ = nullptr;
+  if (closed != 0 || std::rename(tmp_path().c_str(), path_.c_str()) != 0) {
+    std::remove(tmp_path().c_str());
+    return io_error("cannot close and rename " + tmp_path());
+  }
   return Status::ok();
 }
 
@@ -276,10 +282,13 @@ Result<Dh5Reader> Dh5Reader::open(const std::string& path) {
     // huge allocations. Payload must fit in the file, and the decoded
     // sizes cannot exceed what the codec stages could possibly expand
     // to (LZ77's worst-case expansion is ~44x per stage; 512x total is
-    // a generous cap).
+    // a generous cap). Neither comparison can wrap: the payload offset
+    // lies inside the file, and the bound is taken of a size that does.
+    if (e.stored_size > file_size - e.payload_offset) {
+      return corrupt_data(path + ": implausible dataset sizes");
+    }
     const std::uint64_t max_decoded = e.stored_size * 512 + 4096;
-    if (e.payload_offset + e.stored_size > file_size ||
-        e.raw_size > max_decoded) {
+    if (e.raw_size > max_decoded) {
       return corrupt_data(path + ": implausible dataset sizes");
     }
     for (std::uint64_t s : e.sizes_before) {
@@ -311,7 +320,12 @@ Result<std::vector<std::byte>> Dh5Reader::read(std::size_t index) {
     }
     return stored;
   }
-  return Pipeline::decode(stored, e.codecs, e.sizes_before);
+  auto decoded = Pipeline::decode(stored, e.codecs, e.sizes_before);
+  if (decoded.is_ok() && decoded.value().size() != e.raw_size) {
+    return corrupt_data("decoded size mismatch in dataset '" + e.info.name +
+                        "'");
+  }
+  return decoded;
 }
 
 std::optional<std::size_t> Dh5Reader::find(const std::string& name,

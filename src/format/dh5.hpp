@@ -4,7 +4,9 @@
 // A DH5 file holds a sequence of datasets, each carrying the paper's
 // ⟨name, iteration, source, layout⟩ tuple, an optional codec pipeline
 // and a CRC-32 of the stored payload. A footer index makes the file
-// self-contained and cheap to scan.
+// self-contained and cheap to scan. A writer builds the file as
+// `<name>.tmp` and renames it onto `<name>` once finalized, so a crash
+// never leaves a truncated file under a final name.
 //
 // Layout (all integers little-endian):
 //   superblock : "DH5F" | u32 version | u64 reserved
@@ -58,7 +60,8 @@ class Dh5Writer {
   Dh5Writer(const Dh5Writer&) = delete;
   Dh5Writer& operator=(const Dh5Writer&) = delete;
 
-  /// Creates/truncates `path` and writes the superblock.
+  /// Creates/truncates `<path>.tmp` and writes the superblock; the file
+  /// appears under `path` only once finalize() succeeds.
   static Result<Dh5Writer> create(const std::string& path);
 
   /// Encodes `raw` through `pipeline` and appends it as a dataset.
@@ -70,9 +73,10 @@ class Dh5Writer {
   Status add_encoded(const DatasetInfo& info, const EncodedBuffer& encoded,
                      std::uint64_t raw_size);
 
-  /// Writes index + footer and closes the file. Must be called; the
-  /// destructor closes without an index (file stays readable as a
-  /// stream but Dh5Reader will reject it).
+  /// Writes index + footer, closes the file and renames it onto the
+  /// final path. Must be called: the destructor of an unfinalized
+  /// writer closes and removes the temporary file, so no partial file
+  /// is ever left under the final name.
   Status finalize();
 
   bool is_open() const { return file_ != nullptr; }
@@ -81,8 +85,12 @@ class Dh5Writer {
   std::uint64_t stored_bytes() const { return stored_bytes_; }
 
  private:
+  std::string tmp_path() const { return path_ + ".tmp"; }
+  /// Closes and removes the temporary file of an unfinalized writer.
+  void discard();
+
   std::FILE* file_ = nullptr;
-  std::string path_;
+  std::string path_;  // final name
   std::vector<std::uint64_t> offsets_;
   std::uint64_t raw_bytes_ = 0;
   std::uint64_t stored_bytes_ = 0;

@@ -7,7 +7,9 @@
 // from the container, so no terminator is needed.
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <queue>
 #include <vector>
 
@@ -102,32 +104,16 @@ CanonicalCodes canonical_codes(
   return out;
 }
 
-class BitWriter {
- public:
-  explicit BitWriter(std::vector<std::byte>& out) : out_(out) {}
-  void put(std::uint16_t code, int bits) {
-    for (int i = bits - 1; i >= 0; --i) {
-      acc_ = (acc_ << 1) | ((code >> i) & 1);
-      if (++nbits_ == 8) {
-        out_.push_back(static_cast<std::byte>(acc_));
-        acc_ = 0;
-        nbits_ = 0;
-      }
-    }
-  }
-  void flush() {
-    if (nbits_ > 0) {
-      out_.push_back(static_cast<std::byte>(acc_ << (8 - nbits_)));
-      nbits_ = 0;
-      acc_ = 0;
-    }
-  }
+static_assert(std::endian::native == std::endian::little,
+              "the decoder loads eight stream bytes as one word");
 
- private:
-  std::vector<std::byte>& out_;
-  unsigned acc_ = 0;
-  int nbits_ = 0;
-};
+/// Stores the low 32 bits of `v` most significant byte first.
+inline void store_be32(std::byte* p, std::uint64_t v) {
+  p[0] = static_cast<std::byte>(v >> 24);
+  p[1] = static_cast<std::byte>(v >> 16);
+  p[2] = static_cast<std::byte>(v >> 8);
+  p[3] = static_cast<std::byte>(v);
+}
 
 class HuffmanCodec final : public Codec {
  public:
@@ -142,19 +128,32 @@ class HuffmanCodec final : public Codec {
     const auto lengths = code_lengths(freq);
     const auto codes = canonical_codes(lengths);
 
-    std::vector<std::byte> out;
-    out.reserve(input.size() / 2 + 132);
+    std::uint64_t total_bits = 0;
+    for (int s = 0; s < kSymbols; ++s) total_bits += freq[s] * lengths[s];
+    std::vector<std::byte> out(kSymbols / 2 + (total_bits + 7) / 8);
     // Header: 256 nibbles.
     for (int s = 0; s < kSymbols; s += 2) {
-      out.push_back(static_cast<std::byte>((lengths[s] << 4) |
-                                           lengths[s + 1]));
+      out[s / 2] = static_cast<std::byte>((lengths[s] << 4) | lengths[s + 1]);
     }
-    BitWriter bw(out);
+    // The low `nbits` bits of `acc` are pending output, oldest first;
+    // whole 32-bit words leave as soon as they are complete.
+    std::byte* p = out.data() + kSymbols / 2;
+    std::uint64_t acc = 0;
+    int nbits = 0;
     for (std::byte b : input) {
       const auto s = static_cast<std::uint8_t>(b);
-      bw.put(codes.code[s], codes.length[s]);
+      acc = (acc << codes.length[s]) | codes.code[s];
+      nbits += codes.length[s];
+      if (nbits >= 32) {
+        nbits -= 32;
+        store_be32(p, acc >> nbits);
+        p += 4;
+      }
     }
-    bw.flush();
+    for (; nbits >= 8; nbits -= 8) {
+      *p++ = static_cast<std::byte>(acc >> (nbits - 8));
+    }
+    if (nbits > 0) *p = static_cast<std::byte>(acc << (8 - nbits));
     return out;
   }
 
@@ -170,68 +169,71 @@ class HuffmanCodec final : public Codec {
       lengths[s] = v >> 4;
       lengths[s + 1] = v & 0x0F;
     }
-    // Canonical decode tables + Kraft validation.
-    std::array<int, kMaxLen + 1> count{};
-    int used = 0;
+    // Kraft validation, in units of 2^-kMaxLen.
+    std::uint32_t kraft = 0;
     for (int s = 0; s < kSymbols; ++s) {
-      ++count[lengths[s]];
-      if (lengths[s]) ++used;
+      if (lengths[s]) kraft += 1u << (kMaxLen - lengths[s]);
     }
-    count[0] = 0;
-    if (used == 0) {
+    if (kraft == 0) {
       if (decoded_size_hint != 0) {
         return corrupt_data("huffman: empty code, nonzero output");
       }
       return std::vector<std::byte>{};
     }
-    double kraft = 0.0;
-    for (int len = 1; len <= kMaxLen; ++len) {
-      kraft += count[len] / static_cast<double>(1u << len);
-    }
-    if (kraft > 1.0 + 1e-9) {
+    if (kraft > (1u << kMaxLen)) {
       return corrupt_data("huffman: over-subscribed code");
     }
-    std::array<std::uint16_t, kMaxLen + 1> first{};
-    std::array<int, kMaxLen + 1> offset{};
-    std::uint16_t code = 0;
-    int total = 0;
-    for (int len = 1; len <= kMaxLen; ++len) {
-      code = static_cast<std::uint16_t>((code + count[len - 1]) << 1);
-      first[len] = code;
-      offset[len] = total;
-      total += count[len];
-    }
-    std::vector<std::uint8_t> symbols(total);
-    {
-      std::array<int, kMaxLen + 1> fill = offset;
-      for (int s = 0; s < kSymbols; ++s) {
-        if (lengths[s]) {
-          symbols[fill[lengths[s]]++] = static_cast<std::uint8_t>(s);
-        }
-      }
+    // Every kMaxLen-bit window that starts with a symbol's code maps to
+    // that symbol and its length; a zero entry starts with no code (the
+    // code may be incomplete).
+    struct Entry {
+      std::uint8_t symbol;
+      std::uint8_t length;
+    };
+    std::vector<Entry> table(1u << kMaxLen, Entry{0, 0});
+    const auto codes = canonical_codes(lengths);
+    for (int s = 0; s < kSymbols; ++s) {
+      if (lengths[s] == 0) continue;
+      const int spare = kMaxLen - lengths[s];
+      const auto first = table.begin() + (codes.code[s] << spare);
+      std::fill(first, first + (1 << spare),
+                Entry{static_cast<std::uint8_t>(s), lengths[s]});
     }
 
-    std::vector<std::byte> out;
-    out.reserve(decoded_size_hint);
-    std::size_t bit = 0;
-    const std::size_t nbits = (input.size() - kSymbols / 2) * 8;
+    std::vector<std::byte> out(decoded_size_hint);
     const std::byte* stream = input.data() + kSymbols / 2;
-    std::uint16_t acc = 0;
-    int len = 0;
-    while (out.size() < decoded_size_hint) {
-      if (bit >= nbits) return corrupt_data("huffman: bitstream exhausted");
-      acc = static_cast<std::uint16_t>(
-          (acc << 1) |
-          ((static_cast<unsigned>(stream[bit / 8]) >> (7 - bit % 8)) & 1));
-      ++bit;
-      ++len;
-      if (len > kMaxLen) return corrupt_data("huffman: bad code");
-      const int idx = acc - first[len];
-      if (idx >= 0 && idx < count[len]) {
-        out.push_back(static_cast<std::byte>(symbols[offset[len] + idx]));
-        acc = 0;
-        len = 0;
+    const std::size_t nbytes = input.size() - kSymbols / 2;
+    const std::size_t nbits = nbytes * 8;
+    // `buf` holds the next `have` bits of the stream from its top bit
+    // down (zeros past the end). A refill may also OR in the first bits
+    // of the byte after them; the next refill ORs the same bits again.
+    std::uint64_t buf = 0;
+    int have = 0;
+    std::size_t next = 0;  // next stream byte to load
+    std::size_t bit = 0;   // bits consumed
+    for (std::byte& o : out) {
+      if (next + 8 <= nbytes) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, stream + next, 8);
+        buf |= __builtin_bswap64(word) >> have;
+        next += static_cast<std::size_t>((63 - have) >> 3);
+        have |= 56;
+      } else {
+        for (; have <= 56; have += 8, ++next) {
+          const auto b = next < nbytes ? static_cast<std::uint8_t>(stream[next])
+                                       : std::uint8_t{0};
+          buf |= static_cast<std::uint64_t>(b) << (56 - have);
+        }
       }
+      const Entry e = table[buf >> (64 - kMaxLen)];
+      if (e.length == 0) return corrupt_data("huffman: bad code");
+      if (bit + e.length > nbits) {
+        return corrupt_data("huffman: bitstream exhausted");
+      }
+      o = static_cast<std::byte>(e.symbol);
+      buf <<= e.length;
+      have -= e.length;
+      bit += e.length;
     }
     return out;
   }

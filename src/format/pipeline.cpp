@@ -12,15 +12,18 @@ bool Pipeline::lossless_only() const {
 
 EncodedBuffer Pipeline::encode(std::span<const std::byte> input) const {
   EncodedBuffer out;
-  std::vector<std::byte> current(input.begin(), input.end());
+  // The first stage reads the caller's bytes; later stages read the
+  // previous stage's output, which encode() returns fresh.
+  std::span<const std::byte> current = input;
   for (CodecId id : stages_) {
     const Codec* c = codec_for(id);
     if (!c) continue;  // unknown stage: skip (encode must not fail)
     out.codecs.push_back(id);
     out.sizes_before.push_back(current.size());
-    current = c->encode(current);
+    out.data = c->encode(current);
+    current = out.data;
   }
-  out.data = std::move(current);
+  if (out.codecs.empty()) out.data.assign(input.begin(), input.end());
   return out;
 }
 

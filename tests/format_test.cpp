@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
@@ -129,6 +131,42 @@ TEST(Crc32, DetectsBitFlip) {
   const auto before = crc32(data);
   data[512] ^= std::byte{0x01};
   EXPECT_NE(crc32(data), before);
+}
+
+/// Bit-at-a-time CRC-32: the definition the table-driven kernel must
+/// match on every length and alignment.
+std::uint32_t crc32_reference(std::span<const std::byte> data,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::byte b : data) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
+  const auto data = random_bytes(64 + 8, 17);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::byte> s(data.data() + offset, len);
+      EXPECT_EQ(crc32(s), crc32_reference(s))
+          << "offset " << offset << " length " << len;
+      EXPECT_EQ(crc32(s, 0xDEADBEEFu), crc32_reference(s, 0xDEADBEEFu))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, SeedChainsAtEverySplitPoint) {
+  const auto data = random_bytes(1024, 19);
+  const std::uint32_t whole = crc32_reference(data);
+  ASSERT_EQ(crc32(data), whole);
+  const std::span<const std::byte> all(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(crc32(all.subspan(split), crc32(all.first(split))), whole)
+        << "split " << split;
+  }
 }
 
 // ----------------------------------------------------------------- codecs
@@ -390,6 +428,147 @@ TEST(Pipeline, DecodeRejectsArityMismatch) {
   EXPECT_FALSE(r.is_ok());
 }
 
+// ---------------------------------------------------------- byte identity
+
+/// FNV-1a, 64-bit.
+std::uint64_t fnv1a64(std::span<const std::byte> data,
+                      std::uint64_t h = 0xCBF29CE484222325ull) {
+  for (std::byte b : data) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+std::uint64_t digest_of(const EncodedBuffer& enc) {
+  std::uint64_t h = fnv1a64(enc.data);
+  for (std::size_t i = 0; i < enc.codecs.size(); ++i) {
+    const std::uint64_t stage[2] = {static_cast<std::uint64_t>(enc.codecs[i]),
+                                    enc.sizes_before[i]};
+    h = fnv1a64(std::as_bytes(std::span<const std::uint64_t>(stage)), h);
+  }
+  return h;
+}
+
+/// Inputs that reach every branch of the encoders: real fields, no
+/// matches at all, one long run, tiny inputs, matches of exactly the
+/// maximum length, and matches on either side of the window edge.
+std::vector<std::pair<std::string, std::vector<std::byte>>> identity_inputs() {
+  std::vector<std::pair<std::string, std::vector<std::byte>>> in;
+  in.emplace_back("turbulent", float_bytes(turbulent_cm1_field(44, 44, 50)));
+  in.emplace_back("smooth", float_bytes(smooth_field(44, 44, 50)));
+  in.emplace_back("random64k", random_bytes(64 * 1024, 23));
+  in.emplace_back("zeros1m", std::vector<std::byte>(1 << 20));
+  in.emplace_back("empty", std::vector<std::byte>{});
+  in.emplace_back("one", to_bytes("x"));
+  in.emplace_back("two", to_bytes("xy"));
+  in.emplace_back("three", to_bytes("xyz"));
+  const auto period = random_bytes(131, 29);
+  std::vector<std::byte> periodic(64 * 1024);
+  for (std::size_t i = 0; i < periodic.size(); ++i) {
+    periodic[i] = period[i % period.size()];
+  }
+  in.emplace_back("period131", std::move(periodic));
+  // Random bytes with two copied 100-byte runs: one 65535 back (the
+  // window's far edge, matchable) and one 65536 back (just outside).
+  auto edge = random_bytes(140000, 31);
+  std::memcpy(edge.data() + 65535, edge.data(), 100);
+  std::memcpy(edge.data() + 70000 + 65536, edge.data() + 70000, 100);
+  in.emplace_back("window_edge", std::move(edge));
+  return in;
+}
+
+/// Digests of each codec's output (identity, rle, lz, xor-delta,
+/// float16, huffman) and of the lossless and visualization pipelines. A
+/// digest that moves means the library writes different DH5 bytes: a
+/// format change, not a speedup.
+struct GoldenDigests {
+  const char* input;
+  std::array<std::uint64_t, 8> digest;
+};
+
+constexpr GoldenDigests kGoldenDigests[] = {
+    {"turbulent",
+     {0x8FD6D0120532F41Cull, 0xED1BD4095EBAFC4Full, 0x23141D8116F69520ull,
+      0x8CFAC58138ED8B55ull, 0x5710D33D65348FE2ull, 0x9B026D34364D64A0ull,
+      0xCF6A140115EFEF9Cull, 0x215367A6A3798EAEull}},
+    {"smooth",
+     {0x9B8500F7DD4EB73Full, 0x8194ADEBCCCCB85Full, 0xA54983FA458BA6D8ull,
+      0x33780ADE7DE9FE34ull, 0xE02962EBC54EF945ull, 0x5BABC6637026891Full,
+      0x555A439F30CEF0FEull, 0x297A085F86854F92ull}},
+    {"random64k",
+     {0x3D0202F2587E66A4ull, 0xF326C9B1AB5BE9A4ull, 0x5C2469AFE8885D44ull,
+      0x83C4DA460DDFFB6Cull, 0x7FE7FAD24E8066C5ull, 0xC741BE0DE3D490A4ull,
+      0x2F69539A0C9928EAull, 0x2E46CEE4F028F027ull}},
+    {"zeros1m",
+     {0xA96777069D622325ull, 0x8DF3314D16C4A325ull, 0xE3F5DC743AB28A00ull,
+      0xA96777069D622325ull, 0xFC31BFF590C22325ull, 0x0A8598703DCD0D35ull,
+      0xD3A3DB98232FAD04ull, 0xB4FEC175B34693F5ull}},
+    {"empty",
+     {0xCBF29CE484222325ull, 0xCBF29CE484222325ull, 0xCBF29CE484222325ull,
+      0xCBF29CE484222325ull, 0xCBF29CE484222325ull, 0x8421AE126C7CED25ull,
+      0xFECD8E7372F6CFE1ull, 0x39DB4EA096933F25ull}},
+    {"one",
+     {0xAF63F54C86021707ull, 0x08325007B4EB10C5ull, 0x082F4A07B4E8D0BCull,
+      0xAF63F54C86021707ull, 0xAF63F54C86021707ull, 0x6513B78DBFC61FAFull,
+      0xF1D18C9229599A1Aull, 0xF49B691F95D9797Full}},
+    {"two",
+     {0x08F14F07B58DEB1Aull, 0xD12B9018679ABEBFull, 0xEA850F1875C8713Aull,
+      0x08F14F07B58DEB1Aull, 0x08F14F07B58DEB1Aull, 0x3B42B421B63E7F0Cull,
+      0x0A93DC3E1DE4154Bull, 0x9E9DDD377D286A8Dull}},
+    {"three",
+     {0xBFF4AA198026F420ull, 0x4889E69023986FC0ull, 0xE85AFA89A496F14Dull,
+      0xBFF4AA198026F420ull, 0xBFF4AA198026F420ull, 0xD73362D2B7A6B8E5ull,
+      0x447D985669AF75E2ull, 0xFFCDA97C64C6B705ull}},
+    {"period131",
+     {0x27AFE5D237082947ull, 0xBDFB37624723653Dull, 0xF364F9D4D891D600ull,
+      0xFB31D704C5C75AEFull, 0xEB1231BD7873564Bull, 0xE6DDD9A41C156872ull,
+      0xFA7BEF2F665B41B0ull, 0x596F314773F5ABA8ull}},
+    {"window_edge",
+     {0xD649E942415E2B66ull, 0x13FBF0CF180EBE90ull, 0xB5198AC1CF7C93B9ull,
+      0x1475533BCE16D3A8ull, 0x9419817F54B8C1AEull, 0xE1AD9ECC7E975566ull,
+      0xBE093947F52C9A71ull, 0xC520C93707867C87ull}},
+};
+
+TEST(ByteIdentity, EncodersMatchPinnedDigests) {
+  const CodecId codecs[] = {CodecId::kIdentity, CodecId::kRle,
+                            CodecId::kLz,       CodecId::kXorDelta,
+                            CodecId::kFloat16,  CodecId::kHuffman};
+  const auto inputs = identity_inputs();
+  ASSERT_EQ(inputs.size(), std::size(kGoldenDigests));
+  for (std::size_t row = 0; row < inputs.size(); ++row) {
+    const auto& [name, in] = inputs[row];
+    ASSERT_EQ(name, kGoldenDigests[row].input);
+    std::array<std::uint64_t, 8> got{};
+    for (std::size_t k = 0; k < std::size(codecs); ++k) {
+      const Codec* c = codec_for(codecs[k]);
+      const auto enc = c->encode(in);
+      got[k] = fnv1a64(enc);
+      if (c->lossless()) {
+        auto dec = c->decode(enc, in.size());
+        ASSERT_TRUE(dec.is_ok()) << name << " " << c->name();
+        EXPECT_EQ(dec.value(), in) << name << " " << c->name();
+      }
+    }
+    const auto lossless = Pipeline::lossless().encode(in);
+    got[6] = digest_of(lossless);
+    got[7] = digest_of(Pipeline::visualization().encode(in));
+    auto dec = Pipeline::decode(lossless);
+    ASSERT_TRUE(dec.is_ok()) << name;
+    EXPECT_EQ(dec.value(), in) << name;
+
+    std::string row_text;
+    for (std::uint64_t d : got) {
+      char hex[24];
+      std::snprintf(hex, sizeof hex, "0x%016llXull",
+                    static_cast<unsigned long long>(d));
+      row_text += (row_text.empty() ? "" : ", ") + std::string(hex);
+    }
+    EXPECT_EQ(got, kGoldenDigests[row].digest)
+        << "{\"" << name << "\", {" << row_text << "}},";
+  }
+}
+
 // -------------------------------------------------------------------- dh5
 
 class Dh5Test : public ::testing::Test {
@@ -399,12 +578,50 @@ class Dh5Test : public ::testing::Test {
             ("dh5_test_" + std::to_string(::getpid()) + "_" +
              ::testing::UnitTest::GetInstance()->current_test_info()->name());
   }
-  void TearDown() override { std::filesystem::remove(path_); }
+  void TearDown() override {
+    std::filesystem::remove(path_);
+    std::filesystem::remove(tmp_path());
+  }
   std::string path() const { return path_.string(); }
+  std::string tmp_path() const { return path_.string() + ".tmp"; }
+
+  /// Writes one dataset of `n` random bytes through the lossless
+  /// pipeline and returns its entry as read back.
+  DatasetEntry write_one_lossless(std::size_t n) {
+    {
+      auto w = Dh5Writer::create(path());
+      EXPECT_TRUE(w.is_ok());
+      DatasetInfo info;
+      info.name = "x";
+      info.layout = {DataType::kUInt8, {n}};
+      EXPECT_TRUE(w.value()
+                      .add_dataset(info, random_bytes(n, 3),
+                                   Pipeline::lossless())
+                      .is_ok());
+      EXPECT_TRUE(w.value().finalize().is_ok());
+    }
+    auto r = Dh5Reader::open(path());
+    EXPECT_TRUE(r.is_ok());
+    return r.value().entries().at(0);
+  }
+
+  /// Overwrites the u64 at `offset` of the file (header fields are
+  /// outside the CRC).
+  void patch_u64(std::uint64_t offset, std::uint64_t value) {
+    std::FILE* f = std::fopen(path().c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&value, sizeof value, 1, f), 1u);
+    std::fclose(f);
+  }
 
  private:
   std::filesystem::path path_;
 };
+
+// Header tail before the payload: u64 raw_size | u64 stored_size | u32 crc.
+constexpr std::uint64_t kStoredSizeBack = 4 + 8;
+constexpr std::uint64_t kRawSizeBack = 4 + 8 + 8;
 
 TEST_F(Dh5Test, WriteReadSingleDataset) {
   auto field = smooth_field(8, 8, 4);
@@ -495,6 +712,50 @@ TEST_F(Dh5Test, UnfinalizedFileRejected) {
     // destructor closes without finalize()
   }
   EXPECT_FALSE(Dh5Reader::open(path()).is_ok());
+  // Neither the final name nor the temporary file is left behind.
+  EXPECT_FALSE(std::filesystem::exists(path()));
+  EXPECT_FALSE(std::filesystem::exists(tmp_path()));
+}
+
+TEST_F(Dh5Test, FinalizedWriterLeavesOnlyTheFinalName) {
+  auto w = Dh5Writer::create(path());
+  ASSERT_TRUE(w.is_ok());
+  DatasetInfo info;
+  info.name = "x";
+  info.layout = {DataType::kUInt8, {4}};
+  ASSERT_TRUE(w.value().add_dataset(info, random_bytes(4, 1)).is_ok());
+  EXPECT_FALSE(std::filesystem::exists(path()));  // still being written
+  ASSERT_TRUE(w.value().finalize().is_ok());
+  EXPECT_TRUE(std::filesystem::exists(path()));
+  EXPECT_FALSE(std::filesystem::exists(tmp_path()));
+  EXPECT_TRUE(Dh5Reader::open(path()).is_ok());
+}
+
+TEST_F(Dh5Test, WrappingStoredSizeRejectedAtOpen) {
+  // payload_offset + stored_size wraps to a small number for a stored
+  // size near 2^64; the reader must reject the header, not try to
+  // allocate it.
+  const DatasetEntry e = write_one_lossless(4000);
+  patch_u64(e.payload_offset - kStoredSizeBack, ~std::uint64_t{0} - 15);
+  auto r = Dh5Reader::open(path());
+  if (r.is_ok()) {
+    (void)r.value().read(0);  // used to throw std::length_error
+  }
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kCorruptData);
+}
+
+TEST_F(Dh5Test, DecodedSizeMustMatchHeaderRawSize) {
+  const DatasetEntry e = write_one_lossless(4000);
+  for (std::uint64_t raw : {3996u, 4004u}) {
+    patch_u64(e.payload_offset - kRawSizeBack, raw);
+    auto r = Dh5Reader::open(path());
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_EQ(r.value().entries()[0].raw_size, raw);
+    auto data = r.value().read(0);
+    EXPECT_FALSE(data.is_ok()) << "raw_size " << raw;
+    EXPECT_EQ(data.status().code(), ErrorCode::kCorruptData);
+  }
 }
 
 TEST_F(Dh5Test, CorruptPayloadDetectedByCrc) {

@@ -173,6 +173,29 @@ TEST_F(PostprocFixture, AssembleErrors) {
   EXPECT_FALSE(assemble_field(cat.value(), "theta", 0, 0, 2).is_ok());
 }
 
+TEST_F(PostprocFixture, TruncatedFileFailsScanCleanly) {
+  write_fpp(0);
+  // A temporary file left by a writer that never finalized is not a
+  // .dh5 file, so the scan skips it.
+  {
+    std::FILE* f = std::fopen((dir_ / "rank9_it0.dh5.tmp").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("DH5F", f);
+    std::fclose(f);
+  }
+  ASSERT_TRUE(Catalog::scan(dir_.string()).is_ok());
+  // A finished file cut short anywhere fails the scan with a Status.
+  const auto victim = dir_ / "rank1_it0.dh5";
+  const std::uintmax_t size = std::filesystem::file_size(victim);
+  for (std::uintmax_t cut : {size - 1, size - 20, size / 2, std::uintmax_t{4},
+                             std::uintmax_t{0}}) {
+    std::filesystem::resize_file(victim, cut);
+    auto cat = Catalog::scan(dir_.string());
+    ASSERT_FALSE(cat.is_ok()) << "cut at " << cut;
+    EXPECT_EQ(cat.status().code(), ErrorCode::kCorruptData) << "cut at " << cut;
+  }
+}
+
 TEST(CatalogErrors, MissingDirectory) {
   EXPECT_FALSE(Catalog::scan("/nonexistent/damaris_out").is_ok());
 }
