@@ -1,7 +1,7 @@
 // Adaptive-scheduling harness: static §IV-D slots vs the trace-fed
 // adaptive controller (sched/adaptive.hpp), on a balanced CM1 workload
 // and an AMR-style imbalanced one, plus a bursty checkpoint/restart
-// exercise of the async write API against the real middleware with DH5
+// exercise of the client write API against the real middleware with DH5
 // read-back. Emits one machine-readable BENCH_sched.json.
 //
 // Scenarios (Kraken platform, 16 nodes, 10 write phases):
@@ -15,10 +15,10 @@
 //                   controller re-widens slots proportionally to the
 //                   observed load and recovers it.
 //   - checkpoint    bursty checkpoint/restart against the real
-//                   DamarisNode: dependence-chained WriteTicket bursts
-//                   every few steps, then a simulated restart reads
-//                   every block back via Dh5Reader and verifies the
-//                   payloads byte-for-byte.
+//                   DamarisNode: every few steps each client writes its
+//                   checkpoint variables in order, then a simulated
+//                   restart reads every block back via Dh5Reader and
+//                   verifies the payloads byte-for-byte.
 //
 // Usage: bench_sched [output.json] [--check]
 //   --check exits nonzero unless the adaptive scheduler beats static
@@ -129,9 +129,9 @@ std::vector<std::byte> ckpt_payload(int client, int step, int var) {
   return data;
 }
 
-/// Writes dependence-chained checkpoint bursts through the async API,
-/// then restarts: re-opens every emitted DH5 file and verifies each
-/// block against the payload the client submitted.
+/// Writes checkpoint bursts through Client::write, then restarts:
+/// re-opens every emitted DH5 file and verifies each block against the
+/// payload the client wrote.
 CkptOutcome run_checkpoint_restart() {
   CkptOutcome out;
   const auto dir = std::filesystem::temp_directory_path() /
@@ -160,20 +160,15 @@ CkptOutcome run_checkpoint_restart() {
       core::Client client = node.client(c);
       for (int step = 0; step < kCkptSteps; ++step) {
         if (step % kCkptEvery == 0) {
-          // The burst: each variable's write depends on the previous
-          // one, so a checkpoint either lands in order or fails fast.
-          core::WriteBatch batch;
-          core::WriteTicket prev;
+          // The burst: the variables in order, stopping at the first
+          // failure, so a checkpoint either lands in order or fails fast.
           for (int v = 0; v < kCkptVars; ++v) {
             const auto data = ckpt_payload(c, step, v);
-            core::AsyncWriteOptions wopts;
-            if (prev.valid()) wopts.after.push_back(prev);
-            core::WriteTicket t = client.write_async(
-                kCkptVarNames[v], step, data, std::move(wopts));
-            prev = t;
-            batch.add(std::move(t));
+            if (!client.write(kCkptVarNames[v], step, data).is_ok()) {
+              ++failures[c];
+              break;
+            }
           }
-          if (!batch.wait_all().is_ok()) ++failures[c];
         }
         if (!client.end_iteration(step).is_ok()) ++failures[c];
       }
@@ -262,7 +257,7 @@ int main(int argc, char** argv) {
     }
   }
   bench::banner(
-      "bench_sched: static vs adaptive slot scheduling + async checkpoints",
+      "bench_sched: static vs adaptive slot scheduling + checkpoints",
       "paper SIV-D (slot scheduling) under AMR-style load imbalance",
       "adaptive matches static slots when balanced, beats them imbalanced");
 

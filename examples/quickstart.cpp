@@ -2,11 +2,10 @@
 //
 // One SMP node with three compute threads (clients) and one dedicated
 // I/O core (the DamarisNode's server thread). Each client writes a 3-D
-// variable with write_async() — one copy into shared memory on the
-// client's own thread, after which the ticket is done — then signals an
-// event and ends the iteration. The dedicated core persists everything
-// to one DH5 file per iteration while the clients compute the next
-// step.
+// variable with write() — one copy into shared memory on the client's
+// own thread — then signals an event and ends the iteration. The
+// dedicated core persists everything to one DH5 file per iteration
+// while the clients compute the next step.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
@@ -14,9 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "config/config.hpp"
-#include "core/damaris.hpp"
-#include "format/dh5.hpp"
+#include "damaris/damaris.hpp"
 
 namespace {
 
@@ -63,20 +60,16 @@ int main() {
           my_data[i] = static_cast<float>(step * 100 + c) +
                        0.001f * static_cast<float>(i);
         }
-        // df_write + df_signal, as in the paper's Fortran example —
-        // except the write returns a ticket: the buffer is reusable
-        // the moment write_async() returns, and wait() hands back the
-        // write's final status (checked here to keep the example
-        // honest about failures).
-        auto ticket = client.write_async(
-            "my_variable", step,
-            std::as_bytes(std::span<const float>(my_data)));
-        (void)client.signal("my_event", step);
-        auto s = ticket.wait();
+        // df_write + df_signal, as in the paper's Fortran example. The
+        // buffer is reusable the moment write() returns; its status is
+        // checked to keep the example honest about failures.
+        auto s = client.write("my_variable", step,
+                              std::as_bytes(std::span<const float>(my_data)));
         if (!s.is_ok()) {
           std::fprintf(stderr, "write failed: %s\n", s.to_string().c_str());
           return;
         }
+        (void)client.signal("my_event", step);
         (void)client.end_iteration(step);
       }
       (void)client.finalize();

@@ -24,7 +24,6 @@
 
 // Real middleware.
 #include "config/config.hpp"     // IWYU pragma: export
-#include "core/async.hpp"        // IWYU pragma: export
 #include "core/capi.hpp"         // IWYU pragma: export
 #include "core/damaris.hpp"      // IWYU pragma: export
 #include "core/metadata.hpp"     // IWYU pragma: export

@@ -2,7 +2,7 @@
 # Pre-merge correctness gate: static analysis + the sanitizer matrix.
 #
 #   scripts/check.sh            # lint + ASan ctest + UBSan ctest
-#   scripts/check.sh --tsan     # ... plus the shm/check/async suites under TSan
+#   scripts/check.sh --tsan     # ... plus the threaded suites under TSan
 #   scripts/check.sh --fast     # lint + ASan only (quick local loop)
 #   scripts/check.sh --model    # ... plus the shm-protocol model checker
 #   scripts/check.sh --chaos    # ... plus the fixed-seed fault matrix
@@ -148,13 +148,13 @@ if [ "$RUN_UBSAN" = 1 ]; then
 fi
 if [ "$RUN_TSAN" = 1 ]; then
   # The threaded suites: shared-memory layer, protocol checker, the
-  # middleware tests that drive client/server threads, the async write
-  # tickets (shared across client threads), the lock-free trace ring's
-  # concurrent-writer tests, and one chaos scenario (a mixed fault plan
-  # driven by four real client threads).
+  # middleware tests that drive real client threads through the node
+  # (one shard and two; anchored so FaultNodeFixture stays out), the
+  # lock-free trace ring's concurrent-writer tests, and one chaos
+  # scenario (a mixed fault plan driven by four real client threads).
   run_sanitized_ctest thread build-tsan \
-    "FirstFit|Partitioned|EventQueue|AllocatorProperty|ProtocolChecker|Determinism|AsyncNodeFixture|TraceRing|FaultChaos" \
-    shm_test check_test async_test trace_test fault_test
+    "FirstFit|Partitioned|EventQueue|AllocatorProperty|ProtocolChecker|Determinism|^NodeFixture\.|^TwoShardFixture\.|TraceRing|FaultChaos" \
+    shm_test check_test core_test multicore_test trace_test fault_test
 fi
 
 # -------------------------------------------- shm-protocol model checking

@@ -1,6 +1,5 @@
 #include "core/capi.hpp"
 
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -16,13 +15,15 @@ Mutex g_mutex;
 std::unique_ptr<DamarisNode> g_node DMR_GUARDED_BY(g_mutex);
 thread_local int t_client_id = -1;
 thread_local std::string t_last_error;
-/// Outstanding async tickets of this client thread, keyed by the
-/// node-global ticket id handed back from df_write_async.
-thread_local std::map<std::int64_t, WriteTicket> t_tickets;
 
 int fail(const std::string& msg, int code = -1) {
   t_last_error = msg;
   return code;
+}
+
+/// -3 naming `what` when a pointer argument is null, else 0.
+int null_arg(const void* p, const char* what) {
+  return p == nullptr ? fail(std::string(what) + " is null", -3) : 0;
 }
 
 int check(const Status& s) {
@@ -42,6 +43,8 @@ DamarisNode* node_or_null() {
 
 int df_setup(const char* configuration_path, int num_clients,
              const char* output_dir) {
+  if (int rc = null_arg(configuration_path, "configuration path")) return rc;
+  if (num_clients < 1) return fail("num_clients must be at least 1", -3);
   auto cfg = config::Config::from_file(configuration_path);
   if (!cfg.is_ok()) return fail(cfg.status().to_string());
   NodeOptions opts;
@@ -81,6 +84,8 @@ int df_finalize() {
 }
 
 int df_write(const char* variable, std::int64_t step, const void* data) {
+  if (int rc = null_arg(variable, "variable")) return rc;
+  if (int rc = null_arg(data, "data")) return rc;
   DamarisNode* node = node_or_null();
   if (!node || t_client_id < 0) return fail("not initialized", -2);
   const format::Layout* layout = node->config().layout_of(variable);
@@ -90,48 +95,8 @@ int df_write(const char* variable, std::int64_t step, const void* data) {
   return check(node->client(t_client_id).write(variable, step, span));
 }
 
-std::int64_t df_write_async(const char* variable, std::int64_t step,
-                            const void* data) {
-  DamarisNode* node = node_or_null();
-  if (!node || t_client_id < 0) return fail("not initialized", -2);
-  const format::Layout* layout = node->config().layout_of(variable);
-  if (!layout) return fail(std::string("unknown variable ") + variable, -3);
-  const std::span<const std::byte> span(static_cast<const std::byte*>(data),
-                                        layout->byte_size());
-  WriteTicket ticket =
-      node->client(t_client_id).write_async(variable, step, span);
-  const auto id = static_cast<std::int64_t>(ticket.id());
-  t_tickets.emplace(id, std::move(ticket));
-  t_last_error.clear();
-  return id;
-}
-
-int df_wait(std::int64_t ticket) {
-  auto it = t_tickets.find(ticket);
-  if (it == t_tickets.end()) return fail("unknown ticket handle", -3);
-  const Status st = it->second.wait();
-  t_tickets.erase(it);
-  return check(st);
-}
-
-int df_test(std::int64_t ticket) {
-  auto it = t_tickets.find(ticket);
-  if (it == t_tickets.end()) return fail("unknown ticket handle", -3);
-  t_last_error.clear();
-  return it->second.done() ? 1 : 0;
-}
-
-int df_wait_all() {
-  Status first = Status::ok();
-  for (auto& [id, ticket] : t_tickets) {
-    const Status st = ticket.wait();
-    if (first.is_ok() && !st.is_ok()) first = st;
-  }
-  t_tickets.clear();
-  return check(first);
-}
-
 int df_signal(const char* event, std::int64_t step) {
+  if (int rc = null_arg(event, "event")) return rc;
   DamarisNode* node = node_or_null();
   if (!node || t_client_id < 0) return fail("not initialized", -2);
   return check(node->client(t_client_id).signal(event, step));
@@ -144,6 +109,7 @@ int df_end_iteration(std::int64_t step) {
 }
 
 void* dc_alloc(const char* variable, std::int64_t step) {
+  if (null_arg(variable, "variable") != 0) return nullptr;
   DamarisNode* node = node_or_null();
   if (!node || t_client_id < 0) {
     fail("not initialized", -2);
@@ -159,6 +125,7 @@ void* dc_alloc(const char* variable, std::int64_t step) {
 }
 
 int dc_commit(const char* variable, std::int64_t step) {
+  if (int rc = null_arg(variable, "variable")) return rc;
   DamarisNode* node = node_or_null();
   if (!node || t_client_id < 0) return fail("not initialized", -2);
   return check(node->client(t_client_id).commit(variable, step));

@@ -9,7 +9,10 @@
 // up once with df_setup() and each client thread attaches with
 // df_initialize(client_id). All functions return 0 on success and a
 // negative errno-style value on failure (the message is retrievable via
-// df_last_error()).
+// df_last_error()): -2 when the node or client is not set up (or the
+// node is set up twice), -3 for an argument rejected before the node
+// sees it (a null pointer, an out-of-range count or client id, an
+// unknown df_write variable), -1 when the node reports an error.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +20,9 @@
 namespace dmr::core::capi {
 
 /// Creates the per-node Damaris instance from an XML configuration file
-/// and starts the dedicated core. Call once per process.
+/// and starts the dedicated core, for `num_clients` >= 1 clients.
+/// `output_dir` may be null (the default directory). Call once per
+/// process.
 int df_setup(const char* configuration_path, int num_clients,
              const char* output_dir);
 
@@ -30,29 +35,9 @@ int df_initialize(int client_id);
 /// Detaches and finalizes the calling client.
 int df_finalize();
 
-/// Copies `data` (size from the configured layout) into shared memory.
+/// Copies `data` (size from the configured layout) into shared memory,
+/// on the calling thread; `data` is free for reuse once it returns.
 int df_write(const char* variable, std::int64_t step, const void* data);
-
-/// df_write with a ticket: copies `data` into shared memory on the
-/// calling thread, like df_write, and returns a positive ticket handle
-/// (negative on failure) whose write has already completed. Collect its
-/// status with df_wait or df_wait_all; df_test polls it. Handles are
-/// per-thread.
-std::int64_t df_write_async(const char* variable, std::int64_t step,
-                            const void* data);
-
-/// Blocks until the ticket completes; returns its final status (0 ok)
-/// and releases the handle.
-int df_wait(std::int64_t ticket);
-
-/// Non-blocking poll: 1 when done, 0 while pending (a handle from
-/// df_write_async is done when returned), negative for an unknown
-/// handle. Does not release the handle.
-int df_test(std::int64_t ticket);
-
-/// Waits for every outstanding async ticket of the calling thread;
-/// returns the first failure (0 when all succeeded). Releases them.
-int df_wait_all();
 
 /// Sends a user event.
 int df_signal(const char* event, std::int64_t step);

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "common/log.hpp"
+#include "iopath/compression_model.hpp"
 #include "plugin/builtin.hpp"
 #include "trace/tracer.hpp"
 
@@ -68,19 +69,25 @@ DamarisNode::DamarisNode(config::Config cfg, int num_clients,
   // Intern all configured names. Variables come first, in name order,
   // so their ids sort like their names (the metadata tables rely on it).
   const auto intern = [this](const std::string& name,
-                             const format::Layout* layout) {
+                             const format::Layout* layout,
+                             format::Pipeline pipeline) {
     auto [it, added] = ids_.try_emplace(
         name, NameInfo{static_cast<std::uint32_t>(names_.size()), layout});
-    if (added) names_.push_back(&*it);
+    if (added) {
+      names_.push_back(&*it);
+      pipelines_.push_back(std::move(pipeline));
+    }
     return it->second.id;
   };
   for (const auto& [name, var] : cfg_.variables()) {
     const config::LayoutDecl* decl = cfg_.find_layout(var.layout_name);
-    intern(name, decl != nullptr ? &decl->layout : nullptr);
+    intern(name, decl != nullptr ? &decl->layout : nullptr,
+           iopath::CompressionModel::for_pipeline_name(var.pipeline)
+               .codec_pipeline());
   }
-  for (const auto& [name, ev] : cfg_.events()) intern(name, nullptr);
+  for (const auto& [name, ev] : cfg_.events()) intern(name, nullptr, {});
   // Reserved internal event driving iteration completion.
-  end_iteration_id_ = intern("..end_iteration", nullptr);
+  end_iteration_id_ = intern("..end_iteration", nullptr, {});
   // Steerable parameters start at their configured values.
   for (const auto& [name, decl] : cfg_.parameters()) {
     parameters_.emplace(name, decl.value);
@@ -344,6 +351,7 @@ void DamarisNode::handle_message(Shard& shard, const shm::Message& msg) {
       block.source = msg.client_id;
       block.block = msg.block;
       block.layout = name.second.layout;
+      block.pipeline = &pipelines_[msg.name_id];
       block.size = msg.block.size;
       if (auto replaced = shard.metadata.add(block)) {
         buffer_->deallocate(replaced->block);
@@ -466,7 +474,7 @@ void DamarisNode::complete_iteration(Shard& shard, std::int64_t iteration) {
   if (opts_.persist_on_end_iteration) {
     const std::uint64_t retries_before = shard.persistency.stats().retries;
     persist_status =
-        shard.persistency.write_blocks(iteration, blocks, *buffer_, cfg_);
+        shard.persistency.write_blocks(iteration, blocks, *buffer_);
     if (!persist_status.is_ok()) {
       DMR_LOG(kError, "damaris")
           << "persist failed for iteration " << iteration << ": "
@@ -592,41 +600,23 @@ Result<shm::Block> DamarisNode::blocking_allocate(Bytes size, int client) {
 
 Status Client::write(const std::string& variable, std::int64_t iteration,
                      std::span<const std::byte> data) {
-  return node_->write_blocking(id_, variable, iteration, data, /*sized=*/false);
+  return node_->write(id_, variable, iteration, data, /*sized=*/false);
 }
 
 Status Client::write_sized(const std::string& variable,
                            std::int64_t iteration,
                            std::span<const std::byte> data) {
-  return node_->write_blocking(id_, variable, iteration, data, /*sized=*/true);
-}
-
-WriteTicket Client::write_async(const std::string& variable,
-                                std::int64_t iteration,
-                                std::span<const std::byte> data,
-                                AsyncWriteOptions opts) {
-  return node_->write_ticketed(id_, variable, iteration, data,
-                               /*sized=*/false, opts);
-}
-
-WriteTicket Client::write_sized_async(const std::string& variable,
-                                      std::int64_t iteration,
-                                      std::span<const std::byte> data,
-                                      AsyncWriteOptions opts) {
-  return node_->write_ticketed(id_, variable, iteration, data,
-                               /*sized=*/true, opts);
+  return node_->write(id_, variable, iteration, data, /*sized=*/true);
 }
 
 // ------------------------------------------------------- the write path
 
-Status DamarisNode::write_blocking(int client, const std::string& variable,
-                                   std::int64_t iteration,
-                                   std::span<const std::byte> data,
-                                   bool sized) {
+Status DamarisNode::write(int client, const std::string& variable,
+                          std::int64_t iteration,
+                          std::span<const std::byte> data, bool sized) {
   auto var = resolve(client, variable, data.size(), sized);
   if (!var.is_ok()) return var.status();
-  WriteOutcome outcome = WriteOutcome::kPending;
-  return copy_write(client, var.value()->id, iteration, data, outcome);
+  return copy_write(client, var.value()->id, iteration, data);
 }
 
 Result<shm::Block> DamarisNode::reserve(int client, std::int64_t iteration,
@@ -650,29 +640,25 @@ Result<shm::Block> DamarisNode::reserve(int client, std::int64_t iteration,
 
 Status DamarisNode::copy_write(int client, std::uint32_t name_id,
                                std::int64_t iteration,
-                               std::span<const std::byte> data,
-                               WriteOutcome& outcome) {
+                               std::span<const std::byte> data) {
   const auto t0 = WallClock::now();
   Result<shm::Block> block = reserve(client, iteration, data.size());
   Status st = Status::ok();
   if (!block.is_ok()) {
     if (block.status().code() != ErrorCode::kOutOfMemory) {
-      outcome = WriteOutcome::kFailed;
       return block.status();
     }
     st = degraded_write(client, name_id, iteration, data,
-                        degrade_->on_pressure(), block.status(), outcome);
+                        degrade_->on_pressure(), block.status());
   } else {
     std::memcpy(buffer_->data(block.value()), data.data(), data.size());
     if (publish(client, name_id, iteration, block.value())) {
       degrade_->on_clear();
-      outcome = WriteOutcome::kPublished;
     } else {
       st = degraded_write(
           client, name_id, iteration, data, degrade_->on_pressure(),
           resource_busy("write of '" + names_.at(name_id)->first +
-                        "' dropped: server queue already closed"),
-          outcome);
+                        "' dropped: server queue already closed"));
     }
   }
   if (st.is_ok()) record_write(client, data.size(), seconds_since(t0));
@@ -716,7 +702,7 @@ Status DamarisNode::degraded_write(int client, std::uint32_t name_id,
                                    std::int64_t iteration,
                                    std::span<const std::byte> data,
                                    fault::DegradeMode mode,
-                                   const Status& cause, WriteOutcome& outcome) {
+                                   const Status& cause) {
   ClientState& state = *clients_[static_cast<std::size_t>(client)];
   const auto drop = [&]() -> Status {
     trace_fault(opts_.node_id, "write-dropped", iteration);
@@ -724,7 +710,6 @@ Status DamarisNode::degraded_write(int client, std::uint32_t name_id,
       opts_.fault_checker->note_write(client, iteration,
                                       check::WriteOutcome::kDropped);
     }
-    outcome = WriteOutcome::kDropped;
     MutexLock lock(state.mutex);
     ++state.stats.dropped_writes;
     state.stats.dropped_bytes += data.size();
@@ -741,13 +726,11 @@ Status DamarisNode::degraded_write(int client, std::uint32_t name_id,
         opts_.fault_checker->note_write(client, iteration,
                                         check::WriteOutcome::kSyncWritten);
       }
-      outcome = WriteOutcome::kSyncFallback;
       MutexLock lock(state.mutex);
       ++state.stats.sync_writes;
       return Status::ok();
     }
     if (resilience_.degrade.allow_drop) return drop();
-    outcome = WriteOutcome::kFailed;
     return st;
   }
   if (resilience_.degrade.allow_drop) return drop();
@@ -756,7 +739,6 @@ Status DamarisNode::degraded_write(int client, std::uint32_t name_id,
     opts_.fault_checker->note_write(client, iteration,
                                     check::WriteOutcome::kFailed);
   }
-  outcome = WriteOutcome::kFailed;
   return cause;
 }
 
@@ -785,8 +767,7 @@ Status DamarisNode::sync_write(int client, std::uint32_t name_id,
   dataset.source = client;
   if (info.layout != nullptr) dataset.layout = *info.layout;
 
-  const iopath::CompressionModel model = compression_model_for(cfg_, variable);
-  format::EncodedBuffer encoded = model.codec_pipeline().encode(data);
+  format::EncodedBuffer encoded = pipelines_[name_id].encode(data);
   Status st = writer.value().add_encoded(dataset, encoded, data.size());
   if (!st.is_ok()) return st;
   st = writer.value().finalize();
@@ -799,65 +780,25 @@ Status DamarisNode::sync_write(int client, std::uint32_t name_id,
   return Status::ok();
 }
 
-// ------------------------------------------------------------ write_async
-
-WriteTicket DamarisNode::write_ticketed(int client, const std::string& variable,
-                                        std::int64_t iteration,
-                                        std::span<const std::byte> data,
-                                        bool sized,
-                                        const AsyncWriteOptions& opts) {
-  auto state = std::make_shared<detail::TicketState>(
-      ticket_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  auto var = resolve(client, variable, data.size(), sized);
-  if (!var.is_ok()) {
-    return complete(std::move(state), var.status(), WriteOutcome::kFailed,
-                    opts.on_complete);
-  }
-  // A dependence is met once its write resolved, not once its callback
-  // returned, so a callback may name its own ticket. Cycles are
-  // impossible: a ticket only names tickets that already exist.
-  for (const WriteTicket& dep : opts.after) {
-    if (dep.state_ == nullptr) continue;
-    MutexLock lock(dep.state_->mutex);
-    while (dep.state_->outcome == WriteOutcome::kPending) {
-      dep.state_->cv.wait(dep.state_->mutex);
-    }
-  }
-  WriteOutcome outcome = WriteOutcome::kFailed;
-  const Status st =
-      copy_write(client, var.value()->id, iteration, data, outcome);
-  return complete(std::move(state), st, outcome, opts.on_complete);
-}
-
-WriteTicket DamarisNode::complete(detail::TicketStatePtr state,
-                                  const Status& status, WriteOutcome outcome,
-                                  const WriteCallback& cb) {
-  {
-    MutexLock lock(state->mutex);
-    state->status = status;
-    state->outcome = outcome;
-    state->completion_seq =
-        ticket_completions_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  state->cv.notify_all();  // the outcome meets dependences
-  if (cb) cb(WriteTicket(state));
-  {
-    MutexLock lock(state->mutex);
-    state->done = true;
-  }
-  state->cv.notify_all();
-  return WriteTicket(std::move(state));
-}
-
 Result<std::span<std::byte>> Client::alloc(const std::string& variable,
                                            std::int64_t iteration) {
   auto var = node_->resolve(id_, variable, 0, /*sized=*/true);
   if (!var.is_ok()) return var.status();
+  const auto key = std::make_tuple(id_, var.value()->id, iteration);
+  {
+    // A second alloc would orphan the first block: nothing could commit
+    // or free it.
+    MutexLock lock(node_->pending_mutex_);
+    if (node_->pending_allocs_.contains(key)) {
+      return failed_precondition("'" + variable + "' is already allocated "
+                                 "for iteration " + std::to_string(iteration));
+    }
+  }
   auto block = node_->blocking_allocate(var.value()->layout->byte_size(), id_);
   if (!block.is_ok()) return block.status();
   {
     MutexLock lock(node_->pending_mutex_);
-    node_->pending_allocs_[{id_, var.value()->id, iteration}] = block.value();
+    node_->pending_allocs_.emplace(key, block.value());
   }
   return std::span<std::byte>(node_->buffer_->data(block.value()),
                               block.value().size);

@@ -42,12 +42,12 @@
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
 #include "config/config.hpp"
-#include "core/async.hpp"
 #include "core/metadata.hpp"
 #include "core/persistency.hpp"
 #include "core/plugin.hpp"
 #include "fault/degrade.hpp"
 #include "fault/fault.hpp"
+#include "format/pipeline.hpp"
 #include "plugin/pipeline.hpp"
 #include "shm/event_queue.hpp"
 #include "shm/shared_buffer.hpp"
@@ -169,9 +169,9 @@ class Client {
   Client() = default;
 
   /// df_write: copies `data` into shared memory and notifies the server,
-  /// on the calling thread. The variable must be declared in the
-  /// configuration; `data` must match its layout size. It takes no
-  /// ticket.
+  /// on the calling thread; the caller's buffer is free once it returns.
+  /// The variable must be declared in the configuration; `data` must
+  /// match its layout size.
   Status write(const std::string& variable, std::int64_t iteration,
                std::span<const std::byte> data);
 
@@ -181,25 +181,11 @@ class Client {
   Status write_sized(const std::string& variable, std::int64_t iteration,
                      std::span<const std::byte> data);
 
-  /// df_write with a ticket: runs on the calling thread like write(),
-  /// once every ticket in `opts.after` has resolved, and returns a ticket
-  /// that is already done (its callback has run). The asynchrony is the
-  /// dedicated core's: persistence still overlaps the caller's next
-  /// step. Layout-checked like write(); a validation failure returns a
-  /// failed ticket (never an invalid handle).
-  WriteTicket write_async(const std::string& variable, std::int64_t iteration,
-                          std::span<const std::byte> data,
-                          AsyncWriteOptions opts = {});
-
-  /// write_sized's asynchronous counterpart (no layout-size check).
-  WriteTicket write_sized_async(const std::string& variable,
-                                std::int64_t iteration,
-                                std::span<const std::byte> data,
-                                AsyncWriteOptions opts = {});
-
   /// dc_alloc: reserves the variable's block in shared memory and
   /// returns a writable view — the simulation computes in place and then
-  /// calls commit(), avoiding the extra copy.
+  /// calls commit(), avoiding the extra copy. Fails with
+  /// kFailedPrecondition while the same (variable, iteration) is already
+  /// allocated and not yet committed.
   Result<std::span<std::byte>> alloc(const std::string& variable,
                                      std::int64_t iteration);
 
@@ -268,17 +254,6 @@ class DamarisNode {
   std::vector<plugin::PluginStats> plugin_stats() const {
     return block_plugins_ ? block_plugins_->stats()
                           : std::vector<plugin::PluginStats>{};
-  }
-
-  /// write_async calls in progress on client threads (a ticket is
-  /// outstanding from its creation until its outcome is set) — the TASIO
-  /// task-state view the monitor streams. Monotonic reads: completions
-  /// is loaded first so the difference never goes negative.
-  std::uint64_t outstanding_tickets() const {
-    const std::uint64_t done =
-        ticket_completions_.load(std::memory_order_acquire);
-    const std::uint64_t submitted = ticket_seq_.load(std::memory_order_acquire);
-    return submitted >= done ? submitted - done : 0;
   }
 
   /// Live degrade-FSM state (kNormal when resilience is unconfigured).
@@ -382,18 +357,17 @@ class DamarisNode {
   // --- the write path: plain functions on the calling thread ---
 
   /// Client::write/write_sized: resolve, then copy_write.
-  Status write_blocking(int client, const std::string& variable,
-                        std::int64_t iteration, std::span<const std::byte> data,
-                        bool sized);
+  Status write(int client, const std::string& variable,
+               std::int64_t iteration, std::span<const std::byte> data,
+               bool sized);
   /// Reserves a block: injected exhaustion, a single probe in a degraded
   /// mode, else a blocking allocate.
   Result<shm::Block> reserve(int client, std::int64_t iteration, Bytes size);
   Result<shm::Block> blocking_allocate(Bytes size, int client);
   /// Copies `data` into a new block and notifies the dedicated core, or
-  /// routes through the degrade ladder; `outcome` reports how it
-  /// resolved. Blocking and ticketed writes both run it.
+  /// routes through the degrade ladder.
   Status copy_write(int client, std::uint32_t name_id, std::int64_t iteration,
-                    std::span<const std::byte> data, WriteOutcome& outcome);
+                    std::span<const std::byte> data);
   /// Hands a written block to the client's shard and records it as
   /// published in the fault ledger. A closed queue will never consume
   /// it, so the block is released and false returned.
@@ -404,26 +378,12 @@ class DamarisNode {
   Status degraded_write(int client, std::uint32_t name_id,
                         std::int64_t iteration,
                         std::span<const std::byte> data, fault::DegradeMode mode,
-                        const Status& cause, WriteOutcome& outcome);
+                        const Status& cause);
   /// Synchronous passthrough: the client writes its own standalone DH5
   /// file, bypassing the dedicated core (paper §III "write
   /// synchronously" option).
   Status sync_write(int client, std::uint32_t name_id,
                     std::int64_t iteration, std::span<const std::byte> data);
-
-  // --- write_async (core/async.hpp) ---
-
-  /// Client::write_async/write_sized_async: resolve, wait for each
-  /// `after` ticket to resolve, copy_write, complete. The returned ticket
-  /// is done (a failed one when the variable does not resolve).
-  WriteTicket write_ticketed(int client, const std::string& variable,
-                             std::int64_t iteration,
-                             std::span<const std::byte> data, bool sized,
-                             const AsyncWriteOptions& opts);
-  /// Sets the ticket's status, outcome and completion_seq, runs `cb`,
-  /// and only then marks the ticket done (core/async.hpp).
-  WriteTicket complete(detail::TicketStatePtr state, const Status& status,
-                       WriteOutcome outcome, const WriteCallback& cb);
 
   /// Injected dedicated-core crash/restart at an iteration boundary.
   void maybe_crash(Shard& shard, std::int64_t iteration);
@@ -454,6 +414,10 @@ class DamarisNode {
 
   NameTable ids_;                                    // name -> id + layout
   std::vector<const NameTable::value_type*> names_;  // id -> entry of ids_
+  /// id -> the variable's codec chain (empty for events), built once when
+  /// the name is interned. Kept beside ids_ rather than in NameInfo: the
+  /// name-table nodes every write's resolve() walks keep their size.
+  std::vector<format::Pipeline> pipelines_;
   std::uint32_t end_iteration_id_ = 0;  // the reserved "..end_iteration"
 
   /// Atomic: start() / stop() may be driven from a different thread
@@ -476,8 +440,6 @@ class DamarisNode {
 
   /// One per client, fixed at construction.
   std::vector<std::unique_ptr<ClientState>> clients_;
-  std::atomic<std::uint64_t> ticket_seq_{0};
-  std::atomic<std::uint64_t> ticket_completions_{0};
 
   // Last member: its destructor detaches from buffer_ and the shard
   // queues, which must still be alive.

@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "format/pipeline.hpp"
 #include "format/types.hpp"
 #include "shm/shared_buffer.hpp"
 
@@ -29,6 +30,9 @@ struct VariableBlock {
   /// The variable's configured layout (owned by the node's config);
   /// nullptr when the block was recorded without one.
   const format::Layout* layout = nullptr;
+  /// The variable's codec chain (owned by the node's name table);
+  /// nullptr persists the block raw.
+  const format::Pipeline* pipeline = nullptr;
   /// Actual payload size (== layout->byte_size() for static layouts;
   /// smaller/larger for dynamically shaped arrays).
   Bytes size = 0;

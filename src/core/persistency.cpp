@@ -24,13 +24,6 @@ void trace_persist(int node_id, const char* name, double dur,
 
 }  // namespace
 
-iopath::CompressionModel compression_model_for(const config::Config& cfg,
-                                               const std::string& variable) {
-  const config::VariableDecl* decl = cfg.find_variable(variable);
-  return iopath::CompressionModel::for_pipeline_name(decl ? decl->pipeline
-                                                          : "");
-}
-
 PersistencyLayer::PersistencyLayer(std::string output_dir, std::string prefix,
                                    int node_id)
     : output_dir_(std::move(output_dir)),
@@ -44,7 +37,7 @@ std::string PersistencyLayer::file_path(std::int64_t iteration) const {
 
 Status PersistencyLayer::write_blocks(
     std::int64_t iteration, const std::vector<VariableBlock>& blocks,
-    const shm::SharedBuffer& buffer, const config::Config& cfg) {
+    const shm::SharedBuffer& buffer) {
   const Status s = fault::retry_sync(
       retry_,
       fault::mix_key(static_cast<std::uint64_t>(node_id_),
@@ -59,7 +52,7 @@ Status PersistencyLayer::write_blocks(
                           std::to_string(iteration) + " (attempt " +
                           std::to_string(attempt) + ")");
         }
-        return write_blocks_once(iteration, blocks, buffer, cfg);
+        return write_blocks_once(iteration, blocks, buffer);
       },
       [&](int attempt, double delay, const Status& last) {
         (void)delay;
@@ -87,7 +80,7 @@ Status PersistencyLayer::write_blocks(
 
 Status PersistencyLayer::write_blocks_once(
     std::int64_t iteration, const std::vector<VariableBlock>& blocks,
-    const shm::SharedBuffer& buffer, const config::Config& cfg) {
+    const shm::SharedBuffer& buffer) {
   std::error_code ec;
   std::filesystem::create_directories(output_dir_, ec);
   if (ec) return io_error("cannot create " + output_dir_);
@@ -105,10 +98,10 @@ Status PersistencyLayer::write_blocks_once(
 
     // Transform: run the variable's codec chain (identity encodes are a
     // plain copy, so splitting from the container write is lossless).
-    const iopath::CompressionModel model =
-        compression_model_for(cfg, info.name);
     auto t0 = WallClock::now();
-    format::EncodedBuffer encoded = model.codec_pipeline().encode(raw);
+    format::EncodedBuffer encoded = b.pipeline != nullptr
+                                        ? b.pipeline->encode(raw)
+                                        : format::Pipeline().encode(raw);
     double dt = seconds_since(t0);
     {
       MutexLock lock(stats_mutex_);

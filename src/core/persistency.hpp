@@ -10,12 +10,10 @@
 
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
-#include "config/config.hpp"
 #include "core/metadata.hpp"
 #include "fault/fault.hpp"
 #include "fault/retry.hpp"
 #include "format/dh5.hpp"
-#include "iopath/compression_model.hpp"
 #include "iopath/metrics.hpp"
 #include "shm/shared_buffer.hpp"
 
@@ -46,16 +44,14 @@ class PersistencyLayer {
   PersistencyLayer(std::string output_dir, std::string prefix, int node_id);
 
   /// Writes all `blocks` (typically one iteration) into one file, reading
-  /// payloads from `buffer`. Pipelines are resolved per variable from
-  /// `cfg` ("" = raw, "lossless", "visualization"). Does NOT free the
-  /// blocks — the caller owns shared memory lifetime. With a retry
-  /// policy installed, failed attempts back off (decorrelated jitter,
-  /// wall clock) and retry up to the policy's budget; the returned
-  /// status is the final outcome.
+  /// payloads from `buffer` and encoding each through its block's codec
+  /// chain. Does NOT free the blocks — the caller owns shared memory
+  /// lifetime. With a retry policy installed, failed attempts back off
+  /// (decorrelated jitter, wall clock) and retry up to the policy's
+  /// budget; the returned status is the final outcome.
   Status write_blocks(std::int64_t iteration,
                       const std::vector<VariableBlock>& blocks,
-                      const shm::SharedBuffer& buffer,
-                      const config::Config& cfg);
+                      const shm::SharedBuffer& buffer);
 
   /// Installs the bounded-retry policy (default: disabled).
   void set_resilience(const fault::RetryPolicy& retry) { retry_ = retry; }
@@ -90,8 +86,7 @@ class PersistencyLayer {
  private:
   Status write_blocks_once(std::int64_t iteration,
                            const std::vector<VariableBlock>& blocks,
-                           const shm::SharedBuffer& buffer,
-                           const config::Config& cfg);
+                           const shm::SharedBuffer& buffer);
 
   std::string output_dir_;
   std::string prefix_;
@@ -102,10 +97,5 @@ class PersistencyLayer {
   fault::RetryPolicy retry_;
   const fault::FaultInjector* injector_ = nullptr;
 };
-
-/// Compression treatment configured for `variable` ("" / "lossless" /
-/// "visualization"), resolved through the shared CompressionModel.
-iopath::CompressionModel compression_model_for(const config::Config& cfg,
-                                               const std::string& variable);
 
 }  // namespace dmr::core

@@ -33,7 +33,6 @@ MonitorSnapshot snapshot_of(core::DamarisNode& node,
     snap.ledger = opts.checker->snapshot();
   }
 
-  snap.outstanding_tickets = node.outstanding_tickets();
   snap.plugins = node.plugin_stats();
   return snap;
 }

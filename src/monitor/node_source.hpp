@@ -2,9 +2,9 @@
 // middleware and the monitor (kept here so core/ never depends on
 // monitor/). The SnapshotFn this produces is what MonitorServer polls:
 // every call reads the node's thread-safe accessors (stats(),
-// degrade_mode(), outstanding_tickets(), plugin_stats(), an optional
-// FaultChecker's live counters) and derives the JitterSummary
-// percentiles over the per-iteration persist times.
+// degrade_mode(), plugin_stats(), an optional FaultChecker's live
+// counters) and derives the JitterSummary percentiles over the
+// per-iteration persist times.
 //
 // Thread-safety: the returned closure may be called from the monitor's
 // loop thread while the node runs; everything it touches is a

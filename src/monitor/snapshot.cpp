@@ -93,7 +93,6 @@ std::string MonitorSnapshot::to_json() const {
     out += "}";
   }
   out += "]";
-  out += ",\"outstanding_tickets\":" + num(outstanding_tickets);
   out += ",\"plugin_seconds\":" + num(plugin_seconds);
   out += ",\"plugins\":[";
   for (std::size_t i = 0; i < plugins.size(); ++i) {

@@ -5,8 +5,8 @@
 // iteration progress and the dedicated core's spare fraction,
 // JitterReport percentiles over the per-iteration persist times, the
 // degrade-FSM state, the fault-ledger counter totals, per-stage
-// PipelineStats, outstanding async-ticket counts, the per-plugin
-// utilization table, and any SLO alerts the server attached.
+// PipelineStats, the per-plugin utilization table, and any SLO alerts
+// the server attached.
 //
 // to_json() is the wire format: ONE line, stable field order, %.6g
 // numbers — a deterministic workload yields byte-comparable snapshots
@@ -68,9 +68,6 @@ struct MonitorSnapshot {
 
   // --- write-path stage counters ---
   iopath::PipelineStats stages;
-
-  // --- async ticket state ---
-  std::uint64_t outstanding_tickets = 0;
 
   // --- in-situ plugins ---
   double plugin_seconds = 0.0;  // chain total

@@ -375,6 +375,93 @@ TEST_F(NodeFixture, AllocCommitZeroCopy) {
   EXPECT_EQ(stats.iterations[0].blocks, 1u);
 }
 
+TEST_F(NodeFixture, SecondAllocOfAPendingBlockFails) {
+  // Overwriting the pending entry would orphan the first block: never
+  // committed, never freed.
+  ASSERT_TRUE(node_->start().is_ok());
+  Client cl = node_->client(0);
+  ASSERT_TRUE(cl.alloc("temperature", 0).is_ok());
+  EXPECT_EQ(cl.alloc("temperature", 0).status().code(),
+            ErrorCode::kFailedPrecondition);
+  ASSERT_TRUE(cl.commit("temperature", 0).is_ok());
+  for (int c = 0; c < 3; ++c) {
+    ASSERT_TRUE(node_->client(c).end_iteration(0).is_ok());
+    ASSERT_TRUE(node_->client(c).finalize().is_ok());
+  }
+  ASSERT_TRUE(node_->stop().is_ok());
+  EXPECT_EQ(node_->stats().iterations.at(0).blocks, 1u);
+  EXPECT_EQ(node_->buffer().used(), 0u);
+}
+
+TEST_F(NodeFixture, WriteAndCommitAfterStopAreRejected) {
+  // Once stop() closed the shard queues no dedicated core is left to
+  // take a block: the write fails and its block is freed at once.
+  ASSERT_TRUE(node_->start().is_ok());
+  for (int c = 0; c < 3; ++c) ASSERT_TRUE(node_->client(c).finalize().is_ok());
+  ASSERT_TRUE(node_->stop().is_ok());
+  Client cl = node_->client(0);
+  EXPECT_EQ(cl.write("temperature", 1, field(1.0f)).code(),
+            ErrorCode::kResourceBusy);
+  ASSERT_TRUE(cl.alloc("wind", 1).is_ok());
+  EXPECT_EQ(cl.commit("wind", 1).code(), ErrorCode::kResourceBusy);
+  EXPECT_EQ(cl.stats().writes, 0u);
+  EXPECT_EQ(node_->buffer().used(), 0u);
+}
+
+TEST_F(NodeFixture, CallerBufferIsFreeAfterWrite) {
+  // write() copies at once: clobbering its source afterwards must not
+  // reach the file.
+  ASSERT_TRUE(node_->start().is_ok());
+  Client cl = node_->client(0);
+  const auto data = field(1.0f);
+  auto source = data;
+  ASSERT_TRUE(cl.write("temperature", 0, source).is_ok());
+  std::memset(source.data(), 0xff, source.size());
+  for (int c = 0; c < 3; ++c) {
+    ASSERT_TRUE(node_->client(c).end_iteration(0).is_ok());
+    ASSERT_TRUE(node_->client(c).finalize().is_ok());
+  }
+  ASSERT_TRUE(node_->stop().is_ok());
+  EXPECT_EQ(node_->buffer().used(), 0u);
+
+  auto reader = format::Dh5Reader::open(dir_.string() + "/test_node0_it0.dh5");
+  ASSERT_TRUE(reader.is_ok()) << reader.status().to_string();
+  auto idx = reader.value().find("temperature", 0, 0);
+  ASSERT_TRUE(idx.has_value());
+  auto payload = reader.value().read(*idx);
+  ASSERT_TRUE(payload.is_ok());
+  EXPECT_EQ(payload.value(), data);
+}
+
+TEST_F(NodeFixture, LastRewriteWinsAndFreesTheReplacedBlock) {
+  // Write A, clobber its source, write B to the same (variable,
+  // iteration, source): B is persisted and A's block is freed.
+  ASSERT_TRUE(node_->start().is_ok());
+  Client cl = node_->client(0);
+  const auto second = field(2.0f);
+  auto source = field(1.0f);
+  ASSERT_TRUE(cl.write("temperature", 0, source).is_ok());
+  std::memset(source.data(), 0xff, source.size());
+  ASSERT_TRUE(cl.write("temperature", 0, second).is_ok());
+  for (int c = 0; c < 3; ++c) {
+    ASSERT_TRUE(node_->client(c).end_iteration(0).is_ok());
+    ASSERT_TRUE(node_->client(c).finalize().is_ok());
+  }
+  ASSERT_TRUE(node_->stop().is_ok());
+  EXPECT_EQ(cl.stats().writes, 2u);
+  EXPECT_EQ(node_->stats().iterations.at(0).blocks, 1u);
+  EXPECT_EQ(node_->buffer().used(), 0u);
+
+  auto reader = format::Dh5Reader::open(dir_.string() + "/test_node0_it0.dh5");
+  ASSERT_TRUE(reader.is_ok()) << reader.status().to_string();
+  EXPECT_EQ(reader.value().entries().size(), 1u);
+  auto idx = reader.value().find("temperature", 0, 0);
+  ASSERT_TRUE(idx.has_value());
+  auto payload = reader.value().read(*idx);
+  ASSERT_TRUE(payload.is_ok());
+  EXPECT_EQ(payload.value(), second);
+}
+
 TEST_F(NodeFixture, ManyIterationsInOrder) {
   ASSERT_TRUE(node_->start().is_ok());
   auto data = field(5.0f);
@@ -485,38 +572,44 @@ TEST(CApi, ErrorsWithoutSetup) {
   EXPECT_NE(capi::df_finalize(), 0);
   EXPECT_NE(capi::df_teardown(), 0);
   EXPECT_EQ(capi::dc_alloc("x", 0), nullptr);
-  EXPECT_LT(capi::df_write_async("x", 0, nullptr), 0);
-  EXPECT_NE(capi::df_wait(1), 0);
 }
 
-TEST(CApi, AsyncTickets) {
+TEST(CApi, RejectsBadArguments) {
+  // Bad arguments fail with -3 and a message; none may take the process
+  // down (null strings, a null payload, a client count the partitioned
+  // allocator cannot split the buffer by).
   namespace capi = ::dmr::core::capi;
   const auto dir = std::filesystem::temp_directory_path() /
-                   ("damaris_capi_async_" + std::to_string(::getpid()));
+                   ("damaris_capi_args_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const auto cfg_path = dir / "config.xml";
   {
+    std::string xml = kConfigXml;
+    xml.replace(xml.find("firstfit"), std::strlen("firstfit"), "partitioned");
     std::ofstream out(cfg_path);
-    out << kConfigXml;
+    out << xml;
   }
+  const auto rejected = [](int rc) {
+    EXPECT_EQ(rc, -3);
+    EXPECT_STRNE(capi::df_last_error(), "");
+  };
+  rejected(capi::df_setup(nullptr, 1, dir.c_str()));
+  rejected(capi::df_setup(cfg_path.c_str(), 0, dir.c_str()));
+  rejected(capi::df_setup(cfg_path.c_str(), -1, dir.c_str()));
+
   ASSERT_EQ(capi::df_setup(cfg_path.c_str(), 1, dir.c_str()), 0)
       << capi::df_last_error();
   ASSERT_EQ(capi::df_initialize(0), 0);
-
-  std::vector<float> data(16 * 16 * 4, 2.5f);
-  const std::int64_t t1 = capi::df_write_async("temperature", 0, data.data());
-  ASSERT_GT(t1, 0) << capi::df_last_error();
-  const std::int64_t t2 = capi::df_write_async("temperature", 0, data.data());
-  ASSERT_GT(t2, 0);
-  EXPECT_NE(t1, t2);
-  EXPECT_GE(capi::df_test(t1), 0);  // known handle: 0 or 1, not an error
-  EXPECT_EQ(capi::df_wait(t1), 0) << capi::df_last_error();
-  EXPECT_LT(capi::df_test(t1), 0);  // df_wait consumed the handle
-  EXPECT_EQ(capi::df_wait_all(), 0);
-  EXPECT_LT(capi::df_test(99999), 0);  // never issued
-  // An unknown variable fails at submission: no ticket is issued.
-  EXPECT_LT(capi::df_write_async("ghost", 0, data.data()), 0);
-
+  std::vector<float> data(16 * 16 * 4, 0.5f);
+  rejected(capi::df_write("temperature", 0, nullptr));
+  rejected(capi::df_write(nullptr, 0, data.data()));
+  rejected(capi::df_signal(nullptr, 0));
+  EXPECT_EQ(capi::dc_alloc(nullptr, 0), nullptr);
+  EXPECT_STRNE(capi::df_last_error(), "");
+  rejected(capi::dc_commit(nullptr, 0));
+  // The node still works after the rejections.
+  EXPECT_EQ(capi::df_write("temperature", 0, data.data()), 0)
+      << capi::df_last_error();
   EXPECT_EQ(capi::df_end_iteration(0), 0);
   EXPECT_EQ(capi::df_finalize(), 0);
   EXPECT_EQ(capi::df_teardown(), 0);

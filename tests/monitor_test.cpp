@@ -52,7 +52,6 @@ MonitorSnapshot sample_snapshot() {
   s.ledger_valid = true;
   s.ledger.published = 28;
   s.ledger.persisted = 28;
-  s.outstanding_tickets = 3;
   s.plugin_seconds = 0.004;
   plugin::PluginStats p;
   p.name = "stats";
@@ -109,7 +108,6 @@ TEST(Snapshot, SerializesToOneParsableLine) {
   EXPECT_NEAR(j.at("write_jitter").at("max").as_number(), 0.050, 1e-9);
   EXPECT_EQ(j.at("degrade").at("mode").as_string(), "normal");
   EXPECT_EQ(j.at("ledger").at("published").as_int(), 28);
-  EXPECT_EQ(j.at("outstanding_tickets").as_int(), 3);
   ASSERT_EQ(j.at("plugins").size(), 1u);
   EXPECT_EQ(j.at("plugins").at(std::size_t{0}).at("name").as_string(),
             "stats");
@@ -152,7 +150,6 @@ TEST(Snapshot, GoldenByteExactSerialization) {
   s.ledger.dropped = 0;
   s.ledger.failed_writes = 0;
   s.ledger.retries = 0;
-  s.outstanding_tickets = 1;
   s.plugin_seconds = 0.25;
   plugin::PluginStats p;
   p.name = "stats";
@@ -186,7 +183,7 @@ TEST(Snapshot, GoldenByteExactSerialization) {
       "{\"stage\":\"transport\",\"ops\":0,\"seconds\":0,\"bytes_in\":0,"
       "\"bytes_out\":0},"
       "{\"stage\":\"storage\",\"ops\":0,\"seconds\":0,\"bytes_in\":0,"
-      "\"bytes_out\":0}],\"outstanding_tickets\":1,\"plugin_seconds\":0.25,"
+      "\"bytes_out\":0}],\"plugin_seconds\":0.25,"
       "\"plugins\":[{\"name\":\"stats\",\"iterations\":3,\"blocks\":6,"
       "\"bytes\":4096,\"seconds\":0.25,\"max_iteration_seconds\":0.1,"
       "\"errors\":0,\"overruns\":0,\"disabled\":false}],"

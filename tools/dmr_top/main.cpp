@@ -2,10 +2,10 @@
 // §15). Connects to a MonitorServer's AF_UNIX socket, subscribes to the
 // snapshot stream and renders a top(1)-style status: iteration
 // progress, write-jitter percentiles, degrade-FSM state, fault-ledger
-// counters, per-stage pipeline totals, outstanding async tickets and
-// the per-plugin utilization table, plus any SLO alerts the server
-// raised. Facility snapshots add a per-tenant table (tier on the
-// placement ladder, p95 write time, bytes, SLO state).
+// counters, per-stage pipeline totals and the per-plugin utilization
+// table, plus any SLO alerts the server raised. Facility snapshots add
+// a per-tenant table (tier on the placement ladder, p95 write time,
+// bytes, SLO state).
 //
 // Usage: dmr_top <socket> [--interval ms] [--once] [--json] [--count N]
 //        [--tenant id]
@@ -55,13 +55,11 @@ void render(const Json& s) {
               static_cast<long long>(s.at("seq").as_int()),
               s.at("uptime_s").as_number());
   std::printf(
-      "iterations %-6lld shards %-3lld clients %-4lld spare %5.1f%%  "
-      "outstanding tickets %lld\n",
+      "iterations %-6lld shards %-3lld clients %-4lld spare %5.1f%%\n",
       static_cast<long long>(s.at("iterations").as_int()),
       static_cast<long long>(s.at("shards").as_int()),
       static_cast<long long>(s.at("clients").as_int()),
-      100.0 * s.at("spare_fraction").as_number(),
-      static_cast<long long>(s.at("outstanding_tickets").as_int()));
+      100.0 * s.at("spare_fraction").as_number());
 
   const Json& j = s.at("write_jitter");
   std::printf(
