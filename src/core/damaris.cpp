@@ -58,7 +58,7 @@ DamarisNode::DamarisNode(config::Config cfg, int num_clients,
   for (int s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(
         opts_.output_dir, opts_.file_prefix, opts_.node_id, s, shards,
-        cfg_.variables().size(), num_clients_));
+        cfg_.variables().size(), std::max(num_clients_, 0)));
   }
   clients_.reserve(static_cast<std::size_t>(std::max(num_clients_, 0)));
   for (int c = 0; c < num_clients_; ++c) {
@@ -164,6 +164,10 @@ Result<const DamarisNode::NameInfo*> DamarisNode::resolve(
 Status DamarisNode::start() {
   if (started_.load(std::memory_order_acquire))
     return failed_precondition("node already started");
+  if (num_clients_ < 1) {
+    return invalid_argument("node has " + std::to_string(num_clients_) +
+                            " clients; it needs at least one");
+  }
   // Bind every event to its action and instantiate the <plugins> in-situ
   // chain before any shard thread exists: a bad declaration fails
   // start() instead of surfacing mid-run. The chain is rebuilt on every

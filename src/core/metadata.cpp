@@ -10,7 +10,7 @@ MetadataManager::MetadataManager(std::size_t variables, int sources,
     : variables_(variables),
       sources_(static_cast<std::size_t>(sources)),
       stride_(stride) {
-  assert(sources > 0 && stride > 0);
+  assert(sources >= 0 && stride > 0);
 }
 
 std::size_t MetadataManager::slot_of(std::uint32_t variable_id,

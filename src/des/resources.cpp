@@ -1,10 +1,7 @@
 #include "des/resources.hpp"
-#include <cstdio>
-#include <cstdlib>
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace dmr::des {
 
@@ -75,8 +72,8 @@ void SharedLink::start_flow(Bytes bytes, std::coroutine_handle<> h) {
   if (fault_ != nullptr) {
     work *= fault_->factor_at(fault_site_, eng_->now());
   }
-  flows_.push(Flow{virtual_work_ + work, next_flow_seq_++, bytes, eng_->now(),
-                   h});
+  flows_.push(Flow{order_bits(virtual_work_ + work), next_flow_seq_++, bytes,
+                   eng_->now(), h});
   reschedule();
 }
 
@@ -96,7 +93,7 @@ void SharedLink::reschedule() {
     tick_scheduled_ = false;
   }
   if (flows_.empty()) return;
-  const double deficit = std::max(0.0, flows_.top().target_w - virtual_work_);
+  const double deficit = std::max(0.0, flows_.top().target_w() - virtual_work_);
   // Never schedule a tick below kMinTick: floating-point residue in the
   // virtual-work bookkeeping can leave a deficit whose service time is
   // smaller than the representable time increment at the current clock,
@@ -117,7 +114,7 @@ void SharedLink::on_tick() {
   // time-based epsilon absorbs floating-point residue; see reschedule).
   constexpr Time kTimeEps = 1e-9;
   while (!flows_.empty()) {
-    const double deficit = flows_.top().target_w - virtual_work_;
+    const double deficit = flows_.top().target_w() - virtual_work_;
     const Time remaining =
         deficit * static_cast<double>(flows_.size()) / rate_;
     if (remaining > kTimeEps) break;

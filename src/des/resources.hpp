@@ -180,16 +180,19 @@ class SharedLink {
 
  private:
   struct Flow {
-    double target_w;  // virtual work at which this flow completes
+    std::uint64_t target;  // order_bits of the virtual work at completion
     std::uint64_t seq;
     Bytes total;  // original request size
     Time started;  // join time, for tracing
     std::coroutine_handle<> handle;
+
+    double target_w() const { return from_order_bits(target); }
   };
+  /// Earliest completion first, ties in join order: one integer compare
+  /// on (target_w, seq), like the engine's (t, seq).
   struct FlowCompare {
     bool operator()(const Flow& a, const Flow& b) const {
-      if (a.target_w != b.target_w) return a.target_w > b.target_w;
-      return a.seq > b.seq;
+      return order_key(a.target, a.seq) > order_key(b.target, b.seq);
     }
   };
 

@@ -1,7 +1,6 @@
 #include "shm/shared_buffer.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 
 #include "shm/test_hooks.hpp"
@@ -17,10 +16,9 @@ SharedBuffer::SharedBuffer(Bytes capacity, AllocPolicy policy,
       memory_(new std::byte[capacity]),
       fault_seq_(new std::atomic<std::uint64_t>[
           static_cast<std::size_t>(num_clients > 0 ? num_clients : 1)]()) {
-  assert(num_clients > 0);
   if (policy_ == AllocPolicy::kMutexFirstFit) {
     free_by_offset_.emplace(0, capacity_);
-  } else {
+  } else if (num_clients_ > 0) {
     const Bytes slice = capacity_ / static_cast<Bytes>(num_clients_);
     partitions_.reserve(num_clients_);
     for (int c = 0; c < num_clients_; ++c) {

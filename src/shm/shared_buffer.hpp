@@ -48,7 +48,8 @@ enum class AllocPolicy {
 class SharedBuffer {
  public:
   /// `num_clients` is required by the partitioned policy (ignored by the
-  /// mutex policy, but kept for accounting either way).
+  /// mutex policy, but kept for accounting either way). With fewer than
+  /// one client there are no partitions and every allocate() fails.
   SharedBuffer(Bytes capacity, AllocPolicy policy, int num_clients);
   ~SharedBuffer();
 

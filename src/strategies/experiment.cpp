@@ -101,7 +101,9 @@ RunResult Experiment::run() {
                           3600.0);
   start();
   eng_->run();
-  return collect();
+  RunResult result = collect();
+  result.events_processed = eng_->events_processed();
+  return result;
 }
 
 void Experiment::start() {

@@ -232,6 +232,10 @@ struct RunResult {
   /// final plan (0 / 0 when the controller was not enabled).
   int schedule_retunes = 0;
   int active_slots = 0;
+
+  /// DES events the run dispatched (des::Engine::events_processed()).
+  /// 0 for a facility tenant, which shares its engine with others.
+  std::uint64_t events_processed = 0;
 };
 
 /// Runs one simulated experiment.

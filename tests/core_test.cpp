@@ -533,6 +533,24 @@ TEST(Node, StartRequiresEveryEventActionToBeRegistered) {
   EXPECT_EQ(calls.load(), 1);
 }
 
+TEST(Node, FewerThanOneClientFailsStartCleanly) {
+  // The partitioned allocator splits the buffer by the client count: a
+  // node with no clients must still construct, then refuse to start.
+  for (const char* policy : {"firstfit", "partitioned"}) {
+    for (int clients : {0, -1}) {
+      std::string xml = kConfigXml;
+      xml.replace(xml.find("firstfit"), std::strlen("firstfit"), policy);
+      auto cfg = config::Config::from_string(xml);
+      ASSERT_TRUE(cfg.is_ok()) << cfg.status().to_string();
+      DamarisNode node(std::move(cfg.value()), clients);
+      const Status st = node.start();
+      EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument)
+          << policy << ", " << clients << " clients: " << st.to_string();
+      EXPECT_EQ(node.stop().code(), ErrorCode::kFailedPrecondition);
+    }
+  }
+}
+
 // ------------------------------------------------------------------ capi
 
 TEST(CApi, FullLifecycle) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <coroutine>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -140,6 +145,281 @@ TEST(Engine, EventCountAdvances) {
   }(eng));
   eng.run();
   EXPECT_GE(eng.events_processed(), 3u);  // spawn + two delays
+}
+
+TEST(Engine, CancelOfFiredIdIsNoOpAfterSlotReuse) {
+  Engine eng;
+  int first = 0;
+  int second = 0;
+  const auto fired = eng.schedule_callback(1.0, [&] { ++first; });
+  eng.run();
+  ASSERT_EQ(first, 1);
+  // The next callback may take over the fired one's storage; the old id
+  // must not reach it.
+  eng.schedule_callback(2.0, [&] { ++second; });
+  eng.cancel(fired);
+  eng.run();
+  EXPECT_EQ(second, 1);
+  // Likewise for a cancelled id, cancelled again after its slot is reused.
+  const auto cancelled = eng.schedule_callback(3.0, [&] { ++first; });
+  eng.cancel(cancelled);
+  eng.schedule_callback(4.0, [&] { ++second; });
+  eng.cancel(cancelled);
+  eng.cancel(fired);
+  eng.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 2);
+  EXPECT_EQ(eng.events_processed(), 3u);
+  EXPECT_DOUBLE_EQ(eng.now(), 4.0);
+}
+
+// ------------------------------------------ engine vs. a reference model
+//
+// The contract every timeline digest rests on: events dispatch in
+// ascending (t, seq) order, and each scheduled event takes the next seq.
+// OrderModel drives an engine through a seeded mix of operations and
+// keeps a std::map<(t, seq)> of what must be pending in lockstep; every
+// dispatch must be the map's earliest entry. Operations also run from
+// inside dispatched events, as the simulator's models do.
+
+class OrderModel {
+ public:
+  explicit OrderModel(std::uint64_t seed) : rng_(seed) {
+    for (int k = 0; k < kRecorders; ++k) {
+      recorders_.push_back(recorder(*this, k).release());
+    }
+#ifdef DMR_CHECK
+    set_thread_dispatch_hook(&OrderModel::hook, this);
+#endif
+  }
+  ~OrderModel() {
+    set_thread_dispatch_hook(nullptr, nullptr);
+    for (auto h : recorders_) h.destroy();
+  }
+  OrderModel(const OrderModel&) = delete;
+  OrderModel& operator=(const OrderModel&) = delete;
+
+  /// Runs at least `ops` operations, then drains the engine.
+  void drive(std::uint64_t ops) {
+    while (ops_ < ops) {
+      // Keep a few thousand events pending, so the queue's near and far
+      // tiers both stay busy.
+      const int burst = pending_.size() < 4000 ? 48 : 12;
+      for (int i = 0; i < burst; ++i) random_op();
+      run_slice();
+    }
+    eng_.run();
+    EXPECT_TRUE(pending_.empty()) << pending_.size() << " never dispatched";
+  }
+
+  /// Cancels of a pending callback (from the top level or from inside
+  /// a dispatched event), and of an id that already fired or was
+  /// cancelled.
+  enum CancelKind { kPending, kPendingNested, kStale, kNumCancelKinds };
+
+  Engine& engine() { return eng_; }
+  std::uint64_t dispatched() const { return dispatched_; }
+  std::uint64_t max_pending() const { return max_pending_; }
+  std::uint64_t mismatches() const { return mismatches_; }
+  const std::string& first_mismatch() const { return first_mismatch_; }
+  std::uint64_t cancels(CancelKind kind) const { return cancels_[kind]; }
+
+ private:
+  static constexpr int kRecorders = 64;
+
+  struct Pending {
+    bool is_callback;
+    int who;  // recorder, one-shot or callback number
+  };
+  using Key = std::pair<double, std::uint64_t>;  // (t, seq)
+  struct Live {
+    std::uint64_t id;
+    Key key;
+  };
+
+  /// A frame the model resumes any number of times.
+  static Process recorder(OrderModel& m, int k) {
+    for (;;) {
+      m.on_dispatch(false, k);
+      co_await std::suspend_always{};
+    }
+  }
+  static Process one_shot(OrderModel& m, int who) {
+    m.on_dispatch(false, who);
+    co_return;
+  }
+
+#ifdef DMR_CHECK
+  static void hook(void* ctx, Time t, std::uint64_t seq, bool is_callback) {
+    auto* m = static_cast<OrderModel*>(ctx);
+    m->hook_key_ = {t, seq};
+    m->hook_is_callback_ = is_callback;
+  }
+#endif
+
+  void expect(const Key& key, const Pending& p) {
+    pending_.emplace(key, p);
+    max_pending_ = std::max<std::uint64_t>(max_pending_, pending_.size());
+  }
+
+  void on_dispatch(bool is_callback, int who) {
+    ++dispatched_;
+    std::string why;
+    if (pending_.empty()) {
+      why = "nothing pending";
+    } else {
+      const auto [key, p] = *pending_.begin();
+      if (eng_.now() != key.first) why = "time";
+      if (p.is_callback != is_callback || p.who != who) why += " identity";
+#ifdef DMR_CHECK
+      if (hook_key_ != key || hook_is_callback_ != is_callback) why += " seq";
+#endif
+      pending_.erase(pending_.begin());
+      now_ = key.first;
+    }
+    if (!why.empty() && mismatches_++ == 0) {
+      first_mismatch_ = "dispatch " + std::to_string(dispatched_) + ": " +
+                        why + " (who " + std::to_string(who) + " at " +
+                        std::to_string(eng_.now()) + ")";
+    }
+    if (is_callback) {
+      const auto it = live_.find(who);
+      if (it != live_.end()) {
+        dead_.push_back(it->second.id);
+        live_.erase(it);
+      }
+    }
+    // Operations from inside a dispatched event.
+    const auto n = rng_.next_below(3);
+    for (std::uint64_t i = 0; i < n; ++i) random_op(true);
+  }
+
+  /// A time at or after now: the current instant, shared grid instants
+  /// (ties), near and far futures.
+  Time pick_time() {
+    const Time now = eng_.now();
+    switch (rng_.next_below(6)) {
+      case 0:
+        return now;
+      case 1:
+        return now + 1e-9 * static_cast<double>(1 + rng_.next_below(4));
+      case 2:
+        return std::floor(now) + static_cast<double>(1 + rng_.next_below(4));
+      case 3:
+        return std::floor(now * 4) / 4 +
+               0.25 * static_cast<double>(1 + rng_.next_below(8));
+      case 4:
+        return now + rng_.uniform(0.0, 0.01);
+      default:
+        return now + rng_.uniform(1.0, 100.0);
+    }
+  }
+
+  void random_op(bool nested = false) {
+    ++ops_;
+    const auto r = rng_.next_below(100);
+    if (r < 35) {
+      const Time t = pick_time();
+      const int k = static_cast<int>(rng_.next_below(kRecorders));
+      expect({t, seq_++}, {false, k});
+      eng_.schedule_resume(recorders_[static_cast<std::size_t>(k)], t);
+    } else if (r < 75) {
+      const Time t = pick_time();
+      const int who = next_callback_++;
+      const Key key{t, seq_++};
+      expect(key, {true, who});
+      live_[who] = {eng_.schedule_callback(t, [this, who] {
+                      on_dispatch(true, who);
+                    }),
+                    key};
+    } else if (r < 88) {
+      if (live_.empty()) return;
+      // Cancel a pending callback before it fires.
+      auto it = live_.lower_bound(
+          static_cast<int>(rng_.next_below(
+              static_cast<std::uint64_t>(next_callback_))));
+      if (it == live_.end()) it = live_.begin();
+      pending_.erase(it->second.key);
+      eng_.cancel(it->second.id);
+      dead_.push_back(it->second.id);
+      live_.erase(it);
+      ++cancels_[nested ? kPendingNested : kPending];
+    } else if (r < 97) {
+      if (dead_.empty()) return;
+      // An id that fired or was cancelled; its slot may since have been
+      // reused. Must be a no-op.
+      eng_.cancel(dead_[rng_.next_below(dead_.size())]);
+      ++cancels_[kStale];
+    } else {
+      const int who = 1000000 + next_one_shot_++;
+      expect({eng_.now(), seq_++}, {false, who});
+      eng_.spawn(one_shot(*this, who));
+    }
+  }
+
+  /// run_until to a boundary: an event's exact time, between events,
+  /// the current instant, or (rarely) before it.
+  void run_slice() {
+    Time t_end = now_;
+    const auto r = rng_.next_below(100);
+    if (!pending_.empty() && r < 30) {
+      auto it = pending_.begin();
+      for (auto n = rng_.next_below(64); n > 0 && it != pending_.end(); --n) {
+        ++it;
+      }
+      t_end = (it == pending_.end() ? pending_.begin() : it)->first.first;
+    } else if (r < 80) {
+      t_end = now_ + rng_.uniform(0.0, 0.05);
+    } else if (r < 98) {
+      t_end = now_;
+    } else {
+      t_end = now_ / 2;  // moves now() back; pending events stay put
+    }
+    const Time reached = eng_.run_until(t_end);
+    if (!pending_.empty()) {
+      EXPECT_GT(pending_.begin()->first.first, t_end);
+      now_ = t_end;
+    } else if (now_ < t_end) {
+      now_ = t_end;
+    }
+    EXPECT_EQ(reached, now_);
+    EXPECT_EQ(eng_.now(), now_);
+  }
+
+  Engine eng_;
+  Rng rng_;
+  std::vector<std::coroutine_handle<>> recorders_;
+  std::map<Key, Pending> pending_;
+  std::map<int, Live> live_;           // pending callbacks by number
+  std::vector<std::uint64_t> dead_;    // ids that fired or were cancelled
+  std::uint64_t seq_ = 0;
+  Time now_ = 0.0;
+  int next_callback_ = 0;
+  int next_one_shot_ = 0;
+  std::uint64_t ops_ = 0;  // random_op calls, nested ones included
+  std::uint64_t dispatched_ = 0;
+  std::uint64_t max_pending_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::uint64_t cancels_[kNumCancelKinds] = {};
+  std::string first_mismatch_;
+#ifdef DMR_CHECK
+  Key hook_key_{};
+  bool hook_is_callback_ = false;
+#endif
+};
+
+TEST(Engine, DispatchOrderMatchesReferenceModel) {
+  for (std::uint64_t seed : {1u, 2u}) {
+    OrderModel model(seed);
+    model.drive(100000);
+    EXPECT_EQ(model.mismatches(), 0u)
+        << "seed " << seed << ": " << model.first_mismatch();
+    EXPECT_EQ(model.engine().events_processed(), model.dispatched());
+    EXPECT_GE(model.max_pending(), 4000u);
+    EXPECT_GT(model.cancels(OrderModel::kPending), 0u);
+    EXPECT_GT(model.cancels(OrderModel::kPendingNested), 0u);
+    EXPECT_GT(model.cancels(OrderModel::kStale), 0u);
+  }
 }
 
 // ---------------------------------------------------------------- channel

@@ -103,6 +103,7 @@ TEST_P(PipelineEquivalence, ReproducesPreRefactorRun) {
 #endif
 
   EXPECT_EQ(res.kind, g.kind);
+  EXPECT_EQ(res.events_processed, g.events) << g.tag;
   EXPECT_DOUBLE_EQ(res.total_runtime, g.total_runtime) << g.tag;
   EXPECT_DOUBLE_EQ(res.aggregate_throughput, g.throughput) << g.tag;
   EXPECT_EQ(res.bytes_per_phase, Bytes(g.bytes_per_phase)) << g.tag;
