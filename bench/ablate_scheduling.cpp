@@ -43,7 +43,6 @@ void run_scale(int cores) {
                                                /*iteration_seconds=*/230.0);
     cfg.damaris.slot_scheduling = m.slots;
     cfg.damaris.coordinated_scheduling = m.tokens;
-    cfg.damaris.coordination_tokens = 8;
     auto res = run_strategy(cfg);
     t.add_row({m.name, Table::num(res.dedicated_write_seconds.mean(), 2),
                Table::num(res.dedicated_write_seconds.max(), 2),

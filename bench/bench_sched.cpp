@@ -4,7 +4,7 @@
 // exercise of the client write API against the real middleware with DH5
 // read-back. Emits one machine-readable BENCH_sched.json.
 //
-// Scenarios (Kraken platform, 16 nodes, 10 write phases):
+// Scenarios (Kraken platform, 2304 cores, six write phases):
 //   - balanced      kraken_workload: every rank emits the same volume.
 //                   Static slots are already near-optimal here; the
 //                   adaptive plan must match them within noise.
@@ -99,7 +99,6 @@ constexpr int kCkptVars = 3;   // dependence-chained variables per burst
 const char* kCkptXml = R"(
 <damaris>
   <buffer size="16777216" policy="firstfit"/>
-  <scheduling alpha="0.3" adaptive="true"/>
   <layout name="grid" type="float32" dimensions="64,64"/>
   <variable name="rho" layout="grid"/>
   <variable name="u" layout="grid"/>

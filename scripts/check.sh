@@ -84,8 +84,12 @@ find_tool() {
 #  (2) config-key drift: every XML element/attribute shown in a ```xml
 #      fence of README.md / EXPERIMENTS.md must appear in DESIGN.md —
 #      the same source of truth dmr_verify's config-doc rule holds
-#      src/config against.
-step "doc lint (relative links + fenced config keys vs DESIGN.md)"
+#      src/config against;
+#  (3) dead config keys: every XML element/attribute shown in a ```xml
+#      fence of README.md / DESIGN.md / EXPERIMENTS.md must appear as a
+#      quoted string in src/config/config.cpp, so the docs only show
+#      keys the parser reads (the reverse of config-doc).
+step "doc lint (relative links + fenced config keys vs DESIGN.md and the parser)"
 DOC_LINT_RC=0
 for f in *.md; do
   while IFS= read -r target; do
@@ -100,12 +104,16 @@ for f in *.md; do
     fi
   done < <(grep -o '](\([^)]*\))' "$f" | sed 's/^](//; s/)$//')
 done
-for f in README.md EXPERIMENTS.md; do
+for f in README.md DESIGN.md EXPERIMENTS.md; do
   [ -f "$f" ] || continue
   while IFS= read -r key; do
     [ -z "$key" ] && continue
-    if ! grep -q "$key" DESIGN.md; then
+    if [ "$f" != DESIGN.md ] && ! grep -q "$key" DESIGN.md; then
       echo "doc-lint: $f: config key '$key' from an xml fence is not documented in DESIGN.md" >&2
+      DOC_LINT_RC=1
+    fi
+    if ! grep -qF "\"$key\"" src/config/config.cpp; then
+      echo "doc-lint: $f: config key '$key' from an xml fence is not read by src/config/config.cpp" >&2
       DOC_LINT_RC=1
     fi
   done < <(awk '/^```xml/{on=1;next} /^```/{on=0} on' "$f" |

@@ -1,6 +1,10 @@
 #include "config/config.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
+#include <string_view>
 
 namespace dmr::config {
 
@@ -103,6 +107,17 @@ Result<Config> Config::from_xml(const XmlNode& root) {
     return invalid_argument("root element must be <damaris>, got <" +
                             root.name + ">");
   }
+  // An unknown section would otherwise be silently ignored, and a node
+  // with a misspelled one would run without the settings it meant to set.
+  static constexpr std::string_view kSections[] = {
+      "buffer",    "dedicated", "layout",     "variable", "event",
+      "parameter", "fault",     "resilience", "plugins"};
+  for (const XmlNode& n : root.children) {
+    if (std::find(std::begin(kSections), std::end(kSections), n.name) ==
+        std::end(kSections)) {
+      return invalid_argument("unknown section <" + n.name + "> in <damaris>");
+    }
+  }
   Config cfg;
 
   if (const XmlNode* buf = root.child("buffer")) {
@@ -144,7 +159,6 @@ Result<Config> Config::from_xml(const XmlNode& root) {
     }
     Status s = parse_dimensions(*dims, decl.layout.dims);
     if (!s.is_ok()) return s;
-    decl.fortran_order = n->attr_or("language", "") == "fortran";
     if (!cfg.layouts_.emplace(decl.name, decl).second) {
       return invalid_argument("duplicate layout '" + decl.name + "'");
     }
@@ -180,7 +194,6 @@ Result<Config> Config::from_xml(const XmlNode& root) {
     if (decl.action.empty()) {
       return invalid_argument("event '" + decl.name + "' needs an action");
     }
-    decl.plugin = n->attr_or("using", "");
     decl.scope = n->attr_or("scope", "local");
     if (decl.scope != "local" && decl.scope != "global") {
       return invalid_argument("event '" + decl.name + "': unknown scope '" +
@@ -321,25 +334,6 @@ Result<Config> Config::from_xml(const XmlNode& root) {
     }
   }
 
-  // <scheduling alpha="0.3" adaptive="false"/> — §IV-D write-scheduling
-  // knobs. alpha is validated here, not clamped: a config asking for an
-  // out-of-range smoothing factor is a mistake worth surfacing.
-  if (const XmlNode* sch = root.child("scheduling")) {
-    Status s = Status::ok();
-    if (const std::string* a = sch->attr("alpha")) {
-      s = parse_double(*a, "scheduling alpha", cfg.scheduling_.alpha);
-      if (!s.is_ok()) return s;
-      if (!(cfg.scheduling_.alpha > 0.0) || cfg.scheduling_.alpha > 1.0) {
-        return invalid_argument("scheduling alpha must be in (0, 1], got '" +
-                                *a + "'");
-      }
-    }
-    if (const std::string* a = sch->attr("adaptive")) {
-      s = parse_bool(*a, "scheduling adaptive", cfg.scheduling_.adaptive);
-      if (!s.is_ok()) return s;
-    }
-  }
-
   // <plugins budget_ms="5" on_error="disable">
   //   <plugin name="moments" type="statistics" variables="temperature"/>
   // </plugins> — the in-situ chain run by the dedicated core between
@@ -408,208 +402,6 @@ Result<Config> Config::from_xml(const XmlNode& root) {
         }
       }
       pc.plugins.push_back(std::move(decl));
-    }
-  }
-
-  // <monitor enabled="true" socket="/tmp/dmr.sock" interval_ms="100"
-  //  slo_p95_ms="50" slo_max_ms="200"/> — the live observability
-  // endpoint (DESIGN.md §15).
-  if (const XmlNode* mon = root.child("monitor")) {
-    MonitorConfig& mc = cfg.monitor_;
-    Status s = Status::ok();
-    if (const std::string* a = mon->attr("enabled")) {
-      s = parse_bool(*a, "monitor enabled", mc.enabled);
-      if (!s.is_ok()) return s;
-    }
-    mc.socket = mon->attr_or("socket", "");
-    if (const std::string* a = mon->attr("interval_ms")) {
-      s = parse_int(*a, "monitor interval_ms", mc.interval_ms);
-      if (!s.is_ok()) return s;
-      if (mc.interval_ms < 1) {
-        return invalid_argument("monitor interval_ms must be >= 1");
-      }
-    }
-    if (const std::string* a = mon->attr("slo_p95_ms")) {
-      s = parse_double(*a, "monitor slo_p95_ms", mc.slo_p95_ms);
-      if (!s.is_ok()) return s;
-      if (mc.slo_p95_ms < 0.0) {
-        return invalid_argument("monitor slo_p95_ms must be >= 0");
-      }
-    }
-    if (const std::string* a = mon->attr("slo_max_ms")) {
-      s = parse_double(*a, "monitor slo_max_ms", mc.slo_max_ms);
-      if (!s.is_ok()) return s;
-      if (mc.slo_max_ms < 0.0) {
-        return invalid_argument("monitor slo_max_ms must be >= 0");
-      }
-    }
-    if (mc.enabled && mc.socket.empty()) {
-      return invalid_argument("monitor enabled but no socket path given");
-    }
-  }
-
-  // <facility nodes="16" seed="7">
-  //   <mds model="sharded" shards="8" replicas="2"/>
-  //   <placement policy="elastic" slo_p95_ms="500" trip="2" clear="3"
-  //              staging_gib_s="8" group_servers="8"/>
-  //   <tenants>
-  //     <tenant id="1" name="cm1-a" arrival="0" nodes="4"
-  //             strategy="damaris" iterations="8" slo_p95_ms="400"/>
-  //   </tenants>
-  // </facility> — the multi-tenant facility (DESIGN.md §16). Structural
-  // mistakes (negative arrivals, duplicate ids, unknown policy or
-  // strategy names, more replicas than shards) are rejected here.
-  if (const XmlNode* fac = root.child("facility")) {
-    FacilityConfig& fc = cfg.facility_;
-    fc.declared = true;
-    Status s = Status::ok();
-    if (const std::string* a = fac->attr("nodes")) {
-      s = parse_int(*a, "facility nodes", fc.nodes);
-      if (!s.is_ok()) return s;
-      if (fc.nodes < 1) {
-        return invalid_argument("facility nodes must be >= 1");
-      }
-    }
-    if (const std::string* a = fac->attr("seed")) {
-      char* endp = nullptr;
-      const unsigned long long v = std::strtoull(a->c_str(), &endp, 10);
-      if (endp == a->c_str() || *endp != '\0' || v == 0) {
-        return invalid_argument("bad facility seed '" + *a + "'");
-      }
-      fc.seed = v;
-    }
-    if (const XmlNode* mds = fac->child("mds")) {
-      fc.mds_model = mds->attr_or("model", "serialized");
-      if (fc.mds_model != "serialized" && fc.mds_model != "sharded") {
-        return invalid_argument(
-            "facility mds model must be serialized|sharded, got '" +
-            fc.mds_model + "'");
-      }
-      if (const std::string* a = mds->attr("shards")) {
-        s = parse_int(*a, "mds shards", fc.mds_shards);
-        if (!s.is_ok()) return s;
-        if (fc.mds_shards < 1) {
-          return invalid_argument("mds shards must be >= 1");
-        }
-      }
-      if (const std::string* a = mds->attr("replicas")) {
-        s = parse_int(*a, "mds replicas", fc.mds_replicas);
-        if (!s.is_ok()) return s;
-        if (fc.mds_replicas < 1) {
-          return invalid_argument("mds replicas must be >= 1");
-        }
-      }
-      if (fc.mds_replicas > fc.mds_shards) {
-        return invalid_argument(
-            "mds replicas (" + std::to_string(fc.mds_replicas) +
-            ") must not exceed shards (" + std::to_string(fc.mds_shards) +
-            ")");
-      }
-    }
-    if (const XmlNode* place = fac->child("placement")) {
-      FacilityPlacementDecl& pd = fc.placement;
-      pd.policy = place->attr_or("policy", "static");
-      if (pd.policy != "static" && pd.policy != "elastic") {
-        return invalid_argument(
-            "placement policy must be static|elastic, got '" + pd.policy +
-            "'");
-      }
-      if (const std::string* a = place->attr("slo_p95_ms")) {
-        s = parse_double(*a, "placement slo_p95_ms", pd.slo_p95_ms);
-        if (!s.is_ok()) return s;
-        if (pd.slo_p95_ms < 0.0) {
-          return invalid_argument("placement slo_p95_ms must be >= 0");
-        }
-      }
-      if (const std::string* a = place->attr("trip")) {
-        s = parse_int(*a, "placement trip", pd.trip);
-        if (!s.is_ok()) return s;
-        if (pd.trip < 1) {
-          return invalid_argument("placement trip must be >= 1");
-        }
-      }
-      if (const std::string* a = place->attr("clear")) {
-        s = parse_int(*a, "placement clear", pd.clear);
-        if (!s.is_ok()) return s;
-        if (pd.clear < 1) {
-          return invalid_argument("placement clear must be >= 1");
-        }
-      }
-      if (const std::string* a = place->attr("staging_gib_s")) {
-        s = parse_double(*a, "placement staging_gib_s", pd.staging_gib_s);
-        if (!s.is_ok()) return s;
-        if (pd.staging_gib_s <= 0.0) {
-          return invalid_argument("placement staging_gib_s must be > 0");
-        }
-      }
-      if (const std::string* a = place->attr("group_servers")) {
-        s = parse_int(*a, "placement group_servers", pd.group_servers);
-        if (!s.is_ok()) return s;
-        if (pd.group_servers < 1) {
-          return invalid_argument("placement group_servers must be >= 1");
-        }
-      }
-    }
-    if (const XmlNode* tenants = fac->child("tenants")) {
-      for (const XmlNode* n : tenants->children_named("tenant")) {
-        FacilityTenantDecl decl;
-        const std::string* id = n->attr("id");
-        if (!id) return invalid_argument("<tenant> without id");
-        s = parse_int(*id, "tenant id", decl.id);
-        if (!s.is_ok()) return s;
-        if (decl.id < 0) {
-          return invalid_argument("tenant id must be >= 0");
-        }
-        const std::string who = "tenant " + std::to_string(decl.id);
-        decl.name = n->attr_or("name", "tenant-" + std::to_string(decl.id));
-        if (const std::string* a = n->attr("arrival")) {
-          s = parse_double(*a, "tenant arrival", decl.arrival);
-          if (!s.is_ok()) return s;
-          if (decl.arrival < 0.0) {
-            return invalid_argument(who + ": arrival must be >= 0");
-          }
-        }
-        if (const std::string* a = n->attr("nodes")) {
-          s = parse_int(*a, "tenant nodes", decl.nodes);
-          if (!s.is_ok()) return s;
-        }
-        if (decl.nodes < 1) {
-          return invalid_argument(who + ": nodes must be >= 1");
-        }
-        if (decl.nodes > fc.nodes) {
-          return invalid_argument(
-              who + " wants " + std::to_string(decl.nodes) +
-              " nodes but the facility has " + std::to_string(fc.nodes));
-        }
-        decl.strategy = n->attr_or("strategy", "damaris");
-        if (decl.strategy != "file-per-process" &&
-            decl.strategy != "collective-io" && decl.strategy != "damaris" &&
-            decl.strategy != "no-io") {
-          return invalid_argument(who + ": unknown strategy '" +
-                                  decl.strategy + "'");
-        }
-        if (const std::string* a = n->attr("iterations")) {
-          s = parse_int(*a, "tenant iterations", decl.iterations);
-          if (!s.is_ok()) return s;
-          if (decl.iterations < 1) {
-            return invalid_argument(who + ": iterations must be >= 1");
-          }
-        }
-        if (const std::string* a = n->attr("slo_p95_ms")) {
-          s = parse_double(*a, "tenant slo_p95_ms", decl.slo_p95_ms);
-          if (!s.is_ok()) return s;
-          if (decl.slo_p95_ms < 0.0) {
-            return invalid_argument(who + ": slo_p95_ms must be >= 0");
-          }
-        }
-        for (const FacilityTenantDecl& other : fc.tenants) {
-          if (other.id == decl.id) {
-            return invalid_argument("duplicate tenant id " +
-                                    std::to_string(decl.id));
-          }
-        }
-        fc.tenants.push_back(std::move(decl));
-      }
     }
   }
 

@@ -17,9 +17,12 @@
 //     <event name="my_event" action="do_something"
 //            using="my_plugin" scope="local"/>
 //   </damaris>
+//
+// The example's `language` and `using` attributes are accepted and
+// ignored: dimensions are kept as declared, and an action is resolved by
+// name among the builtin and registered ones.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,16 +33,12 @@
 #include "fault/degrade.hpp"
 #include "fault/fault.hpp"
 #include "format/types.hpp"
-#include "sched/slot_scheduler.hpp"
 
 namespace dmr::config {
 
 struct LayoutDecl {
   std::string name;
   format::Layout layout;
-  /// Fortran layouts list dimensions fastest-first; we record the flag
-  /// and keep dims as declared.
-  bool fortran_order = false;
 };
 
 struct VariableDecl {
@@ -53,7 +52,6 @@ struct VariableDecl {
 struct EventDecl {
   std::string name;
   std::string action;   // function to invoke
-  std::string plugin;   // plugin providing it ("" = builtin)
   std::string scope;    // "local" (per node) or "global"
 };
 
@@ -64,17 +62,6 @@ struct EventDecl {
 struct ParameterDecl {
   std::string name;
   std::string value;  // initial value, as text
-};
-
-/// §IV-D write-scheduling knobs from the <scheduling> section. `alpha`
-/// is the EMA smoothing factor shared by the static SlotScheduler's
-/// interval estimate and the adaptive controller's load estimates;
-/// parse-time validated to (0, 1]. `adaptive` selects the trace-fed
-/// adaptive controller (sched/adaptive.hpp) over static uniform slots
-/// in harnesses that build a simulated run from this configuration.
-struct SchedulingConfig {
-  double alpha = sched::kDefaultAlpha;
-  bool adaptive = false;
 };
 
 /// One in-situ plugin instance from the <plugins> section (paper §III-C:
@@ -102,56 +89,6 @@ struct PluginsConfig {
   std::vector<PluginDecl> plugins;
 
   bool empty() const { return plugins.empty(); }
-};
-
-/// The <monitor> section: the live observability endpoint
-/// (monitor::MonitorServer) streaming snapshots over a local socket.
-/// SLO thresholds are in milliseconds over the per-iteration persist
-/// wall time; 0 disables the corresponding alert.
-struct MonitorConfig {
-  bool enabled = false;
-  std::string socket;    // AF_UNIX socket path (required when enabled)
-  int interval_ms = 100; // default subscribe streaming interval
-  double slo_p95_ms = 0.0;
-  double slo_max_ms = 0.0;
-};
-
-/// One <tenant> of the facility's <tenants> list: an application the
-/// facility admits at `arrival` onto `nodes` machine nodes.
-struct FacilityTenantDecl {
-  int id = 0;
-  std::string name;          // display name; defaults to "tenant-<id>"
-  double arrival = 0.0;      // simulated admission request time, seconds
-  int nodes = 1;             // contiguous node slice the tenant needs
-  std::string strategy = "damaris";  // strategies::strategy_name() value
-  int iterations = 8;
-  double slo_p95_ms = 0.0;   // per-tenant p95 SLO; 0 inherits <placement>
-};
-
-/// The facility's <placement> section: the elastic resource ladder
-/// (dedicated core -> dedicated node -> staging tier).
-struct FacilityPlacementDecl {
-  std::string policy = "static";  // "static" | "elastic"
-  double slo_p95_ms = 0.0;        // default p95 SLO over write phases
-  int trip = 2;                   // violating phases before escalating
-  int clear = 3;                  // clean phases before recovering
-  double staging_gib_s = 8.0;     // staging-tier absorption bandwidth
-  int group_servers = 8;          // data servers per reserved slice
-};
-
-/// The <facility> section: a multi-tenant run sharing one machine, with
-/// the sharded metadata service and the placement-policy engine
-/// (DESIGN.md §16). `declared` distinguishes "no section" from an
-/// explicit empty one.
-struct FacilityConfig {
-  bool declared = false;
-  int nodes = 8;
-  std::uint64_t seed = 1;
-  std::string mds_model = "serialized";  // "serialized" | "sharded"
-  int mds_shards = 8;
-  int mds_replicas = 1;
-  FacilityPlacementDecl placement;
-  std::vector<FacilityTenantDecl> tenants;
 };
 
 /// Parsed, validated configuration.
@@ -193,22 +130,10 @@ class Config {
   /// defaults (retries disabled, no fallbacks) when absent.
   const fault::ResilienceConfig& resilience() const { return resilience_; }
 
-  /// Write-scheduling knobs from the <scheduling> section; defaults
-  /// (alpha 0.3, static slots) when absent.
-  const SchedulingConfig& scheduling() const { return scheduling_; }
-
   /// In-situ plugin chain from the <plugins> section; empty() when the
   /// configuration declares none (the node takes the exact plugin-less
   /// iteration path).
   const PluginsConfig& plugins() const { return plugins_; }
-
-  /// Live-monitoring endpoint from the <monitor> section; disabled by
-  /// default.
-  const MonitorConfig& monitor() const { return monitor_; }
-
-  /// Multi-tenant facility description from the <facility> section;
-  /// `declared` is false when the configuration has none.
-  const FacilityConfig& facility() const { return facility_; }
 
  private:
   static Result<Config> from_xml(const XmlNode& root);
@@ -222,10 +147,7 @@ class Config {
   std::map<std::string, ParameterDecl> parameters_;
   fault::FaultPlan fault_plan_;
   fault::ResilienceConfig resilience_;
-  SchedulingConfig scheduling_;
   PluginsConfig plugins_;
-  MonitorConfig monitor_;
-  FacilityConfig facility_;
 };
 
 }  // namespace dmr::config

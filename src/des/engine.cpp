@@ -85,15 +85,6 @@ void Engine::Queue::pop_front() {
   }
 }
 
-void Engine::Queue::requeue_fifo() {
-  while (fifo_size_ != 0) {
-    const Entry e = fifo_[fifo_head_];
-    fifo_head_ = (fifo_head_ + 1) & (fifo_.size() - 1);
-    --fifo_size_;
-    push(e, false);
-  }
-}
-
 void Engine::Queue::fifo_push(const Entry& e) {
   if (fifo_size_ == fifo_.size()) {
     // Grow and unwrap: the entries move to [0, size) in order.
@@ -282,10 +273,10 @@ Time Engine::run() {
 }
 
 Time Engine::run_until(Time t_end) {
+  // Simulated time never runs backwards.
+  if (t_end < now_) return now_;
   while (const Entry* e = next_live()) {
     if (from_order_bits(e->t) > t_end) {
-      // Only a t_end before now() can leave the FIFO non-empty here.
-      if (t_end < now_) queue_.requeue_fifo();
       now_ = t_end;
       return now_;
     }

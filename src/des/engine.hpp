@@ -105,7 +105,8 @@ class Engine {
   Time run();
 
   /// Runs until simulated time would exceed `t_end`; events at exactly
-  /// t_end are processed. Returns the time reached.
+  /// t_end are processed. Returns the time reached, which is never
+  /// before now(): a `t_end` in the past changes nothing.
   Time run_until(Time t_end);
 
   /// Awaitable that suspends the calling process for `dt` seconds.
@@ -160,8 +161,6 @@ class Engine {
     const Entry* front();
     /// Removes the entry front() returned.
     void pop_front();
-    /// Moves the FIFO into the other tiers (before now() moves back).
-    void requeue_fifo();
 
    private:
     void fifo_push(const Entry& e);

@@ -230,8 +230,9 @@ FigureReport fig3_report() {
          {StrategyKind::kFilePerProcess, StrategyKind::kDamaris}) {
       RunConfig cfg = blueprint_config(kind, 1024, /*iterations=*/4,
                                        /*write_interval=*/1, bpp);
-      cfg.fpp_compression = true;  // the paper's BluePrint setup
-      cfg.damaris.compression = true;
+      // The paper's BluePrint setup.
+      cfg.fpp_compression = iopath::CompressionModel::lossless();
+      cfg.damaris.compression = iopath::CompressionModel::lossless();
       (kind == StrategyKind::kFilePerProcess ? fpp_runs : dam_runs)
           .push_back(run_strategy(cfg));
     }
@@ -588,10 +589,10 @@ FigureReport table1_report() {
 // --------------------------------------------------------------------- fig7
 
 FigureReport fig7_report() {
-  auto variant = [](RunConfig cfg, bool compression, bool precision16,
+  using iopath::CompressionModel;
+  auto variant = [](RunConfig cfg, CompressionModel compression,
                     bool scheduling) {
     cfg.damaris.compression = compression;
-    cfg.damaris.precision16 = precision16;
     cfg.damaris.slot_scheduling = scheduling;
     return run_strategy(cfg);
   };
@@ -602,12 +603,15 @@ FigureReport fig7_report() {
                                   /*iterations=*/5, /*write_interval=*/1);
   g5k.workload.seconds_per_iteration = 230.0;
 
-  const RunResult kr_plain = variant(kraken, false, false, false);
-  const RunResult kr_sched = variant(kraken, false, false, true);
-  const RunResult kr_comp = variant(kraken, true, false, false);
-  const RunResult kr_p16 = variant(kraken, true, true, false);
-  const RunResult g5_plain = variant(g5k, false, false, false);
-  const RunResult g5_sched = variant(g5k, false, false, true);
+  const CompressionModel none = CompressionModel::none();
+  const RunResult kr_plain = variant(kraken, none, false);
+  const RunResult kr_sched = variant(kraken, none, true);
+  const RunResult kr_comp =
+      variant(kraken, CompressionModel::lossless(), false);
+  const RunResult kr_p16 =
+      variant(kraken, CompressionModel::visualization(), false);
+  const RunResult g5_plain = variant(g5k, none, false);
+  const RunResult g5_sched = variant(g5k, none, true);
 
   const double interval = 230.0;  // one write per 230 s iteration
   auto busy = [&](const RunResult& r) {

@@ -102,59 +102,6 @@ Status validate(const FacilitySpec& spec) {
   return Status::ok();
 }
 
-namespace {
-
-strategies::StrategyKind kind_from(const std::string& name) {
-  if (name == "file-per-process") {
-    return strategies::StrategyKind::kFilePerProcess;
-  }
-  if (name == "collective-io") return strategies::StrategyKind::kCollectiveIo;
-  if (name == "no-io") return strategies::StrategyKind::kNoIo;
-  return strategies::StrategyKind::kDamaris;  // parse-time validated
-}
-
-}  // namespace
-
-FacilitySpec from_config(const config::FacilityConfig& decl,
-                         const strategies::RunConfig& base) {
-  FacilitySpec spec;
-  spec.platform_spec = base.platform;
-  spec.platform_spec.fs.metadata =
-      decl.mds_model == "sharded"
-          ? cluster::MetadataModel::kSharded
-          : cluster::MetadataModel::kSerializedSingleServer;
-  spec.platform_spec.fs.mds_shards = decl.mds_shards;
-  spec.platform_spec.fs.mds_replicas = decl.mds_replicas;
-  spec.facility_nodes = decl.nodes;
-  spec.facility_seed = decl.seed;
-
-  const config::FacilityPlacementDecl& p = decl.placement;
-  spec.placement_spec.policy =
-      p.policy == "elastic" ? PolicyKind::kElastic : PolicyKind::kStatic;
-  spec.placement_spec.slo_p95_seconds = p.slo_p95_ms / 1000.0;
-  spec.placement_spec.trip_phases = p.trip;
-  spec.placement_spec.clear_phases = p.clear;
-  spec.placement_spec.staging_bandwidth =
-      p.staging_gib_s * static_cast<double>(GiB);
-  spec.placement_spec.group_servers = p.group_servers;
-
-  for (const config::FacilityTenantDecl& t : decl.tenants) {
-    TenantSpec ts;
-    ts.tenant_id = t.id;
-    ts.display_name = t.name;
-    ts.arrival_time = t.arrival;
-    ts.slo_p95_seconds = t.slo_p95_ms / 1000.0;
-    ts.base_run = base;
-    ts.base_run.kind = kind_from(t.strategy);
-    ts.base_run.num_nodes = t.nodes;
-    ts.base_run.iterations = t.iterations;
-    // Distinct workload draws per tenant, reproducibly.
-    ts.base_run.seed = base.seed + static_cast<std::uint64_t>(t.id);
-    spec.tenant_specs.push_back(std::move(ts));
-  }
-  return spec;
-}
-
 // ---------------------------------------------------- PlacementEngine
 
 PlacementEngine::PlacementEngine(des::Engine& engine,

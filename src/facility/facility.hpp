@@ -35,7 +35,6 @@
 
 #include "cluster/machine.hpp"
 #include "common/stats.hpp"
-#include "config/config.hpp"
 #include "des/channel.hpp"
 #include "des/engine.hpp"
 #include "fs/sim_fs.hpp"
@@ -59,7 +58,7 @@ enum class PolicyKind { kStatic, kElastic };
 
 const char* policy_name(PolicyKind kind);
 
-/// Placement-ladder configuration (the <placement> config section).
+/// Placement-ladder configuration.
 struct PlacementSpec {
   PolicyKind policy = PolicyKind::kStatic;
   /// Default per-tenant p95 SLO on observed write seconds; 0 = none.
@@ -157,14 +156,6 @@ double jains_index(const std::vector<double>& xs);
 /// arrival times, unique tenant ids, admissible transports, tenants
 /// that fit the facility, sane ladder parameters.
 Status validate(const FacilitySpec& spec);
-
-/// Builds a FacilitySpec from a validated <facility> declaration.
-/// `base` is the template every tenant starts from; the declaration's
-/// per-tenant fields (strategy, nodes, iterations, SLO) override it,
-/// and each tenant's workload seed is derived from base.seed and its
-/// id so identical declarations replay identical facilities.
-FacilitySpec from_config(const config::FacilityConfig& decl,
-                         const strategies::RunConfig& base);
 
 /// The elastic placement-policy engine. Pure control logic plus the
 /// staging-tier burst buffer; it never advances simulated time itself.

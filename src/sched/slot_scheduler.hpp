@@ -26,7 +26,7 @@
 namespace dmr::sched {
 
 /// Default smoothing factor for the iteration-estimate EMA. Overridable
-/// per scheduler (and from XML via `<scheduling alpha="...">`).
+/// per scheduler.
 inline constexpr double kDefaultAlpha = 0.3;
 
 class SlotScheduler {

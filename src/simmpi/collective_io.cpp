@@ -5,23 +5,28 @@
 
 namespace dmr::simmpi {
 
-CollectiveWriter::CollectiveWriter(World& world, fs::SimFs& fs,
-                                   CollectiveWriteConfig cfg)
-    : world_(&world), fs_(&fs), cfg_(cfg) {
-  assert(cfg_.aggregators_per_node >= 1);
-  assert(cfg_.aggregators_per_node <= world.ranks_per_node());
+namespace {
+/// Aggregators per node (ROMIO cb_nodes style): the common SMP default.
+constexpr int kAggregatorsPerNode = 1;
+/// Request size aggregators issue to the FS (collective buffer size).
+constexpr Bytes kCollectiveBuffer = 16 * MiB;
+}  // namespace
+
+CollectiveWriter::CollectiveWriter(World& world, fs::SimFs& fs)
+    : world_(&world), fs_(&fs) {
+  assert(kAggregatorsPerNode <= world.ranks_per_node());
 }
 
 int CollectiveWriter::num_aggregators() const {
-  return world_->num_nodes_used() * cfg_.aggregators_per_node;
+  return world_->num_nodes_used() * kAggregatorsPerNode;
 }
 
 bool CollectiveWriter::is_aggregator(int rank) const {
-  return rank % world_->ranks_per_node() < cfg_.aggregators_per_node;
+  return rank % world_->ranks_per_node() < kAggregatorsPerNode;
 }
 
 int CollectiveWriter::aggregator_index(int rank) const {
-  return world_->node_of(rank) * cfg_.aggregators_per_node +
+  return world_->node_of(rank) * kAggregatorsPerNode +
          rank % world_->ranks_per_node();
 }
 
@@ -65,7 +70,7 @@ des::Task<void> CollectiveWriter::collective_write(int rank,
     const std::uint64_t offset =
         (static_cast<std::uint64_t>(idx) * per_agg) / stripe * stripe;
     fs::WriteOptions opts;
-    opts.max_request = cfg_.collective_buffer;
+    opts.max_request = kCollectiveBuffer;
     co_await fs_->write(w.core_of(rank), current_file_, offset, per_agg,
                         opts);
   }

@@ -1,8 +1,8 @@
 // ROMIO-like two-phase collective write (paper §II-B "collective I/O").
 //
 // Phase 1: ranks redistribute their data by file offset to a subset of
-// aggregator ranks (one per node by default, like ROMIO's cb_config on
-// SMP clusters) — a dense, synchronizing exchange.
+// aggregator ranks (one per node, like ROMIO's cb_config on SMP
+// clusters) — a dense, synchronizing exchange.
 // Phase 2: aggregators write contiguous file ranges of one shared file;
 // every striped request contends with the other aggregators at the
 // servers and through the extent-lock managers.
@@ -18,18 +18,9 @@
 
 namespace dmr::simmpi {
 
-struct CollectiveWriteConfig {
-  /// Aggregators per node (ROMIO cb_nodes style). 1 is the common SMP
-  /// default.
-  int aggregators_per_node = 1;
-  /// Request size aggregators issue to the FS (collective buffer size).
-  Bytes collective_buffer = 16 * MiB;
-};
-
 class CollectiveWriter {
  public:
-  CollectiveWriter(World& world, fs::SimFs& fs,
-                   CollectiveWriteConfig cfg = {});
+  CollectiveWriter(World& world, fs::SimFs& fs);
 
   /// One collective write phase: every rank contributes `bytes_per_rank`
   /// to a fresh shared file. Must be called by all ranks of the world.
@@ -45,7 +36,6 @@ class CollectiveWriter {
 
   World* world_;
   fs::SimFs* fs_;
-  CollectiveWriteConfig cfg_;
   // Per-phase shared state (file handle created by rank 0).
   fs::FileHandle current_file_;
   bool file_ready_ = false;

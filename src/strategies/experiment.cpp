@@ -11,6 +11,15 @@ namespace dmr::strategies {
 
 using iopath::StageKind;
 
+namespace {
+/// FUSE copy cost relative to shared memory (paper: ~10x, §V-B).
+constexpr double kFuseSlowdown = 10.0;
+/// Compute nodes per staging node under Transport::kDedicatedNodes.
+constexpr int kComputeNodesPerStaging = 32;
+/// Concurrent writers allowed under coordinated scheduling.
+constexpr int kCoordinationTokens = 8;
+}  // namespace
+
 Experiment::Experiment(const RunConfig& cfg)
     : Experiment(cfg, nullptr, nullptr, nullptr, 0, nullptr, nullptr) {}
 
@@ -33,9 +42,8 @@ Experiment::Experiment(const RunConfig& cfg, des::Engine* eng,
                  : 0),
       staging_nodes_(is_damaris_ &&
                              transport_ == Transport::kDedicatedNodes
-                         ? (cfg.num_nodes +
-                            cfg.damaris.compute_nodes_per_staging - 1) /
-                               cfg.damaris.compute_nodes_per_staging
+                         ? (cfg.num_nodes + kComputeNodesPerStaging - 1) /
+                               kComputeNodesPerStaging
                          : 0),
       owned_eng_(eng != nullptr ? nullptr : std::make_unique<des::Engine>()),
       eng_(eng != nullptr ? eng : owned_eng_.get()),
@@ -67,21 +75,19 @@ Experiment::Experiment(const RunConfig& cfg, des::Engine* eng,
   assert(owned_machine_ != nullptr ||
          transport_ != Transport::kDedicatedNodes);
   if (cfg_.kind == StrategyKind::kCollectiveIo) {
-    collective_ = std::make_unique<simmpi::CollectiveWriter>(
-        world_, *fs_, cfg_.collective);
+    collective_ = std::make_unique<simmpi::CollectiveWriter>(world_, *fs_);
   }
   if (is_damaris_) {
     for (int w = 0; w < num_writers(); ++w) {
       channels_.push_back(std::make_unique<des::Channel<PhaseMsg>>(*eng_));
     }
     if (cfg_.damaris.coordinated_scheduling) {
-      write_tokens_ = std::make_unique<des::Semaphore>(
-          *eng_, std::max(1, cfg_.damaris.coordination_tokens));
+      write_tokens_ =
+          std::make_unique<des::Semaphore>(*eng_, kCoordinationTokens);
     }
     if (cfg_.damaris.adaptive_scheduling) {
       slot_controller_ = std::make_unique<sched::AdaptiveSlotController>(
-          interval_seconds_ > 0 ? interval_seconds_ : 1.0, num_writers(),
-          cfg_.damaris.slot_alpha);
+          interval_seconds_ > 0 ? interval_seconds_ : 1.0, num_writers());
     }
   }
   if (cfg_.injector != nullptr) {
@@ -145,7 +151,7 @@ void Experiment::build_pipelines() {
       // file per process with HDF5-chunk-sized requests.
       client_pipeline_
           .add(std::make_unique<iopath::TransformStage>(
-              *eng_, cfg_.fpp_compression_model()))
+              *eng_, cfg_.fpp_compression))
           .add(std::make_unique<iopath::StorageStage>(
               *fs_, /*stripe_count=*/1, cfg_.fpp_request,
               cfg_.storage_retry, cfg_.seed));
@@ -160,11 +166,11 @@ void Experiment::build_pipelines() {
             std::make_unique<iopath::RemoteTransportStage>(*machine_));
       } else {
         client_pipeline_.add(std::make_unique<iopath::ShmIngestStage>(
-            *eng_, transport_ == Transport::kFuse ? d.fuse_slowdown : 1.0));
+            *eng_, transport_ == Transport::kFuse ? kFuseSlowdown : 1.0));
       }
       writer_pipeline_
-          .add(std::make_unique<iopath::TransformStage>(
-              *eng_, d.compression_model()))
+          .add(std::make_unique<iopath::TransformStage>(*eng_,
+                                                        d.compression))
           .add(std::make_unique<iopath::ScheduleStage>(
               *eng_, interval_seconds_ > 0 ? interval_seconds_ : 1.0,
               num_writers(), d.slot_scheduling, write_tokens_.get(),
@@ -191,7 +197,7 @@ int Experiment::writer_of_rank(int rank) const {
   // Slice-local node index (world_.node_of is offset by first_node_).
   const int node = world_.node_of(rank) - first_node_;
   if (transport_ == Transport::kDedicatedNodes) {
-    return node / cfg_.damaris.compute_nodes_per_staging;
+    return node / kComputeNodesPerStaging;
   }
   const int local = rank % ranks_per_node_;
   return node * ded_k_ + local % ded_k_;
@@ -217,7 +223,7 @@ int Experiment::writer_core(int writer) const {
 /// How many client messages a writer receives per phase.
 int Experiment::writer_clients(int writer) const {
   if (transport_ == Transport::kDedicatedNodes) {
-    const int fan = cfg_.damaris.compute_nodes_per_staging;
+    const int fan = kComputeNodesPerStaging;
     const int first = writer * fan;
     const int count = std::min(fan, cfg_.num_nodes - first);
     return count * ranks_per_node_;

@@ -30,8 +30,6 @@
 #include "fs/sim_fs.hpp"
 #include "iopath/compression_model.hpp"
 #include "iopath/metrics.hpp"
-#include "sched/slot_scheduler.hpp"
-#include "simmpi/collective_io.hpp"
 #include "trace/tracer.hpp"
 
 namespace dmr::strategies {
@@ -51,7 +49,8 @@ enum class Transport {
   kFuse,
   /// PreDatA/active-buffer style dedicated *nodes*: data leaves the
   /// compute node over the NIC and fans into a small set of staging
-  /// nodes (one per `compute_nodes_per_staging` compute nodes).
+  /// nodes (one per 32 compute nodes), added on top of the compute
+  /// nodes; their cores do not run the simulation.
   kDedicatedNodes,
 };
 
@@ -64,40 +63,12 @@ struct DamarisOptions {
   int dedicated_cores_per_node = 1;
 
   Transport transport = Transport::kSharedMemory;
-  /// FUSE slowdown factor vs shared memory (paper: ~10x).
-  double fuse_slowdown = 10.0;
-  /// Fan-in for Transport::kDedicatedNodes (staging nodes are added on
-  /// top of the compute nodes; their cores do not run the simulation).
-  int compute_nodes_per_staging = 32;
 
-  /// Lossless compression on the dedicated core (gzip stand-in): costs
-  /// CPU time at `compression_rate` and divides the stored bytes by
-  /// `compression_ratio` (the paper measured 1.87x). These fields are a
-  /// thin view over iopath::CompressionModel — the constants live there.
-  bool compression = false;
-  double compression_ratio = iopath::kGzipRatio;
-  double compression_rate = iopath::kGzipRate;
-
-  /// Additional 16-bit precision reduction for visualization outputs:
-  /// total ratio becomes ~6x (the paper's 600%); halving the data first
-  /// makes the lossless stage proportionally faster.
-  bool precision16 = false;
-  double precision16_ratio = iopath::kPrecision16Ratio;
-  double precision16_rate = iopath::kPrecision16Rate;
-
-  /// The CompressionModel these options describe (precision16 wins when
-  /// both reductions are enabled — it subsumes the lossless chain).
-  iopath::CompressionModel compression_model() const {
-    if (precision16) {
-      return iopath::CompressionModel::visualization(precision16_ratio,
-                                                     precision16_rate);
-    }
-    if (compression) {
-      return iopath::CompressionModel::lossless(compression_ratio,
-                                                compression_rate);
-    }
-    return iopath::CompressionModel::none();
-  }
+  /// Data reduction on the dedicated core (§IV-D): none, lossless (gzip
+  /// stand-in, the paper's 1.87x) or visualization (16-bit precision in
+  /// front of the lossless chain, ~6x). It costs CPU time at the
+  /// model's rate and divides the stored bytes by its ratio.
+  iopath::CompressionModel compression;
 
   /// §IV-D slot scheduling of dedicated-core writes.
   bool slot_scheduling = false;
@@ -110,20 +81,15 @@ struct DamarisOptions {
   /// so a balanced workload matches slot_scheduling within noise while
   /// an imbalanced one recovers the throughput static slots lose.
   /// Implies slot-style scheduling (slot_scheduling need not be set).
+  /// Its load and interval estimates smooth with sched::kDefaultAlpha.
   bool adaptive_scheduling = false;
-  /// EMA smoothing factor for the controller's load and interval
-  /// estimates (the `<scheduling alpha="...">` config key; clamped into
-  /// (0, 1]).
-  double slot_alpha = sched::kDefaultAlpha;
 
   /// §VI future-work extension: *coordinated* distributed I/O scheduling.
   /// Instead of communication-free local slots, the dedicated cores pass
-  /// `coordination_tokens` write tokens among themselves, bounding the
-  /// number of concurrent writers hitting the file system. Mutually
-  /// exclusive with slot_scheduling in spirit; if both are set, slots
-  /// apply first.
+  /// eight write tokens among themselves, bounding the number of
+  /// concurrent writers hitting the file system. Mutually exclusive with
+  /// slot_scheduling in spirit; if both are set, slots apply first.
   bool coordinated_scheduling = false;
-  int coordination_tokens = 8;
 
   /// Request size and stripe count of the per-node files.
   Bytes write_request = 128 * MiB;
@@ -146,12 +112,8 @@ struct RunConfig {
   /// HDF5 gzip in the file-per-process path (the paper enabled it for
   /// every BluePrint experiment): each *compute core* pays the CPU cost
   /// inside its write phase before shipping the smaller volume — unlike
-  /// Damaris, where the same work hides on the dedicated core. Thin
-  /// view over iopath::CompressionModel, like DamarisOptions.
-  bool fpp_compression = false;
-  double fpp_compression_ratio = iopath::kGzipRatio;
-  double fpp_compression_rate = iopath::kGzipRate;
-  simmpi::CollectiveWriteConfig collective;
+  /// Damaris, where the same work hides on the dedicated core.
+  iopath::CompressionModel fpp_compression;
 
   /// Optional structured tracing (not owned; null = untraced). The
   /// tracer is installed for the duration of run_strategy() via
@@ -169,14 +131,6 @@ struct RunConfig {
   /// Retry policy for Storage-stage writes (default: disabled — a
   /// failed write is recorded in the results and not retried).
   fault::RetryPolicy storage_retry;
-
-  /// The Transform model of the file-per-process client pipeline.
-  iopath::CompressionModel fpp_compression_model() const {
-    return fpp_compression
-               ? iopath::CompressionModel::lossless(fpp_compression_ratio,
-                                                    fpp_compression_rate)
-               : iopath::CompressionModel::none();
-  }
 };
 
 struct RunResult {

@@ -101,7 +101,6 @@ TEST(Config, ParsesPaperExample) {
   ASSERT_NE(l, nullptr);
   EXPECT_EQ(l->layout.type, format::DataType::kFloat32);  // "real"
   EXPECT_EQ(l->layout.dims, (std::vector<std::uint64_t>{64, 16, 2}));
-  EXPECT_TRUE(l->fortran_order);
 
   const VariableDecl* v = c.find_variable("my_variable");
   ASSERT_NE(v, nullptr);
@@ -110,7 +109,6 @@ TEST(Config, ParsesPaperExample) {
   const EventDecl* e = c.find_event("my_event");
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->action, "do_something");
-  EXPECT_EQ(e->plugin, "my_plugin");
   EXPECT_EQ(e->scope, "local");
 
   const format::Layout* resolved = c.layout_of("my_variable");
@@ -191,6 +189,18 @@ TEST(Config, RejectsBadPolicyAndScopeAndPipeline) {
       <variable name="v" layout="l" pipeline="zip"/>
     </damaris>)")
                    .is_ok());
+}
+
+TEST(Config, RejectsUnknownSection) {
+  // A misspelled section, and sections no part of the node reads.
+  for (const char* name : {"resiliance", "monitor", "scheduling", "facility"}) {
+    const std::string xml = std::string("<damaris><") + name + "/></damaris>";
+    auto r = Config::from_string(xml);
+    ASSERT_FALSE(r.is_ok()) << xml;
+    EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << xml;
+    EXPECT_NE(r.status().message().find(name), std::string::npos)
+        << r.status().to_string();
+  }
 }
 
 TEST(Config, RejectsEventWithoutAction) {
@@ -320,55 +330,6 @@ TEST(Config, RejectsMalformedResilience) {
                    .is_ok());
 }
 
-TEST(Config, ParsesScheduling) {
-  auto r = Config::from_string(R"(
-    <damaris><scheduling alpha="0.5" adaptive="true"/></damaris>)");
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  EXPECT_DOUBLE_EQ(r.value().scheduling().alpha, 0.5);
-  EXPECT_TRUE(r.value().scheduling().adaptive);
-}
-
-TEST(Config, SchedulingDefaults) {
-  auto r = Config::from_string("<damaris/>");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_DOUBLE_EQ(r.value().scheduling().alpha, sched::kDefaultAlpha);
-  EXPECT_FALSE(r.value().scheduling().adaptive);
-  // An empty <scheduling/> keeps the defaults too.
-  auto empty = Config::from_string("<damaris><scheduling/></damaris>");
-  ASSERT_TRUE(empty.is_ok());
-  EXPECT_DOUBLE_EQ(empty.value().scheduling().alpha, sched::kDefaultAlpha);
-  EXPECT_FALSE(empty.value().scheduling().adaptive);
-}
-
-TEST(Config, SchedulingAlphaBoundaryOneIsValid) {
-  auto r = Config::from_string(R"(
-    <damaris><scheduling alpha="1.0"/></damaris>)");
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  EXPECT_DOUBLE_EQ(r.value().scheduling().alpha, 1.0);
-}
-
-TEST(Config, RejectsMalformedScheduling) {
-  // Out-of-range alphas are a config mistake, not something to clamp.
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><scheduling alpha="0"/></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><scheduling alpha="-0.3"/></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><scheduling alpha="1.5"/></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><scheduling alpha="nan"/></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><scheduling alpha="abc"/></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><scheduling adaptive="maybe"/></damaris>)")
-                   .is_ok());
-}
-
 // --------------------------------------------------- <plugins> section
 
 TEST(Config, ParsesPlugins) {
@@ -440,156 +401,6 @@ TEST(Config, RejectsMalformedPlugins) {
   for (const char* xml : bad) {
     EXPECT_FALSE(Config::from_string(xml).is_ok()) << xml;
   }
-}
-
-// --------------------------------------------------- <monitor> section
-
-TEST(Config, ParsesMonitor) {
-  auto r = Config::from_string(R"(
-    <damaris>
-      <monitor enabled="true" socket="/tmp/dmr.sock" interval_ms="250"
-               slo_p95_ms="10" slo_max_ms="50"/>
-    </damaris>)");
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  const MonitorConfig& m = r.value().monitor();
-  EXPECT_TRUE(m.enabled);
-  EXPECT_EQ(m.socket, "/tmp/dmr.sock");
-  EXPECT_EQ(m.interval_ms, 250);
-  EXPECT_DOUBLE_EQ(m.slo_p95_ms, 10.0);
-  EXPECT_DOUBLE_EQ(m.slo_max_ms, 50.0);
-}
-
-TEST(Config, MonitorDefaultsDisabled) {
-  auto r = Config::from_string("<damaris/>");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_FALSE(r.value().monitor().enabled);
-  EXPECT_EQ(r.value().monitor().interval_ms, 100);
-}
-
-TEST(Config, RejectsMalformedMonitor) {
-  // enabled without a socket path
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><monitor enabled="true"/></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><monitor enabled="yes" socket="/tmp/x"/></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><monitor socket="/tmp/x" interval_ms="0"/></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><monitor socket="/tmp/x" slo_p95_ms="-2"/></damaris>)")
-                   .is_ok());
-}
-
-// ------------------------------------------------------------- facility
-
-TEST(Config, ParsesFacilitySection) {
-  auto r = Config::from_string(R"(
-    <damaris>
-      <facility nodes="16" seed="7">
-        <mds model="sharded" shards="8" replicas="2"/>
-        <placement policy="elastic" slo_p95_ms="500" trip="2" clear="3"
-                   staging_gib_s="4" group_servers="6"/>
-        <tenants>
-          <tenant id="1" name="cm1-a" arrival="0" nodes="4"
-                  strategy="damaris" iterations="8" slo_p95_ms="400"/>
-          <tenant id="2" arrival="30.5" nodes="2"
-                  strategy="file-per-process"/>
-        </tenants>
-      </facility>
-    </damaris>)");
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  const FacilityConfig& f = r.value().facility();
-  EXPECT_TRUE(f.declared);
-  EXPECT_EQ(f.nodes, 16);
-  EXPECT_EQ(f.seed, 7u);
-  EXPECT_EQ(f.mds_model, "sharded");
-  EXPECT_EQ(f.mds_shards, 8);
-  EXPECT_EQ(f.mds_replicas, 2);
-  EXPECT_EQ(f.placement.policy, "elastic");
-  EXPECT_DOUBLE_EQ(f.placement.slo_p95_ms, 500.0);
-  EXPECT_EQ(f.placement.trip, 2);
-  EXPECT_EQ(f.placement.clear, 3);
-  EXPECT_DOUBLE_EQ(f.placement.staging_gib_s, 4.0);
-  EXPECT_EQ(f.placement.group_servers, 6);
-  ASSERT_EQ(f.tenants.size(), 2u);
-  EXPECT_EQ(f.tenants[0].id, 1);
-  EXPECT_EQ(f.tenants[0].name, "cm1-a");
-  EXPECT_EQ(f.tenants[0].nodes, 4);
-  EXPECT_EQ(f.tenants[0].strategy, "damaris");
-  EXPECT_EQ(f.tenants[0].iterations, 8);
-  EXPECT_DOUBLE_EQ(f.tenants[0].slo_p95_ms, 400.0);
-  EXPECT_EQ(f.tenants[1].name, "tenant-2");  // defaulted
-  EXPECT_DOUBLE_EQ(f.tenants[1].arrival, 30.5);
-  EXPECT_EQ(f.tenants[1].strategy, "file-per-process");
-}
-
-TEST(Config, FacilityDefaultsUndeclared) {
-  auto r = Config::from_string("<damaris/>");
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_FALSE(r.value().facility().declared);
-  // An empty declaration still flips `declared` and keeps the defaults.
-  auto e = Config::from_string("<damaris><facility/></damaris>");
-  ASSERT_TRUE(e.is_ok());
-  EXPECT_TRUE(e.value().facility().declared);
-  EXPECT_EQ(e.value().facility().mds_model, "serialized");
-  EXPECT_EQ(e.value().facility().placement.policy, "static");
-}
-
-TEST(Config, RejectsMalformedFacility) {
-  // Negative arrival time.
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility><tenants>
-      <tenant id="1" arrival="-1"/>
-    </tenants></facility></damaris>)")
-                   .is_ok());
-  // Duplicate tenant ids.
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility><tenants>
-      <tenant id="1"/><tenant id="1"/>
-    </tenants></facility></damaris>)")
-                   .is_ok());
-  // Tenant without an id.
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility><tenants><tenant/></tenants></facility></damaris>)")
-                   .is_ok());
-  // Unknown placement policy name.
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility>
-      <placement policy="greedy"/>
-    </facility></damaris>)")
-                   .is_ok());
-  // Unknown mds model / strategy names.
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility><mds model="raided"/></facility></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility><tenants>
-      <tenant id="1" strategy="plfs"/>
-    </tenants></facility></damaris>)")
-                   .is_ok());
-  // More replicas than shards.
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility><mds model="sharded" shards="2" replicas="3"/>
-    </facility></damaris>)")
-                   .is_ok());
-  // Tenant larger than the facility.
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility nodes="2"><tenants>
-      <tenant id="1" nodes="4"/>
-    </tenants></facility></damaris>)")
-                   .is_ok());
-  // Zero-valued ladder parameters and a bad seed.
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility><placement trip="0"/></facility></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility><placement staging_gib_s="0"/></facility></damaris>)")
-                   .is_ok());
-  EXPECT_FALSE(Config::from_string(R"(
-    <damaris><facility seed="0"/></damaris>)")
-                   .is_ok());
 }
 
 }  // namespace

@@ -101,6 +101,21 @@ TEST(Engine, RunUntilStopsEarly) {
   EXPECT_EQ(count, 10);
 }
 
+TEST(Engine, RunUntilBeforeNowKeepsTime) {
+  Engine eng;
+  std::vector<double> fired;
+  auto record = [&] { fired.push_back(eng.now()); };
+  eng.schedule_callback(2.0, record);
+  eng.schedule_callback(5.0, record);
+  EXPECT_DOUBLE_EQ(eng.run_until(3.0), 3.0);
+  EXPECT_DOUBLE_EQ(eng.run_until(1.0), 3.0);
+  EXPECT_DOUBLE_EQ(eng.now(), 3.0);
+  // An event scheduled "now" lands after the instants already dispatched.
+  eng.schedule_callback(eng.now(), record);
+  eng.run();
+  EXPECT_EQ(fired, (std::vector<double>{2.0, 3.0, 5.0}));
+}
+
 TEST(Engine, ZeroDelayRunsAtSameTime) {
   Engine eng;
   double t = -1;
@@ -358,7 +373,7 @@ class OrderModel {
   }
 
   /// run_until to a boundary: an event's exact time, between events,
-  /// the current instant, or (rarely) before it.
+  /// the current instant, or (rarely) before it, which keeps the time.
   void run_slice() {
     Time t_end = now_;
     const auto r = rng_.next_below(100);
@@ -373,15 +388,13 @@ class OrderModel {
     } else if (r < 98) {
       t_end = now_;
     } else {
-      t_end = now_ / 2;  // moves now() back; pending events stay put
+      t_end = now_ / 2;
     }
     const Time reached = eng_.run_until(t_end);
     if (!pending_.empty()) {
       EXPECT_GT(pending_.begin()->first.first, t_end);
-      now_ = t_end;
-    } else if (now_ < t_end) {
-      now_ = t_end;
     }
+    now_ = std::max(now_, t_end);
     EXPECT_EQ(reached, now_);
     EXPECT_EQ(eng_.now(), now_);
   }

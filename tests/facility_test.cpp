@@ -1,8 +1,8 @@
-// Facility-layer tests: spec validation and config translation, the
-// placement ladder's hysteresis, the sharded-MDS shard map, facility
-// monitoring snapshots, and — the anchor — single-tenant parity: a
-// facility hosting exactly one tenant at t=0 with default placement
-// replays the run_strategy() timeline bit-for-bit.
+// Facility-layer tests: spec validation, the placement ladder's
+// hysteresis, the sharded-MDS shard map, facility monitoring snapshots,
+// and — the anchor — single-tenant parity: a facility hosting exactly
+// one tenant at t=0 with default placement replays the run_strategy()
+// timeline bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -99,64 +99,6 @@ TEST(FacilityValidate, RejectsStructuralMistakes) {
     spec.placement_spec.staging_bandwidth = 0.0;
     EXPECT_FALSE(validate(spec).is_ok());
   }
-}
-
-// -------------------------------------------------------- from_config
-
-TEST(FacilityFromConfig, TranslatesDeclarationAndDerivesSeeds) {
-  config::FacilityConfig decl;
-  decl.declared = true;
-  decl.nodes = 8;
-  decl.seed = 77;
-  decl.mds_model = "sharded";
-  decl.mds_shards = 4;
-  decl.mds_replicas = 2;
-  decl.placement.policy = "elastic";
-  decl.placement.slo_p95_ms = 250.0;
-  decl.placement.trip = 3;
-  decl.placement.clear = 5;
-  decl.placement.staging_gib_s = 2.0;
-  decl.placement.group_servers = 6;
-  config::FacilityTenantDecl t;
-  t.id = 3;
-  t.name = "cm1-a";
-  t.arrival = 12.5;
-  t.nodes = 2;
-  t.strategy = "file-per-process";
-  t.iterations = 5;
-  t.slo_p95_ms = 400.0;
-  decl.tenants.push_back(t);
-
-  const strategies::RunConfig base = small_damaris();
-  const FacilitySpec spec = from_config(decl, base);
-  EXPECT_EQ(spec.platform_spec.fs.metadata, cluster::MetadataModel::kSharded);
-  EXPECT_EQ(spec.platform_spec.fs.mds_shards, 4);
-  EXPECT_EQ(spec.platform_spec.fs.mds_replicas, 2);
-  EXPECT_EQ(spec.facility_nodes, 8);
-  EXPECT_EQ(spec.facility_seed, 77u);
-  EXPECT_EQ(spec.placement_spec.policy, PolicyKind::kElastic);
-  EXPECT_DOUBLE_EQ(spec.placement_spec.slo_p95_seconds, 0.25);
-  EXPECT_EQ(spec.placement_spec.trip_phases, 3);
-  EXPECT_EQ(spec.placement_spec.clear_phases, 5);
-  EXPECT_DOUBLE_EQ(spec.placement_spec.staging_bandwidth,
-                   2.0 * static_cast<double>(GiB));
-  EXPECT_EQ(spec.placement_spec.group_servers, 6);
-
-  ASSERT_EQ(spec.tenant_specs.size(), 1u);
-  const TenantSpec& ts = spec.tenant_specs[0];
-  EXPECT_EQ(ts.tenant_id, 3);
-  EXPECT_EQ(ts.display_name, "cm1-a");
-  EXPECT_DOUBLE_EQ(ts.arrival_time, 12.5);
-  EXPECT_DOUBLE_EQ(ts.slo_p95_seconds, 0.4);
-  EXPECT_EQ(ts.base_run.kind, strategies::StrategyKind::kFilePerProcess);
-  EXPECT_EQ(ts.base_run.num_nodes, 2);
-  EXPECT_EQ(ts.base_run.iterations, 5);
-  EXPECT_EQ(ts.base_run.seed, base.seed + 3);
-
-  // Serialized model keeps the historical single-MDS platform.
-  decl.mds_model = "serialized";
-  EXPECT_EQ(from_config(decl, base).platform_spec.fs.metadata,
-            cluster::MetadataModel::kSerializedSingleServer);
 }
 
 // ---------------------------------------------------- PlacementEngine

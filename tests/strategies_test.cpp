@@ -100,23 +100,22 @@ TEST(Strategies, DamarisSpareFractionSane) {
 
 TEST(Strategies, CompressionShrinksStoredBytes) {
   auto cfg = small(StrategyKind::kDamaris);
-  cfg.damaris.compression = true;
+  cfg.damaris.compression = iopath::CompressionModel::lossless();
   auto res = run_strategy(cfg);
   EXPECT_NEAR(static_cast<double>(res.bytes_per_phase) /
                   static_cast<double>(res.stored_bytes_per_phase),
-              cfg.damaris.compression_ratio, 0.05);
+              iopath::kGzipRatio, 0.05);
   // The FS saw the compressed volume, not the raw one.
   EXPECT_LT(res.fs_stats.bytes_written, res.bytes_per_phase * 3);
 }
 
 TEST(Strategies, Precision16ShrinksMore) {
   auto cfg = small(StrategyKind::kDamaris);
-  cfg.damaris.compression = true;
-  cfg.damaris.precision16 = true;
+  cfg.damaris.compression = iopath::CompressionModel::visualization();
   auto res = run_strategy(cfg);
   EXPECT_NEAR(static_cast<double>(res.bytes_per_phase) /
                   static_cast<double>(res.stored_bytes_per_phase),
-              cfg.damaris.precision16_ratio, 0.1);
+              iopath::kPrecision16Ratio, 0.1);
 }
 
 TEST(Strategies, SchedulingSpreadsWrites) {
