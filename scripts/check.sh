@@ -4,41 +4,27 @@
 #   scripts/check.sh            # lint + ASan ctest + UBSan ctest
 #   scripts/check.sh --tsan     # ... plus the threaded suites under TSan
 #   scripts/check.sh --fast     # lint + ASan only (quick local loop)
-#   scripts/check.sh --model    # ... plus the shm-protocol model checker
-#   scripts/check.sh --chaos    # ... plus the fixed-seed fault matrix
-#   scripts/check.sh --sched    # ... plus the adaptive-scheduler gate
-#   scripts/check.sh --plugins  # ... plus the in-situ analytics gate
-#   scripts/check.sh --facility # ... plus the multi-tenant facility gate
 #   scripts/check.sh --static   # ... plus the static gates: dmr_verify +
 #                               #     -Wthread-safety build (Clang only)
 #
+# Every correctness gate is a ctest case (the Mc* model checker, the
+# FaultChaos fault-injection gates, the adaptive-slot, plugin idle-budget
+# and facility gates), so the ASan and UBSan runs cover all of them.
 # Each sanitizer gets its own build tree (build-asan, build-ubsan,
-# build-tsan) so trees stay incremental across runs; the model-checking
-# stage gets an optimized build-mc tree (exploration is CPU-bound and
-# budgeted at ~60s). The lint step uses the regular `build/` tree's
-# compilation database and is skipped with a notice when clang-tidy is
-# not installed.
+# build-tsan) so trees stay incremental across runs. The lint step uses
+# the regular `build/` tree's compilation database and is skipped with a
+# notice when clang-tidy is not installed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 RUN_TSAN=0
 RUN_UBSAN=1
-RUN_MODEL=0
-RUN_CHAOS=0
-RUN_SCHED=0
-RUN_PLUGINS=0
-RUN_FACILITY=0
 RUN_STATIC=0
 for arg in "$@"; do
   case "$arg" in
     --tsan) RUN_TSAN=1 ;;
     --fast) RUN_UBSAN=0 ;;
-    --model) RUN_MODEL=1 ;;
-    --chaos) RUN_CHAOS=1 ;;
-    --sched) RUN_SCHED=1 ;;
-    --plugins) RUN_PLUGINS=1 ;;
-    --facility) RUN_FACILITY=1 ;;
     --static) RUN_STATIC=1 ;;
     *) echo "unknown option: $arg" >&2; exit 2 ;;
   esac
@@ -158,77 +144,12 @@ if [ "$RUN_TSAN" = 1 ]; then
   # The threaded suites: shared-memory layer, protocol checker, the
   # middleware tests that drive real client threads through the node
   # (one shard and two; anchored so FaultNodeFixture stays out), the
-  # lock-free trace ring's concurrent-writer tests, and one chaos
-  # scenario (a mixed fault plan driven by four real client threads).
+  # lock-free trace ring's concurrent-writer tests, and the chaos gates
+  # (a mixed fault plan under four client threads, the acceptance plan
+  # and the queue-close fallback under three).
   run_sanitized_ctest thread build-tsan \
     "FirstFit|Partitioned|EventQueue|AllocatorProperty|ProtocolChecker|Determinism|^NodeFixture\.|^TwoShardFixture\.|TraceRing|FaultChaos" \
     shm_test check_test core_test multicore_test trace_test fault_test
-fi
-
-# -------------------------------------------- shm-protocol model checking
-# Exhaustive interleaving exploration (sleep-set DFS) of the shared
-# buffer / event queue handoff, plus the seeded-mutation catches — the
-# Mc* suites of tests/mc_test.cpp. Runs in an optimized tree: the
-# exploration is CPU-bound, and the suite's scenarios are sized to fit
-# a ~60s budget even on one core.
-if [ "$RUN_MODEL" = 1 ]; then
-  step "model checker (ctest -R '^Mc', build-mc)"
-  cmake -B build-mc -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-mc -j "$JOBS" --target mc_test
-  ctest --test-dir build-mc -R '^Mc' --output-on-failure -j "$JOBS"
-fi
-
-# ----------------------------------------------------- chaos harness
-# Fixed-seed fault matrix under the FaultChecker (bench_fault --check):
-# the acceptance plan must recover 100% of iterations with a clean
-# accounting ledger, identically across two runs. Optimized tree, ~60s
-# budget (the workload itself takes a few seconds).
-if [ "$RUN_CHAOS" = 1 ]; then
-  step "chaos (bench_fault --check, build-mc)"
-  cmake -B build-mc -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-mc -j "$JOBS" --target bench_fault
-  ./build-mc/bench/bench_fault build-mc/BENCH_fault.json --check
-fi
-
-# ------------------------------------------------- scheduling harness
-# Static vs adaptive slot scheduling (bench_sched --check): the
-# adaptive controller must beat static slots on the imbalanced AMR
-# workload, match them within noise on the balanced one, retune, and be
-# seed-deterministic; the checkpoint/restart burst must round-trip
-# through DH5. Optimized tree, ~60s budget.
-if [ "$RUN_SCHED" = 1 ]; then
-  step "sched (bench_sched --check, build-mc)"
-  cmake -B build-mc -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-mc -j "$JOBS" --target bench_sched
-  ./build-mc/bench/bench_sched build-mc/BENCH_sched.json --check
-fi
-
-# --------------------------------------------- in-situ analytics gate
-# Plugin chain + live monitor (bench_plugin --check): the builtin chain
-# must fit the dedicated cores' measured idle budget (Fig 5), produce
-# identical analytics across identical runs, and a live MonitorClient
-# must observe jitter percentiles, degrade state and ledger counters
-# from the running workload. Optimized tree, ~60s budget.
-if [ "$RUN_PLUGINS" = 1 ]; then
-  step "plugins (bench_plugin --check, build-mc)"
-  cmake -B build-mc -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-mc -j "$JOBS" --target bench_plugin
-  ./build-mc/bench/bench_plugin build-mc/BENCH_plugin.json --check
-fi
-
-# ---------------------------------------------- multi-tenant facility
-# Facility layer (bench_facility --check): the sharded metadata service
-# must give >= 2x aggregate throughput over the serialized single MDS
-# under a 64-tenant file-per-process create storm, the elastic
-# placement ladder must hold the per-tenant p95 write SLO where the
-# static policy fails, runs must be seed-deterministic, and a 1-tenant
-# facility must replay the exact run_strategy() timeline. Optimized
-# tree, ~60s budget (the scenarios themselves take a few seconds).
-if [ "$RUN_FACILITY" = 1 ]; then
-  step "facility (bench_facility --check, build-mc)"
-  cmake -B build-mc -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build build-mc -j "$JOBS" --target bench_facility
-  ./build-mc/bench/bench_facility build-mc/BENCH_facility.json --check
 fi
 
 # ------------------------------------------------------- static gates

@@ -1,18 +1,14 @@
 #!/usr/bin/env bash
-# The single pre-merge gate: tier-1 build + full ctest, then the
-# correctness matrix of scripts/check.sh (lint + sanitizers), then the
-# end-to-end benchmark smoke run.
+# The single pre-merge gate: tier-1 build + full ctest (every correctness
+# gate is a ctest case), then the correctness matrix of scripts/check.sh
+# (lint + sanitizers + static gates), then the end-to-end benchmark
+# smoke run.
 #
-#   scripts/ci.sh               # tier-1 + lint + ASan + UBSan + model check
-#   scripts/ci.sh --fast        # tier-1 + lint + ASan (quick local loop)
-#   scripts/ci.sh --no-e2e      # skip the e2ebench smoke run (--fast skips it too)
+#   scripts/ci.sh               # tier-1 + docs + lint + ASan + UBSan + static + e2e
+#   scripts/ci.sh --fast        # ... without UBSan and e2e (quick local loop)
 #   scripts/ci.sh --tsan        # ... plus the threaded suites under TSan
+#   scripts/ci.sh --no-e2e      # skip the e2ebench smoke run (--fast skips it too)
 #   scripts/ci.sh --no-docs     # skip the EXPERIMENTS.md drift gate
-#   scripts/ci.sh --no-model    # skip the shm-protocol model-checking stage
-#   scripts/ci.sh --no-chaos    # skip the fixed-seed fault-injection matrix
-#   scripts/ci.sh --no-sched    # skip the adaptive-scheduler gate (bench_sched)
-#   scripts/ci.sh --no-plugins  # skip the in-situ analytics gate (bench_plugin)
-#   scripts/ci.sh --no-facility # skip the multi-tenant facility gate (bench_facility)
 #   scripts/ci.sh --no-static   # skip the static gates (dmr_verify + -Wthread-safety)
 #
 # Extra flags are passed through to scripts/check.sh. Exits non-zero on
@@ -22,43 +18,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 RUN_DOCS=1
-RUN_MODEL=1
-RUN_CHAOS=1
-RUN_SCHED=1
-RUN_PLUGINS=1
-RUN_FACILITY=1
 RUN_STATIC=1
 RUN_E2E=1
 CHECK_ARGS=()
 for arg in "$@"; do
   case "$arg" in
     --no-docs) RUN_DOCS=0 ;;
-    --no-model) RUN_MODEL=0 ;;
-    --no-chaos) RUN_CHAOS=0 ;;
-    --no-sched) RUN_SCHED=0 ;;
-    --no-plugins) RUN_PLUGINS=0 ;;
-    --no-facility) RUN_FACILITY=0 ;;
     --no-static) RUN_STATIC=0 ;;
     --no-e2e) RUN_E2E=0 ;;
-    --fast) RUN_MODEL=0; RUN_CHAOS=0; RUN_SCHED=0; RUN_PLUGINS=0; RUN_FACILITY=0; RUN_E2E=0; CHECK_ARGS+=("$arg") ;;
+    --fast) RUN_E2E=0; CHECK_ARGS+=("$arg") ;;
     *) CHECK_ARGS+=("$arg") ;;
   esac
 done
-if [ "$RUN_MODEL" = 1 ]; then
-  CHECK_ARGS+=("--model")
-fi
-if [ "$RUN_CHAOS" = 1 ]; then
-  CHECK_ARGS+=("--chaos")
-fi
-if [ "$RUN_SCHED" = 1 ]; then
-  CHECK_ARGS+=("--sched")
-fi
-if [ "$RUN_PLUGINS" = 1 ]; then
-  CHECK_ARGS+=("--plugins")
-fi
-if [ "$RUN_FACILITY" = 1 ]; then
-  CHECK_ARGS+=("--facility")
-fi
 if [ "$RUN_STATIC" = 1 ]; then
   CHECK_ARGS+=("--static")
 fi

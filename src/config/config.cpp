@@ -1,30 +1,55 @@
 #include "config/config.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <string_view>
 
 namespace dmr::config {
 
 namespace {
 
-/// Parses "64,16,2" into dims; rejects empties and non-numbers.
-Status parse_dimensions(const std::string& s,
+/// Strict positive decimal parse: digits only (no sign, space or
+/// trailing junk), non-zero and at most 2^64 - 1. strtoull alone reads
+/// "-1" as 2^64 - 1.
+Status parse_positive_u64(const std::string& s, const std::string& what,
+                          std::uint64_t& out) {
+  errno = 0;
+  char* endp = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &endp, 10);
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])) ||
+      *endp != '\0' || errno == ERANGE || v == 0) {
+    return invalid_argument("bad " + what + " '" + s + "'");
+  }
+  out = v;
+  return Status::ok();
+}
+
+/// Parses "64,16,2" into dims; rejects empties, non-numbers and a layout
+/// whose byte size (elements x `type_size`) does not fit in 64 bits.
+Status parse_dimensions(const std::string& s, std::size_t type_size,
                         std::vector<std::uint64_t>& out) {
   out.clear();
+  std::uint64_t bytes = type_size;
   std::size_t pos = 0;
   while (pos < s.size()) {
     std::size_t end = s.find(',', pos);
     if (end == std::string::npos) end = s.size();
     const std::string token = s.substr(pos, end - pos);
     if (token.empty()) return invalid_argument("empty dimension in '" + s + "'");
-    char* endp = nullptr;
-    const unsigned long long v = std::strtoull(token.c_str(), &endp, 10);
-    if (endp == token.c_str() || *endp != '\0' || v == 0) {
-      return invalid_argument("bad dimension '" + token + "'");
+    std::uint64_t v = 0;
+    Status st = parse_positive_u64(token, "dimension", v);
+    if (!st.is_ok()) return st;
+    if (v > std::numeric_limits<std::uint64_t>::max() / bytes) {
+      return invalid_argument("dimensions '" + s +
+                              "' overflow a 64-bit byte size");
     }
+    bytes *= v;
     out.push_back(v);
     pos = end + 1;
   }
@@ -32,22 +57,28 @@ Status parse_dimensions(const std::string& s,
   return Status::ok();
 }
 
-/// Strict decimal parse ("0.25", "5", "1e-3"); rejects trailing junk.
+/// Strict decimal parse ("0.25", "5", "1e-3"); rejects trailing junk and
+/// non-finite values, which every `x < bound` check would let through.
 Status parse_double(const std::string& s, const std::string& what,
                     double& out) {
   char* endp = nullptr;
   const double v = std::strtod(s.c_str(), &endp);
-  if (endp == s.c_str() || *endp != '\0') {
+  if (endp == s.c_str() || *endp != '\0' || !std::isfinite(v)) {
     return invalid_argument("bad " + what + " '" + s + "'");
   }
   out = v;
   return Status::ok();
 }
 
+/// Strict decimal parse into int; rejects trailing junk and values out
+/// of int's range instead of narrowing them.
 Status parse_int(const std::string& s, const std::string& what, int& out) {
+  errno = 0;
   char* endp = nullptr;
   const long v = std::strtol(s.c_str(), &endp, 10);
-  if (endp == s.c_str() || *endp != '\0') {
+  if (endp == s.c_str() || *endp != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
     return invalid_argument("bad " + what + " '" + s + "'");
   }
   out = static_cast<int>(v);
@@ -122,11 +153,9 @@ Result<Config> Config::from_xml(const XmlNode& root) {
 
   if (const XmlNode* buf = root.child("buffer")) {
     if (const std::string* size = buf->attr("size")) {
-      char* endp = nullptr;
-      const unsigned long long v = std::strtoull(size->c_str(), &endp, 10);
-      if (endp == size->c_str() || *endp != '\0' || v == 0) {
-        return invalid_argument("bad buffer size '" + *size + "'");
-      }
+      std::uint64_t v = 0;
+      Status st = parse_positive_u64(*size, "buffer size", v);
+      if (!st.is_ok()) return st;
       cfg.buffer_size_ = v;
     }
     const std::string policy = buf->attr_or("policy", "firstfit");
@@ -137,8 +166,9 @@ Result<Config> Config::from_xml(const XmlNode& root) {
   }
 
   if (const XmlNode* ded = root.child("dedicated")) {
-    const std::string cores = ded->attr_or("cores", "1");
-    const int v = std::atoi(cores.c_str());
+    int v = 0;
+    Status st = parse_int(ded->attr_or("cores", "1"), "dedicated cores", v);
+    if (!st.is_ok()) return st;
     if (v < 1) return invalid_argument("dedicated cores must be >= 1");
     cfg.dedicated_cores_ = v;
   }
@@ -157,7 +187,8 @@ Result<Config> Config::from_xml(const XmlNode& root) {
     if (!dims) {
       return invalid_argument("layout '" + decl.name + "' needs dimensions");
     }
-    Status s = parse_dimensions(*dims, decl.layout.dims);
+    Status s = parse_dimensions(*dims, format::datatype_size(decl.layout.type),
+                                decl.layout.dims);
     if (!s.is_ok()) return s;
     if (!cfg.layouts_.emplace(decl.name, decl).second) {
       return invalid_argument("duplicate layout '" + decl.name + "'");
@@ -225,12 +256,8 @@ Result<Config> Config::from_xml(const XmlNode& root) {
   // windows without length) are rejected here, not at injection time.
   if (const XmlNode* fault = root.child("fault")) {
     if (const std::string* seed = fault->attr("seed")) {
-      char* endp = nullptr;
-      const unsigned long long v = std::strtoull(seed->c_str(), &endp, 10);
-      if (endp == seed->c_str() || *endp != '\0' || v == 0) {
-        return invalid_argument("bad fault seed '" + *seed + "'");
-      }
-      cfg.fault_plan_.seed = v;
+      Status st = parse_positive_u64(*seed, "fault seed", cfg.fault_plan_.seed);
+      if (!st.is_ok()) return st;
     }
     for (const XmlNode* n : fault->children_named("inject")) {
       fault::FaultSpec spec;

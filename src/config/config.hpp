@@ -78,7 +78,7 @@ struct PluginDecl {
 /// The <plugins> section: the in-situ pipeline run by the dedicated core
 /// between publish and persist. `budget_ms` is the per-iteration
 /// wall-clock budget for the whole chain (0 = unlimited — the Fig 5
-/// idle-time claim is enforced by bench_plugin, not per-run); plugins
+/// idle-time claim is enforced by a test, not per-run); plugins
 /// that cross it are counted as overruns. `on_error` / `on_overrun`
 /// select what happens to the offending plugin: "warn" keeps it
 /// running, "disable" drops it from the chain for the rest of the run.

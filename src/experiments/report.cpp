@@ -455,8 +455,8 @@ FigureReport fig5_report() {
 /// minmax_index + downsample): every published byte is streamed through
 /// three single-pass kernels, modelled at a fixed aggregate rate. A
 /// model constant — not a wall-clock measurement — keeps the report
-/// deterministic; bench_plugin --check is where the real clock gets
-/// compared against the real idle budget.
+/// deterministic; the ctest case NodePlugins.ChainFitsTheIdleBudget is
+/// where the real clock gets compared against the real idle budget.
 constexpr double kPluginChainBytesPerSecond = 1.5 * 1024.0 * 1024.0 * 1024.0;
 
 FigureReport fig5_plugins_report() {
@@ -492,7 +492,7 @@ FigureReport fig5_plugins_report() {
   rep.id = "fig5_plugins";
   rep.heading =
       "## Figure 5 (cont.) — in-situ plugins inside the idle budget "
-      "(`bench_plugin`)";
+      "(`NodePlugins.ChainFitsTheIdleBudget`)";
   std::vector<std::vector<std::string>> table;
   table.push_back({"cores", "data/node/iter", "idle s/iter",
                    "plugin chain s/iter", "share of idle",
@@ -510,8 +510,8 @@ FigureReport fig5_plugins_report() {
       "bytes; even at 9216 cores it consumes well under 1% of the "
       "dedicated core's idle time, so the paper's \"use the spare time "
       "for analytics\" claim (§IV-C3) holds with room to spare. "
-      "`bench_plugin --check` enforces the same fit with measured wall "
-      "clock on every CI run.\n";
+      "The ctest case `NodePlugins.ChainFitsTheIdleBudget` enforces the "
+      "same fit with measured wall clock on every CI run.\n";
 
   JsonObj m;
   m.add_num("iteration_seconds", kIterSeconds);
@@ -747,7 +747,8 @@ FigureReport breakeven_report() {
 /// One cell of the capacity-planning sweep: `tenants` single-node
 /// file-per-process applications arriving at once on a 16-node
 /// facility (admission waves beyond 16), with the same saturated-MDS
-/// storm configuration as bench_facility.
+/// storm configuration as the ctest case
+/// Facility.ShardedMdsAbsorbsACreateStorm.
 facility::FacilityOutcome run_facility_storm(int tenants, bool sharded) {
   RunConfig base = kraken_config(StrategyKind::kFilePerProcess, 12,
                                  /*iterations=*/4, /*write_interval=*/1,
@@ -806,7 +807,8 @@ FigureReport facility_report() {
   FigureReport rep;
   rep.id = "facility";
   rep.heading =
-      "## Capacity planning — multi-tenant facility (`bench_facility`)";
+      "## Capacity planning — multi-tenant facility "
+      "(`Facility.ShardedMdsAbsorbsACreateStorm`)";
   rep.body_md =
       md_table(rows) +
       "\nBeyond the paper: many applications share one simulated machine "
@@ -820,8 +822,8 @@ FigureReport facility_report() {
       "capacity-planning question is exactly how many tenants a facility "
       "can admit before metadata, not data, runs out. The elastic "
       "placement ladder (dedicated core → dedicated node → staging "
-      "tier) and its SLO guarantees are gated separately by "
-      "`bench_facility --check` in CI.\n";
+      "tier) and its SLO guarantees are gated separately by the ctest "
+      "case `Facility.ElasticLadderHoldsTheP95Slo`.\n";
 
   JsonObj m;
   m.add_raw("sweep", sweep);

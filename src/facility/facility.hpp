@@ -24,7 +24,7 @@
 // Determinism: the facility is one DES engine; identical specs yield
 // byte-identical outcomes, and a single tenant arriving at t=0 with
 // default placement replays the exact event timeline of run_strategy()
-// (pinned by bench_facility --check and tests/facility_test.cpp).
+// (pinned by tests/facility_test.cpp).
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
-// MonitorClient — the protocol's client half (used by tools/dmr_top,
-// the tests and bench_plugin's live-observation gate). Connects to the
-// server's AF_UNIX socket, sends one-line commands and reads back
-// parsed JSON lines with poll(2)-based timeouts, so a stuck or gone
-// server degrades to a timeout instead of a hang.
+// MonitorClient — the protocol's client half (used by tools/dmr_top
+// and the tests, NodeMonitor.ObservesLiveSimulation among them).
+// Connects to the server's AF_UNIX socket, sends one-line commands and
+// reads back parsed JSON lines with poll(2)-based timeouts, so a stuck
+// or gone server degrades to a timeout instead of a hang.
 //
 // Thread-safety: one client object per thread.
 #pragma once

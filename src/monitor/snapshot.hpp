@@ -46,7 +46,7 @@ struct MonitorSnapshot {
   std::int64_t sequence = 0;
   /// Wall seconds since the server started (set by the server).
   double uptime_seconds = 0.0;
-  /// Free-form label of the workload ("bench_plugin", a node id, ...).
+  /// Free-form label of the workload ("facility", a node id, ...).
   std::string source;
 
   // --- progress ---

@@ -1,8 +1,8 @@
 // Builtin in-situ plugins — the three analytics the paper names for the
 // dedicated core's spare time (§IV-C3): statistics, indexing,
 // downsampling/compression. All three are deterministic functions of
-// the published data, which is what lets bench_plugin pin
-// "identical seed ⇒ identical plugin outputs". build_pipeline() makes
+// the published data, which is what lets the idle-budget test pin
+// "identical runs ⇒ identical plugin outputs". build_pipeline() makes
 // the <plugins> chain out of them.
 //
 // Thread-safety: driven only through PluginPipeline's serializing

@@ -1,7 +1,8 @@
 // PluginPipeline — the chain of BlockPlugins the dedicated core runs
 // between publish and persist (DamarisNode::complete_iteration), with
 // the per-plugin wall-clock accounting that backs the Fig 5 idle-budget
-// reproduction (BENCH_plugin.json) and the live monitor's plugin table.
+// test (NodePlugins.ChainFitsTheIdleBudget) and the live monitor's
+// plugin table.
 // build_pipeline() (builtin.hpp) makes it from the <plugins> section;
 // the builtin "stats" event action runs a one-plugin chain of its own
 // over the blocks its event sees.

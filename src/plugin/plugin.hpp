@@ -75,7 +75,7 @@ class BlockPlugin {
 };
 
 /// Per-plugin wall-clock accounting — the numbers behind the Fig 5
-/// idle-budget claim (BENCH_plugin.json's utilization matrix) and the
+/// idle-budget claim (NodePlugins.ChainFitsTheIdleBudget) and the
 /// monitor's plugin table.
 struct PluginStats {
   std::string name;

@@ -20,8 +20,8 @@
 //             process of the run finishes.
 //
 // A facility run with default directives and a no-op control observes
-// the exact event timeline of the owning mode — the single-tenant
-// pinned-equivalence gate of bench_facility depends on it.
+// the exact event timeline of the owning mode — the facility's
+// single-tenant parity test depends on it.
 #pragma once
 
 #include <functional>

@@ -159,6 +159,40 @@ TEST(Config, RejectsBadDimensions) {
   EXPECT_FALSE(Config::from_string(R"(
     <damaris><layout name="l" type="real" dimensions="abc"/></damaris>)")
                    .is_ok());
+  // A sign: strtoull alone reads "-1" as 2^64 - 1.
+  EXPECT_FALSE(Config::from_string(R"(
+    <damaris><layout name="l" type="real" dimensions="-1"/></damaris>)")
+                   .is_ok());
+  // 2^64 elements: the byte size would wrap to 0.
+  EXPECT_FALSE(Config::from_string(R"(
+    <damaris><layout name="l" type="real"
+      dimensions="4294967296,4294967296"/></damaris>)")
+                   .is_ok());
+  // 2^62 elements fit in 64 bits, but not as 4-byte floats.
+  EXPECT_FALSE(Config::from_string(R"(
+    <damaris><layout name="l" type="real"
+      dimensions="4611686018427387904"/></damaris>)")
+                   .is_ok());
+  // ... while as bytes they do.
+  EXPECT_TRUE(Config::from_string(R"(
+    <damaris><layout name="l" type="uint8"
+      dimensions="4611686018427387904"/></damaris>)")
+                  .is_ok());
+}
+
+TEST(Config, RejectsBadBufferSizeAndDedicatedCores) {
+  for (const char* xml : {
+           R"(<damaris><buffer size="-1"/></damaris>)",
+           R"(<damaris><buffer size="18446744073709551616"/></damaris>)",
+           R"(<damaris><dedicated cores="2x"/></damaris>)",
+           R"(<damaris><dedicated cores="4294967297"/></damaris>)",
+           R"(<damaris><dedicated cores="0"/></damaris>)",
+       }) {
+    EXPECT_FALSE(Config::from_string(xml).is_ok()) << xml;
+  }
+  auto two = Config::from_string(R"(<damaris><dedicated cores="2"/></damaris>)");
+  ASSERT_TRUE(two.is_ok()) << two.status().to_string();
+  EXPECT_EQ(two.value().dedicated_cores(), 2);
 }
 
 TEST(Config, RejectsUnknownType) {
@@ -280,6 +314,20 @@ TEST(Config, RejectsMalformedFaultPlans) {
   EXPECT_FALSE(Config::from_string(R"(
     <damaris><fault><inject site="storage.write" rate="0.5x"/></fault></damaris>)")
                    .is_ok());
+  // Non-finite numbers slip past every `x < bound` check.
+  EXPECT_FALSE(Config::from_string(R"(
+    <damaris><fault>
+      <inject site="server.slow" at="0" for="5" factor="nan"/>
+    </fault></damaris>)")
+                   .is_ok());
+  EXPECT_FALSE(Config::from_string(R"(
+    <damaris><fault><inject site="storage.write" rate="nan"/></fault></damaris>)")
+                   .is_ok());
+  EXPECT_FALSE(Config::from_string(R"(
+    <damaris><fault>
+      <inject site="storage.stall" rate="0.5" stall="inf"/>
+    </fault></damaris>)")
+                   .is_ok());
 }
 
 TEST(Config, ParsesResilience) {
@@ -327,6 +375,16 @@ TEST(Config, RejectsMalformedResilience) {
                    .is_ok());
   EXPECT_FALSE(Config::from_string(R"(
     <damaris><resilience><degrade block_timeout_ms="-1"/></resilience></damaris>)")
+                   .is_ok());
+  // 2^32 + 3 does not fit in an int; narrowed, it would read as 3.
+  EXPECT_FALSE(Config::from_string(R"(
+    <damaris><resilience><retry attempts="4294967299"/></resilience></damaris>)")
+                   .is_ok());
+  EXPECT_FALSE(Config::from_string(R"(
+    <damaris><resilience><retry base_delay="nan"/></resilience></damaris>)")
+                   .is_ok());
+  EXPECT_FALSE(Config::from_string(R"(
+    <damaris><resilience><retry max_delay="inf"/></resilience></damaris>)")
                    .is_ok());
 }
 

@@ -1,10 +1,13 @@
 // Facility-layer tests: spec validation, the placement ladder's
 // hysteresis, the sharded-MDS shard map, facility monitoring snapshots,
-// and — the anchor — single-tenant parity: a facility hosting exactly
-// one tenant at t=0 with default placement replays the run_strategy()
-// timeline bit-for-bit.
+// the two headline claims (sharding absorbs a create storm, the elastic
+// ladder holds a p95 SLO the static policy misses) and — the anchor —
+// single-tenant parity: a facility hosting exactly one tenant at t=0
+// with default placement replays the run_strategy() timeline
+// bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -184,14 +187,20 @@ TEST(PlacementEngine, GroupExhaustionKeepsTenantAtCore) {
 
 // ------------------------------------------------ single-tenant parity
 
-using Fingerprint = std::tuple<double, double, double, double, Bytes,
-                               std::uint64_t, std::uint64_t>;
+using Fingerprint =
+    std::tuple<double, double, double, double, double, Bytes, std::uint64_t,
+               std::uint64_t, std::uint64_t>;
 
 Fingerprint fingerprint(const strategies::RunResult& r) {
-  return {r.total_runtime,        r.aggregate_throughput,
-          r.phase_seconds.mean(), r.rank_write_seconds.mean(),
-          r.fs_stats.bytes_written, r.fs_stats.creates,
-          r.fs_stats.write_ops};
+  return {r.total_runtime,
+          r.aggregate_throughput,
+          r.phase_seconds.mean(),
+          r.rank_write_seconds.mean(),
+          r.dedicated_write_seconds.mean(),
+          r.fs_stats.bytes_written,
+          r.fs_stats.creates,
+          r.fs_stats.write_ops,
+          r.fs_stats.stream_switches};
 }
 
 TEST(Facility, SingleTenantReplaysRunStrategyTimeline) {
@@ -322,6 +331,121 @@ TEST(Facility, IdenticalSpecsGiveIdenticalOutcomes) {
               ob.tenant_outcomes[i].finished_time);
     EXPECT_EQ(oa.tenant_outcomes[i].achieved_bandwidth,
               ob.tenant_outcomes[i].achieved_bandwidth);
+  }
+}
+
+// ------------------------------------------------------ create storm
+
+// 64 single-node file-per-process tenants arrive at once on a 16-node
+// facility: four admission waves of 16 resident tenants, each rank
+// creating its own file every phase. Small payloads and a saturated MDS
+// (50 ms per create, a Lustre MDS at the far end of a create storm) keep
+// the run metadata-bound, which is what the sharded service is for.
+FacilityOutcome run_storm(bool sharded) {
+  strategies::RunConfig base = experiments::kraken_config(
+      strategies::StrategyKind::kFilePerProcess, 12, /*iterations=*/4,
+      /*write_interval=*/1, /*iteration_seconds=*/0.05, 2012);
+  base.workload.bytes_per_point = 4.0;  // ~1.5 MB/rank: creates dominate
+
+  FacilitySpec spec;
+  spec.platform_spec = base.platform;
+  spec.platform_spec.fs.metadata_create_cost = 50e-3;
+  spec.platform_spec.fs.metadata =
+      sharded ? cluster::MetadataModel::kSharded
+              : cluster::MetadataModel::kSerializedSingleServer;
+  spec.platform_spec.fs.mds_shards = 16;
+  spec.platform_spec.fs.mds_replicas = sharded ? 2 : 1;
+  spec.facility_nodes = 16;
+  spec.facility_seed = 2012;
+  for (int i = 0; i < 64; ++i) {
+    TenantSpec t;
+    t.tenant_id = i;
+    t.display_name = "storm-" + std::to_string(i);
+    t.base_run = base;
+    t.base_run.seed = 2012 + static_cast<std::uint64_t>(i);
+    spec.tenant_specs.push_back(std::move(t));
+  }
+  return Facility(spec).run();
+}
+
+TEST(Facility, ShardedMdsAbsorbsACreateStorm) {
+  const FacilityOutcome serialized = run_storm(/*sharded=*/false);
+  const FacilityOutcome sharded = run_storm(/*sharded=*/true);
+  EXPECT_GE(sharded.aggregate_bandwidth / serialized.aggregate_bandwidth, 2.0);
+  EXPECT_GT(sharded.facility_fs_stats.mds_replica_reads, 0u);
+}
+
+// -------------------------------------------------------- SLO ladder
+
+// 12 Damaris tenants, one node each, submitted 0.3 s apart to a 12-node
+// facility whose 12 data servers run at ~70% aggregate demand: the
+// shared tier cannot hold a 0.35 s p95 write SLO. trip=2 / clear=50
+// walks every violating tenant up the ladder and keeps it there; the
+// 16 GiB/s staging tier absorbs a full 12-tenant pile-up in ~0.2 s.
+constexpr double kLadderSlo = 0.35;
+
+FacilityOutcome run_ladder(PolicyKind policy) {
+  strategies::RunConfig base = experiments::kraken_config(
+      strategies::StrategyKind::kDamaris, 12, /*iterations=*/16,
+      /*write_interval=*/1, /*iteration_seconds=*/1.0, 2012);
+
+  FacilitySpec spec;
+  spec.platform_spec = base.platform;
+  spec.platform_spec.fs.data_servers = 12;
+  spec.facility_nodes = 12;
+  spec.facility_seed = 2012;
+  spec.placement_spec.policy = policy;
+  spec.placement_spec.slo_p95_seconds = kLadderSlo;
+  spec.placement_spec.trip_phases = 2;
+  spec.placement_spec.clear_phases = 50;  // no recovery within the run
+  spec.placement_spec.staging_bandwidth = 16.0 * static_cast<double>(GiB);
+  spec.placement_spec.group_servers = 1;  // one reserved server each
+  for (int i = 0; i < 12; ++i) {
+    TenantSpec t;
+    t.tenant_id = i;
+    t.display_name = "app-" + std::to_string(i);
+    t.arrival_time = 0.3 * i;
+    t.base_run = base;
+    t.base_run.seed = 2012 + static_cast<std::uint64_t>(i);
+    spec.tenant_specs.push_back(std::move(t));
+  }
+  return Facility(spec).run();
+}
+
+/// The worst tenant's p95 write time over the steady-state phases 8..15
+/// (the ladder converges within the first eight).
+double steady_p95_max(const FacilityOutcome& out) {
+  double worst = 0.0;
+  for (const TenantOutcome& t : out.tenant_outcomes) {
+    Sample steady;
+    for (std::size_t p = 8; p < t.phase_write_log.size(); ++p) {
+      steady.add(t.phase_write_log[p]);
+    }
+    if (steady.count() > 0) worst = std::max(worst, steady.percentile(95.0));
+  }
+  return worst;
+}
+
+TEST(Facility, ElasticLadderHoldsTheP95Slo) {
+  EXPECT_GT(steady_p95_max(run_ladder(PolicyKind::kStatic)), kLadderSlo);
+  const FacilityOutcome elastic = run_ladder(PolicyKind::kElastic);
+  EXPECT_LE(steady_p95_max(elastic), kLadderSlo);
+  EXPECT_GT(elastic.ladder_escalations, 0u);
+
+  // The ladder's decisions are a function of the spec alone.
+  const FacilityOutcome again = run_ladder(PolicyKind::kElastic);
+  EXPECT_EQ(again.ladder_escalations, elastic.ladder_escalations);
+  EXPECT_EQ(again.ladder_recoveries, elastic.ladder_recoveries);
+  EXPECT_EQ(again.aggregate_bandwidth, elastic.aggregate_bandwidth);
+  EXPECT_EQ(again.fairness_index, elastic.fairness_index);
+  ASSERT_EQ(again.tenant_outcomes.size(), elastic.tenant_outcomes.size());
+  for (std::size_t i = 0; i < again.tenant_outcomes.size(); ++i) {
+    EXPECT_EQ(again.tenant_outcomes[i].phase_write_log,
+              elastic.tenant_outcomes[i].phase_write_log);
+    EXPECT_EQ(again.tenant_outcomes[i].slo_violations,
+              elastic.tenant_outcomes[i].slo_violations);
+    EXPECT_EQ(again.tenant_outcomes[i].final_tier,
+              elastic.tenant_outcomes[i].final_tier);
   }
 }
 

@@ -3,8 +3,8 @@
 // checker, and — the part that keeps the verifiers honest — seeded
 // mutations of the shm handoff protocol that each engine must catch.
 //
-// Suite names all start with "Mc" so `ctest -R '^Mc'` (scripts/check.sh
-// --model) selects exactly this file.
+// Suite names all start with "Mc" so `ctest -R '^Mc'` selects exactly
+// this file.
 
 #include <gtest/gtest.h>
 

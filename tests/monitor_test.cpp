@@ -425,6 +425,8 @@ TEST(NodeMonitor, ObservesLiveSimulation) {
   <variable name="field" layout="grid"/>
   <plugins>
     <plugin name="stats" type="statistics" variables="field"/>
+    <plugin name="index" type="minmax_index" variables="field"/>
+    <plugin name="down" type="downsample" variables="field" stride="8"/>
   </plugins>
 </damaris>)";
   auto cfg = config::Config::from_string(kXml);
@@ -469,6 +471,7 @@ TEST(NodeMonitor, ObservesLiveSimulation) {
   std::int64_t best_iterations = 0;
   std::int64_t best_jitter = 0;
   std::int64_t best_published = 0;
+  std::size_t best_plugins = 0;
   std::string mode;
   const auto deadline = WallClock::now() + std::chrono::seconds(10);
   while (WallClock::now() < deadline) {
@@ -480,6 +483,7 @@ TEST(NodeMonitor, ObservesLiveSimulation) {
         std::max(best_jitter, j.at("write_jitter").at("count").as_int());
     best_published =
         std::max(best_published, j.at("ledger").at("published").as_int());
+    best_plugins = std::max(best_plugins, j.at("plugins").size());
     if (j.at("degrade").at("mode").is_string()) {
       mode = j.at("degrade").at("mode").as_string();
     }
@@ -493,11 +497,12 @@ TEST(NodeMonitor, ObservesLiveSimulation) {
   EXPECT_GT(best_jitter, 0);
   EXPECT_GT(best_published, 0);
   EXPECT_FALSE(mode.empty());
+  EXPECT_EQ(best_plugins, 3u);  // one row per plugin, while the run is live
 
   // After the run, the final snapshot carries the plugin table.
   auto final_snap = mc.snapshot();
   ASSERT_TRUE(final_snap.is_ok());
-  ASSERT_EQ(final_snap.value().at("plugins").size(), 1u);
+  ASSERT_EQ(final_snap.value().at("plugins").size(), 3u);
   EXPECT_GT(
       final_snap.value().at("plugins").at(std::size_t{0}).at("blocks").as_int(),
       0);

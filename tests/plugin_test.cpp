@@ -10,7 +10,9 @@
 //    <plugins> section, unknown types rejected);
 //  - node integration: a DamarisNode with <plugins> publishes
 //    analytics and per-plugin accounting; a zero-plugin config
-//    produces byte-identical output files to a plugin-less run.
+//    produces byte-identical output files to a plugin-less run;
+//  - idle budget (paper Fig 5): at fig6 scale the builtin chain fits
+//    the dedicated core's measured spare time, deterministically.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "config/config.hpp"
 #include "core/damaris.hpp"
 #include "plugin/builtin.hpp"
@@ -498,6 +501,116 @@ TEST(NodePlugins, PluginSecondsZeroWithoutPlugins) {
     EXPECT_DOUBLE_EQ(rec.plugin_seconds, 0.0);
   }
   delete node;
+}
+
+// ------------------------------------------ idle budget (paper Fig 5)
+
+// Fig 6 scale: 12 clients (one Kraken node's compute cores), 12
+// iterations of one 64 KiB float grid each, and 15 ms of emulated
+// compute between iterations. I/O overlapping a longer compute phase is
+// where the dedicated core's spare time comes from; the spare time of a
+// plugin-less run is the budget in-situ plugins may use.
+constexpr int kBudgetClients = 12;
+constexpr int kBudgetIterations = 12;
+constexpr int kBudgetElements = 128 * 128;
+constexpr auto kComputePhase = std::chrono::milliseconds(15);
+
+constexpr const char* kBudgetXmlOff = R"(
+<damaris>
+  <buffer size="67108864" policy="firstfit"/>
+  <layout name="grid" type="float32" dimensions="128,128"/>
+  <variable name="field" layout="grid"/>
+</damaris>)";
+
+constexpr const char* kBudgetXmlOn = R"(
+<damaris>
+  <buffer size="67108864" policy="firstfit"/>
+  <layout name="grid" type="float32" dimensions="128,128"/>
+  <variable name="field" layout="grid"/>
+  <plugins budget_ms="250" on_error="warn" on_overrun="warn">
+    <plugin name="stats" type="statistics" variables="field"/>
+    <plugin name="index" type="minmax_index" variables="field"/>
+    <plugin name="down" type="downsample" variables="field" stride="8"/>
+  </plugins>
+</damaris>)";
+
+struct BudgetRun {
+  double idle_seconds = 0.0;  // shards x wall - persist - plugin seconds
+  double plugin_seconds = 0.0;
+  std::map<std::string, double> analytics;
+  std::vector<PluginStats> plugins;
+};
+
+BudgetRun run_budget(const char* xml) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("plugin_budget_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto cfg = config::Config::from_string(xml);
+  EXPECT_TRUE(cfg.is_ok()) << cfg.status().to_string();
+  core::NodeOptions opts;
+  opts.output_dir = dir.string();
+  opts.file_prefix = "insitu";
+  core::DamarisNode node(std::move(cfg.value()), kBudgetClients, opts);
+
+  const auto t0 = WallClock::now();
+  EXPECT_TRUE(node.start().is_ok());
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kBudgetClients; ++c) {
+    threads.emplace_back([&, c] {
+      core::Client client = node.client(c);
+      std::vector<float> vals(kBudgetElements);
+      for (int it = 0; it < kBudgetIterations; ++it) {
+        for (int i = 0; i < kBudgetElements; ++i) {
+          vals[i] = static_cast<float>(c) * 100.0f +
+                    static_cast<float>(it) * 10.0f +
+                    static_cast<float>(i % 97) * 0.5f;
+        }
+        std::vector<std::byte> payload(vals.size() * sizeof(float));
+        std::memcpy(payload.data(), vals.data(), payload.size());
+        EXPECT_TRUE(client.write("field", it, payload).is_ok());
+        EXPECT_TRUE(client.end_iteration(it).is_ok());
+        std::this_thread::sleep_for(kComputePhase);
+      }
+      EXPECT_TRUE(client.finalize().is_ok());
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_TRUE(node.stop().is_ok());
+
+  BudgetRun out;
+  const core::ServerStats stats = node.stats();
+  out.idle_seconds = static_cast<double>(stats.shards) * seconds_since(t0);
+  for (const core::IterationRecord& rec : stats.iterations) {
+    out.idle_seconds -= rec.write_seconds + rec.plugin_seconds;
+    out.plugin_seconds += rec.plugin_seconds;
+  }
+  out.analytics = node.analytics();
+  out.plugins = node.plugin_stats();
+  std::filesystem::remove_all(dir);
+  return out;
+}
+
+TEST(NodePlugins, ChainFitsTheIdleBudget) {
+  const BudgetRun off = run_budget(kBudgetXmlOff);
+  const BudgetRun on = run_budget(kBudgetXmlOn);
+  EXPECT_GT(off.idle_seconds, 0.0);
+  EXPECT_LE(on.plugin_seconds, off.idle_seconds);
+  EXPECT_FALSE(on.analytics.empty());
+  ASSERT_EQ(on.plugins.size(), 3u);
+  for (const PluginStats& p : on.plugins) {
+    EXPECT_EQ(p.errors, 0u) << p.name;
+    EXPECT_EQ(p.overruns, 0u) << p.name;
+  }
+
+  const BudgetRun again = run_budget(kBudgetXmlOn);
+  EXPECT_EQ(on.analytics, again.analytics);
+  ASSERT_EQ(again.plugins.size(), 3u);
+  for (std::size_t i = 0; i < on.plugins.size(); ++i) {
+    EXPECT_EQ(on.plugins[i].name, again.plugins[i].name);
+    EXPECT_EQ(on.plugins[i].blocks, again.plugins[i].blocks);
+    EXPECT_EQ(on.plugins[i].bytes, again.plugins[i].bytes);
+  }
 }
 
 }  // namespace

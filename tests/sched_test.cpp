@@ -258,7 +258,8 @@ TEST(AdaptiveSlotController, AllIdlePhaseFallsBackToUniform) {
 
 TEST(AdaptiveSlotController, PlanIsADeterministicFunctionOfHistory) {
   // Identical observation sequences yield bit-identical plans — the
-  // property bench_sched's seed-determinism check relies on end to end.
+  // property Strategies.AdaptiveSlotsBeatStaticOnImbalancedAmr's rerun
+  // check relies on end to end.
   const auto feed = [](AdaptiveSlotController& c) {
     for (int phase = 0; phase < 3; ++phase) {
       for (int w = 0; w < 3; ++w) {

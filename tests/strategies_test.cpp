@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "cm1/workload.hpp"
 #include "experiments/experiments.hpp"
 #include "strategies/strategy.hpp"
 
@@ -208,6 +211,51 @@ TEST(Strategies, StaticRunReportsNoRetunes) {
   auto res = run_strategy(small(StrategyKind::kDamaris));
   EXPECT_EQ(res.schedule_retunes, 0);
   EXPECT_EQ(res.active_slots, 0);
+}
+
+/// The §IV-D regime: 2304 Kraken cores (192 nodes) at the paper's ~230 s
+/// cadence, writing every 4th of 24 iterations, seed 2012. The schedule
+/// horizon holds the cohort's serialized writes, which is the premise of
+/// slot scheduling, and six write phases give the adaptive controller's
+/// EMA time to lock onto a persistent imbalance. `sigma` > 0 swaps in
+/// the AMR workload with that lognormal sigma: a few refined subdomains
+/// dominate every phase, so uniform static slots overflow under them.
+RunResult run_slots(double sigma, bool adaptive) {
+  constexpr int kWriteInterval = 4;
+  constexpr double kIterationSeconds = 230.0;
+  RunConfig cfg = experiments::kraken_config(
+      StrategyKind::kDamaris, 2304, 6 * kWriteInterval, kWriteInterval,
+      kIterationSeconds, /*seed=*/2012);
+  if (sigma > 0.0) {
+    cfg.workload = cm1::amr_workload(true, sigma, kIterationSeconds);
+    cfg.workload.write_interval = kWriteInterval;
+  }
+  cfg.damaris.slot_scheduling = !adaptive;
+  cfg.damaris.adaptive_scheduling = adaptive;
+  return run_strategy(cfg);
+}
+
+TEST(Strategies, AdaptiveSlotsBeatStaticOnImbalancedAmr) {
+  const RunResult fixed = run_slots(2.0, /*adaptive=*/false);
+  const RunResult adaptive = run_slots(2.0, /*adaptive=*/true);
+  EXPECT_GE(adaptive.aggregate_throughput / fixed.aggregate_throughput, 1.02);
+  EXPECT_GT(adaptive.schedule_retunes, 0);
+
+  const auto fingerprint = [](const RunResult& r) {
+    return std::make_tuple(
+        r.aggregate_throughput, r.dedicated_write_seconds.mean(),
+        r.dedicated_write_seconds.percentile(95.0),
+        r.stage_stats.of(iopath::StageKind::kSchedule).seconds,
+        r.schedule_retunes, r.active_slots);
+  };
+  EXPECT_EQ(fingerprint(adaptive), fingerprint(run_slots(2.0, true)));
+}
+
+TEST(Strategies, AdaptiveSlotsMatchStaticWhenBalanced) {
+  const double ratio = run_slots(0.0, /*adaptive=*/true).aggregate_throughput /
+                       run_slots(0.0, /*adaptive=*/false).aggregate_throughput;
+  EXPECT_GE(ratio, 0.95);
+  EXPECT_LE(ratio, 1.05);
 }
 
 }  // namespace
