@@ -29,20 +29,20 @@ void run_scale(int cores) {
   std::printf("\nKraken, %d cores, ~230 s iterations:\n", cores);
   Table t({"scheduler", "write avg (s)", "write max (s)",
            "throughput (GiB/s)", "spare fraction"});
+  using iopath::Scheduling;
   struct Mode {
     const char* name;
-    bool slots;
-    bool tokens;
+    Scheduling scheduling;
   };
-  for (const Mode& m : {Mode{"none", false, false},
-                        Mode{"local slots (SIV-D)", true, false},
-                        Mode{"coordinated tokens (SVI)", false, true}}) {
+  for (const Mode& m :
+       {Mode{"none", Scheduling::kNone},
+        Mode{"local slots (SIV-D)", Scheduling::kSlots},
+        Mode{"coordinated tokens (SVI)", Scheduling::kTokens}}) {
     RunConfig cfg = experiments::kraken_config(StrategyKind::kDamaris, cores,
                                                /*iterations=*/4,
                                                /*write_interval=*/1,
                                                /*iteration_seconds=*/230.0);
-    cfg.damaris.slot_scheduling = m.slots;
-    cfg.damaris.coordinated_scheduling = m.tokens;
+    cfg.damaris.scheduling = m.scheduling;
     auto res = run_strategy(cfg);
     t.add_row({m.name, Table::num(res.dedicated_write_seconds.mean(), 2),
                Table::num(res.dedicated_write_seconds.max(), 2),

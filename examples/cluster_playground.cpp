@@ -9,8 +9,7 @@
 //             cores/node: 12, 24 or 16 (default 1152, 672 or 1024)
 //   phases:   write phases to simulate, at least 1 (default 4)
 //   --trace-out <file>: record the Damaris run as Chrome trace_event
-//             JSON (load in Perfetto or chrome://tracing). In builds
-//             with DMR_TRACE off the file holds only metadata.
+//             JSON (load in Perfetto or chrome://tracing).
 // Any other argument prints the usage and exits 2; a trace that cannot
 // be written exits 1.
 #include <cerrno>

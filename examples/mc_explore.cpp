@@ -87,12 +87,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!dmr::mc::instrumentation_enabled()) {
-    std::cerr << "built without DMR_CHECK: the shm layer has no "
-                 "instrumentation hooks, nothing to model-check\n";
-    return 1;
-  }
-
   std::cout << "scenario: " << scenario.to_string() << "\n";
   const dmr::mc::McResult result =
       dmr::mc::check_shm_protocol(scenario, model, trace_out);

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The single pre-merge gate: tier-1 build + full ctest (every correctness
-# gate is a ctest case), then the correctness matrix of scripts/check.sh
-# (lint + sanitizers + static gates), then the end-to-end benchmark
-# smoke run.
+# gate is a ctest case, and every listed test must run), then the
+# correctness matrix of scripts/check.sh (lint + sanitizers + static
+# gates), then the end-to-end benchmark smoke run.
 #
 #   scripts/ci.sh               # tier-1 + docs + lint + ASan + UBSan + static + e2e
 #   scripts/ci.sh --fast        # ... without UBSan and e2e (quick local loop)
@@ -44,8 +44,17 @@ step "tier-1 build"
 cmake -B build -S . -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON >/dev/null
 cmake --build build -j "$JOBS"
 
+# Every listed test must run: a skipped (GTEST_SKIP) or disabled
+# (DISABLED_) test would turn its gate vacuous behind a green summary,
+# so ctest's "did not run" list fails the step.
 step "tier-1 ctest"
-ctest --test-dir build --output-on-failure -j "$JOBS"
+CTEST_LOG=build/ctest-tier1.log
+ctest --test-dir build --output-on-failure -j "$JOBS" | tee "$CTEST_LOG"
+if grep -q '^The following tests did not run:' "$CTEST_LOG"; then
+  echo "tier-1 ctest: every listed test must run; these did not:" >&2
+  sed -n '/^The following tests did not run:/,/^$/p' "$CTEST_LOG" >&2
+  exit 1
+fi
 
 # ------------------------------------------------------ docs-drift gate
 # EXPERIMENTS.md's paper-vs-measured tables and results/figures/*.json

@@ -48,9 +48,6 @@ void TimelineHasher::hook(void* ctx, double t, std::uint64_t seq,
 
 std::string DeterminismReport::to_string() const {
   std::ostringstream os;
-  if (!instrumented) {
-    return "determinism: not instrumented (build with -DDMR_CHECK=ON)\n";
-  }
   os << "determinism: " << (deterministic ? "OK" : "MISMATCH")
      << "\n  run A: digest=" << std::hex << digest_a << std::dec
      << " events=" << events_a << "\n  run B: digest=" << std::hex
@@ -73,7 +70,6 @@ DeterminismReport verify_determinism(
     rep.digest_b = h.digest();
     rep.events_b = h.events();
   }
-  rep.instrumented = rep.events_a > 0 || rep.events_b > 0;
   rep.deterministic =
       rep.digest_a == rep.digest_b && rep.events_a == rep.events_b;
   return rep;

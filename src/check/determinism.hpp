@@ -8,8 +8,8 @@
 // wall-clock read, uninitialized memory feeding an RNG) silently turns
 // benchmark numbers into noise.
 //
-// TimelineHasher installs the engine's per-thread dispatch hook
-// (DMR_CHECK builds) and folds every dispatched event's
+// TimelineHasher installs the engine's per-thread dispatch hook and
+// folds every dispatched event's
 // (time, sequence, kind) tuple into a 64-bit FNV-1a digest — a compact
 // fingerprint of the entire event timeline. verify_determinism() runs a
 // scenario twice and compares fingerprints:
@@ -17,7 +17,7 @@
 //   auto rep = check::verify_determinism([] {
 //     run_strategy(experiments::kraken_config(kDamaris, 576, 5, 1));
 //   });
-//   assert(rep.deterministic);
+//   assert(rep.deterministic && rep.events_a > 0);
 //
 // Thread-safety: the dispatch hook is thread-local — a TimelineHasher
 // observes only engines running on its own thread, so concurrent
@@ -61,9 +61,6 @@ struct DeterminismReport {
   std::uint64_t events_a = 0;
   std::uint64_t events_b = 0;
   bool deterministic = false;
-  /// True when the hook actually fired (false in non-DMR_CHECK builds,
-  /// where the report is vacuous).
-  bool instrumented = false;
 
   std::string to_string() const;
 };

@@ -26,8 +26,7 @@
 //   ... run the workload ...
 //   for (const auto& v : chk.finalize()) std::cerr << v.to_string();
 //
-// Thread-safe; hooks only fire in DMR_CHECK builds (the default — see
-// the top-level CMakeLists).
+// Thread-safe.
 #pragma once
 
 #include <cstdint>

@@ -51,9 +51,13 @@ int df_setup(const char* configuration_path, int num_clients,
   if (output_dir) opts.output_dir = output_dir;
   MutexLock lock(g_mutex);
   if (g_node) return fail("df_setup called twice", -2);
-  g_node = std::make_unique<DamarisNode>(std::move(cfg.value()), num_clients,
-                                         opts);
-  return check(g_node->start());
+  // Only a started node is kept: after a failed setup df_setup may be
+  // called again.
+  auto node = std::make_unique<DamarisNode>(std::move(cfg.value()),
+                                            num_clients, opts);
+  if (int rc = check(node->start())) return rc;
+  g_node = std::move(node);
+  return 0;
 }
 
 int df_teardown() {

@@ -22,7 +22,7 @@ namespace dmr::core::capi {
 /// Creates the per-node Damaris instance from an XML configuration file
 /// and starts the dedicated core, for `num_clients` >= 1 clients.
 /// `output_dir` may be null (the default directory). Call once per
-/// process.
+/// process; a failed setup keeps no node, so it may be retried.
 int df_setup(const char* configuration_path, int num_clients,
              const char* output_dir);
 

@@ -168,6 +168,11 @@ Status DamarisNode::start() {
     return invalid_argument("node has " + std::to_string(num_clients_) +
                             " clients; it needs at least one");
   }
+  if (buffer_->capacity() == 0) {
+    return out_of_memory("cannot allocate the " +
+                         std::to_string(cfg_.buffer_size()) +
+                         "-byte shared buffer");
+  }
   // Bind every event to its action and instantiate the <plugins> in-situ
   // chain before any shard thread exists: a bad declaration fails
   // start() instead of surfacing mid-run. The chain is rebuilt on every

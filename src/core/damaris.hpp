@@ -64,9 +64,8 @@ struct NodeOptions {
   /// Attach a check::ProtocolChecker to the shared buffer and every
   /// shard queue: block-lifecycle violations (double release,
   /// write-after-publish, leaks, ...) are logged at stop() and counted
-  /// in ServerStats::protocol_violations. Hooks only fire in DMR_CHECK
-  /// builds; the checker itself costs one mutex per shm operation, so
-  /// leave this off for benchmarks.
+  /// in ServerStats::protocol_violations. The checker costs one mutex
+  /// per shm operation, so leave this off for benchmarks.
   bool protocol_check = false;
 
   /// Retry / degraded-mode policies. When set, overrides the
@@ -229,8 +228,10 @@ class DamarisNode {
   DamarisNode& operator=(const DamarisNode&) = delete;
 
   /// Launches the dedicated-core thread(s). Must be called before
-  /// clients write. Fails with kNotFound, before any thread starts, when
-  /// a configured event names an unregistered action or a <plugin> an
+  /// clients write. Fails before any thread starts: with
+  /// kInvalidArgument for fewer than one client, kOutOfMemory when the
+  /// shared buffer could not be allocated, and kNotFound when a
+  /// configured event names an unregistered action or a <plugin> an
   /// unknown type.
   Status start();
 

@@ -9,10 +9,8 @@
 namespace dmr::des {
 
 namespace {
-#ifdef DMR_CHECK
 thread_local DispatchHook t_dispatch_hook = nullptr;
 thread_local void* t_dispatch_ctx = nullptr;
-#endif
 
 // Near-heap shape. The heap spills its later half to the far tier when
 // it outgrows kNearCap entries (24 KiB: L1/L2 resident); a refill moves
@@ -29,13 +27,8 @@ constexpr std::uint64_t kCallbackTag = 1;
 }  // namespace
 
 void set_thread_dispatch_hook(DispatchHook hook, void* ctx) {
-#ifdef DMR_CHECK
   t_dispatch_hook = hook;
   t_dispatch_ctx = ctx;
-#else
-  (void)hook;
-  (void)ctx;
-#endif
 }
 
 // ------------------------------------------------------------------ queue
@@ -244,9 +237,7 @@ void Engine::dispatch(const Entry& ev) {
   now_ = t;
   ++events_processed_;
   const bool is_callback = (ev.payload & kCallbackTag) != 0;
-#ifdef DMR_CHECK
   if (t_dispatch_hook) t_dispatch_hook(t_dispatch_ctx, t, ev.seq, is_callback);
-#endif
   if (!is_callback) {
     std::coroutine_handle<>::from_address(
         reinterpret_cast<void*>(static_cast<std::uintptr_t>(ev.payload)))

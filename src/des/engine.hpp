@@ -36,14 +36,13 @@ using Time = ::dmr::SimTime;
 
 class Process;
 
-/// Timeline instrumentation (DMR_CHECK builds only): a hook invoked for
-/// every dispatched event with its (time, sequence number, kind) tuple —
-/// exactly the data that defines the deterministic replay order. The
-/// determinism verifier (check/determinism.hpp) installs one to hash the
-/// timeline of a run. The hook is per-thread so concurrently running
-/// engines on different threads do not interfere; pass nullptr to
-/// uninstall. In non-DMR_CHECK builds installation is a no-op and the
-/// dispatch path carries zero instrumentation.
+/// Timeline instrumentation: a hook invoked for every dispatched event
+/// with its (time, sequence number, kind) tuple — exactly the data that
+/// defines the deterministic replay order. The determinism verifier
+/// (check/determinism.hpp) installs one to hash the timeline of a run.
+/// The hook is per-thread so concurrently running engines on different
+/// threads do not interfere; pass nullptr to uninstall. With no hook
+/// installed the dispatch path pays one thread-local load and branch.
 using DispatchHook = void (*)(void* ctx, Time t, std::uint64_t seq,
                               bool is_callback);
 void set_thread_dispatch_hook(DispatchHook hook, void* ctx);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
+#include <utility>
 
 #include "cm1/workload.hpp"
 
@@ -56,6 +58,33 @@ RunConfig blueprint_config(StrategyKind kind, int cores, int iterations,
   cfg.workload.write_interval = write_interval;
   cfg.seed = seed;
   return cfg;
+}
+
+facility::FacilitySpec facility_storm_spec(int tenants, bool sharded) {
+  RunConfig base = kraken_config(StrategyKind::kFilePerProcess, 12,
+                                 /*iterations=*/4, /*write_interval=*/1,
+                                 /*iteration_seconds=*/0.05, 2012);
+  base.workload.bytes_per_point = 4.0;  // ~1.5 MB/rank: creates dominate
+
+  facility::FacilitySpec spec;
+  spec.platform_spec = base.platform;
+  spec.platform_spec.fs.metadata_create_cost = 50e-3;  // saturated MDS
+  spec.platform_spec.fs.metadata =
+      sharded ? cluster::MetadataModel::kSharded
+              : cluster::MetadataModel::kSerializedSingleServer;
+  spec.platform_spec.fs.mds_shards = 16;
+  spec.platform_spec.fs.mds_replicas = sharded ? 2 : 1;
+  spec.facility_nodes = 16;
+  spec.facility_seed = 2012;
+  for (int i = 0; i < tenants; ++i) {
+    facility::TenantSpec t;
+    t.tenant_id = i;
+    t.display_name = "storm-" + std::to_string(i);
+    t.base_run = base;
+    t.base_run.seed = base.seed + static_cast<std::uint64_t>(i);
+    spec.tenant_specs.push_back(std::move(t));
+  }
+  return spec;
 }
 
 double breakeven_io_percent(int cores_per_node) {

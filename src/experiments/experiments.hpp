@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cluster/presets.hpp"
+#include "facility/facility.hpp"
 #include "strategies/strategy.hpp"
 
 namespace dmr::experiments {
@@ -33,6 +34,16 @@ strategies::RunConfig blueprint_config(strategies::StrategyKind kind,
                                        int write_interval,
                                        double bytes_per_point,
                                        std::uint64_t seed = 2012);
+
+/// The metadata create storm behind the facility capacity table and
+/// Facility.ShardedMdsAbsorbsACreateStorm: `tenants` single-node
+/// file-per-process Kraken applications (4 iterations of 0.05 s, seeds
+/// 2012 + i) arrive at once on a 16-node facility, so tenants beyond 16
+/// queue in admission waves. Each rank creates its own file every
+/// phase; small payloads and a saturated MDS (50 ms per create) keep
+/// the run metadata-bound. `sharded` selects 16 MDS shards with 2
+/// replicas each instead of one serialized metadata server.
+facility::FacilitySpec facility_storm_spec(int tenants, bool sharded);
 
 /// §V-A analytic break-even: dedicating 1 of N cores pays off when the
 /// application spends at least p% of its time in I/O, p = 100 / (N - 1).

@@ -590,10 +590,11 @@ FigureReport table1_report() {
 
 FigureReport fig7_report() {
   using iopath::CompressionModel;
+  using iopath::Scheduling;
   auto variant = [](RunConfig cfg, CompressionModel compression,
-                    bool scheduling) {
+                    Scheduling scheduling) {
     cfg.damaris.compression = compression;
-    cfg.damaris.slot_scheduling = scheduling;
+    cfg.damaris.scheduling = scheduling;
     return run_strategy(cfg);
   };
   const RunConfig kraken =
@@ -604,14 +605,14 @@ FigureReport fig7_report() {
   g5k.workload.seconds_per_iteration = 230.0;
 
   const CompressionModel none = CompressionModel::none();
-  const RunResult kr_plain = variant(kraken, none, false);
-  const RunResult kr_sched = variant(kraken, none, true);
+  const RunResult kr_plain = variant(kraken, none, Scheduling::kNone);
+  const RunResult kr_sched = variant(kraken, none, Scheduling::kSlots);
   const RunResult kr_comp =
-      variant(kraken, CompressionModel::lossless(), false);
+      variant(kraken, CompressionModel::lossless(), Scheduling::kNone);
   const RunResult kr_p16 =
-      variant(kraken, CompressionModel::visualization(), false);
-  const RunResult g5_plain = variant(g5k, none, false);
-  const RunResult g5_sched = variant(g5k, none, true);
+      variant(kraken, CompressionModel::visualization(), Scheduling::kNone);
+  const RunResult g5_plain = variant(g5k, none, Scheduling::kNone);
+  const RunResult g5_sched = variant(g5k, none, Scheduling::kSlots);
 
   const double interval = 230.0;  // one write per 230 s iteration
   auto busy = [&](const RunResult& r) {
@@ -744,37 +745,9 @@ FigureReport breakeven_report() {
 
 // ------------------------------------------------- facility capacity
 
-/// One cell of the capacity-planning sweep: `tenants` single-node
-/// file-per-process applications arriving at once on a 16-node
-/// facility (admission waves beyond 16), with the same saturated-MDS
-/// storm configuration as the ctest case
-/// Facility.ShardedMdsAbsorbsACreateStorm.
+/// One cell of the capacity-planning sweep (facility_storm_spec).
 facility::FacilityOutcome run_facility_storm(int tenants, bool sharded) {
-  RunConfig base = kraken_config(StrategyKind::kFilePerProcess, 12,
-                                 /*iterations=*/4, /*write_interval=*/1,
-                                 /*iteration_seconds=*/0.05, 2012);
-  base.workload.bytes_per_point = 4.0;  // creates dominate
-
-  facility::FacilitySpec spec;
-  spec.platform_spec = base.platform;
-  spec.platform_spec.fs.metadata_create_cost = 50e-3;  // saturated MDS
-  spec.platform_spec.fs.metadata =
-      sharded ? cluster::MetadataModel::kSharded
-              : cluster::MetadataModel::kSerializedSingleServer;
-  spec.platform_spec.fs.mds_shards = 16;
-  spec.platform_spec.fs.mds_replicas = sharded ? 2 : 1;
-  spec.facility_nodes = 16;
-  spec.facility_seed = 2012;
-  for (int i = 0; i < tenants; ++i) {
-    facility::TenantSpec t;
-    t.tenant_id = i;
-    t.display_name = "storm-" + std::to_string(i);
-    t.base_run = base;
-    t.base_run.seed = base.seed + static_cast<std::uint64_t>(i);
-    spec.tenant_specs.push_back(std::move(t));
-  }
-  facility::Facility fac(spec);
-  return fac.run();
+  return facility::Facility(facility_storm_spec(tenants, sharded)).run();
 }
 
 FigureReport facility_report() {

@@ -57,6 +57,22 @@ inline constexpr int stage_index(StageKind k) { return static_cast<int>(k); }
 
 const char* stage_name(StageKind k);
 
+/// How a dedicated core schedules its writes: what the kSchedule stage
+/// (ScheduleStage, iopath/stages.hpp) waits for.
+enum class Scheduling {
+  /// Write as soon as the data is ready.
+  kNone,
+  /// §IV-D local slots: wait for this writer's slot in the estimated
+  /// iteration interval, with no communication.
+  kSlots,
+  /// Trace-fed adaptive slots (sched/adaptive.hpp): wait for the offset
+  /// an AdaptiveSlotController last retuned for this writer.
+  kAdaptive,
+  /// §VI coordinated scheduling: the writers share a bounded set of
+  /// write tokens, capping concurrent writers exactly.
+  kTokens,
+};
+
 /// One write travelling through a pipeline. The request carries its own
 /// context (origin node, issuing core) so stage instances can be shared
 /// by every rank/writer of an experiment.

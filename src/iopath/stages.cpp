@@ -29,22 +29,28 @@ des::Task<void> TransformStage::run(WriteRequest& req) {
 }
 
 des::Task<void> ScheduleStage::run(WriteRequest& req) {
-  if (controller_ != nullptr) {
-    // Adaptive plan: wait for the offset the controller last retuned
-    // for this writer (uniform static slots until the first retune).
-    co_await eng_->delay(controller_->offset(req.source));
-  } else if (slots_) {
-    const sched::SlotScheduler scheduler(interval_, num_writers_, req.source);
-    co_await eng_->delay(scheduler.slot_start());
-  }
-  if (tokens_) {
-    co_await tokens_->acquire();
+  switch (mode_) {
+    case Scheduling::kNone:
+      break;
+    case Scheduling::kSlots: {
+      const sched::SlotScheduler scheduler(interval_, num_writers_,
+                                           req.source);
+      co_await eng_->delay(scheduler.slot_start());
+      break;
+    }
+    case Scheduling::kAdaptive:
+      // Uniform static slots until the controller's first retune.
+      co_await eng_->delay(controller_->offset(req.source));
+      break;
+    case Scheduling::kTokens:
+      co_await tokens_->acquire();
+      break;
   }
 }
 
 void ScheduleStage::complete(WriteRequest& req) {
   (void)req;
-  if (tokens_) tokens_->release();
+  if (mode_ == Scheduling::kTokens) tokens_->release();
 }
 
 des::Task<void> StorageStage::run(WriteRequest& req) {

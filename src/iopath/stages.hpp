@@ -75,25 +75,20 @@ class TransformStage : public Stage {
   CompressionModel model_;
 };
 
-/// Schedule — when the writer may touch the file system. §IV-D local
-/// slot scheduling (communication-free: wait for this writer's slot in
-/// the estimated iteration interval) and/or the §VI coordinated token
-/// set bounding concurrent writers. The token is held until every
+/// Schedule — when the writer may touch the file system, per
+/// `Scheduling` (iopath/stage.hpp). A token is held until every
 /// downstream stage finished (released in complete()).
 class ScheduleStage : public Stage {
  public:
-  /// `tokens` may be null (no coordination). With a non-null
-  /// `controller` the static per-request SlotScheduler is replaced by
-  /// the trace-fed adaptive plan (sched/adaptive.hpp): the writer waits
-  /// for the offset the controller last retuned for it. The stage owns
-  /// neither pointer.
+  /// `tokens` is required by kTokens and `controller` by kAdaptive;
+  /// other modes ignore them. The stage owns neither pointer.
   ScheduleStage(des::Engine& eng, SimTime interval, int num_writers,
-                bool slot_scheduling, des::Semaphore* tokens,
+                Scheduling mode, des::Semaphore* tokens = nullptr,
                 sched::AdaptiveSlotController* controller = nullptr)
       : eng_(&eng),
         interval_(interval),
         num_writers_(num_writers),
-        slots_(slot_scheduling),
+        mode_(mode),
         tokens_(tokens),
         controller_(controller) {}
 
@@ -105,7 +100,7 @@ class ScheduleStage : public Stage {
   des::Engine* eng_;
   SimTime interval_;
   int num_writers_;
-  bool slots_;
+  Scheduling mode_;
   des::Semaphore* tokens_;
   sched::AdaptiveSlotController* controller_;
 };

@@ -8,14 +8,6 @@
 
 namespace dmr::mc {
 
-bool instrumentation_enabled() {
-#ifdef DMR_CHECK
-  return true;
-#else
-  return false;
-#endif
-}
-
 namespace {
 
 /// Replays the counterexample and renders it as a Chrome trace: one
@@ -60,10 +52,6 @@ void export_counterexample(const ShmScenario& scenario,
 McResult check_shm_protocol(const ScenarioOptions& scenario_opts,
                             const ModelOptions& model,
                             const std::string& trace_out) {
-  if (!instrumentation_enabled()) {
-    return McResult{};  // hooks compiled out: nothing to observe
-  }
-
   // Seed the requested bugs in the production shm layer for the whole
   // exploration (every Execution replays against the same hooks).
   shm::ScopedTestHooks guard{shm::TestHooks{

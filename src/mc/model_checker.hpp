@@ -8,11 +8,6 @@
 // minimized schedule into a Chrome trace (one lane per virtual thread,
 // one unit of time per scheduler step, an instant marking the
 // violation) via src/trace/.
-//
-// Requires a DMR_CHECK build: without the instrumentation hooks the
-// engines are blind, so exploration would be vacuous. In a non-check
-// build the result carries zero executions (gate on
-// instrumentation_enabled() before asserting anything about it).
 #pragma once
 
 #include <string>
@@ -21,9 +16,6 @@
 #include "mc/scheduler.hpp"
 
 namespace dmr::mc {
-
-/// True in builds whose shm layer fires observer hooks (DMR_CHECK).
-bool instrumentation_enabled();
 
 McResult check_shm_protocol(const ScenarioOptions& scenario,
                             const ModelOptions& model = {},

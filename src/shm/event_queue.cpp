@@ -127,12 +127,10 @@ void EventQueue::close() {
       o->on_release({SyncPoint::Kind::kQueueMutex, this});
     }
   }
-#ifdef DMR_CHECK
   // Seeded lost-wakeup bug (tests/mc_test.cpp): forget to wake blocked
   // poppers. The model checker's cooperative wait model reads the same
   // flag and reports the resulting deadlock.
   if (test_hooks().skip_notify_on_close) return;
-#endif
   cv_.notify_all();
 }
 

@@ -84,19 +84,14 @@ class EventQueue {
   std::uint64_t dropped() const;
 
   /// Attaches (or detaches, with nullptr) a protocol observer. The
-  /// observer must outlive the queue or be detached first. Effective
-  /// only in DMR_CHECK builds.
+  /// observer must outlive the queue or be detached first.
   void set_observer(ShmObserver* obs) {
     observer_.store(obs, std::memory_order_release);  // sync: queue_observer
   }
 
  private:
   ShmObserver* observer() const {
-#ifdef DMR_CHECK
     return observer_.load(std::memory_order_acquire);  // sync: queue_observer
-#else
-    return nullptr;
-#endif
   }
 
   mutable Mutex mutex_;

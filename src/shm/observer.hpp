@@ -8,10 +8,8 @@
 // and can maintain shadow state to detect misuse — see
 // check/protocol_checker.hpp for the implementation.
 //
-// Hooks are compiled in only when DMR_CHECK is defined (the default
-// build; benchmarks configure with -DDMR_CHECK=OFF). With DMR_CHECK on
-// but no observer attached, the cost per operation is one relaxed
-// atomic load and a predictable branch.
+// Hooks are always compiled in. With no observer attached, the cost per
+// operation is one acquire load and a predictable branch.
 //
 // Ordering guarantees relied upon by checkers:
 //  - on_allocate / on_write run on the owning client's thread before

@@ -1,6 +1,7 @@
 #include "shm/shared_buffer.hpp"
 
 #include <algorithm>
+#include <new>
 #include <string>
 
 #include "shm/test_hooks.hpp"
@@ -10,14 +11,16 @@ namespace dmr::shm {
 
 SharedBuffer::SharedBuffer(Bytes capacity, AllocPolicy policy,
                            int num_clients)
-    : capacity_(capacity),
+    : memory_(new (std::nothrow) std::byte[capacity]),
+      // Without memory the allocator manages zero bytes: an empty free
+      // list or zero-length partitions fail every allocate().
+      capacity_(memory_ ? capacity : 0),
       policy_(policy),
       num_clients_(num_clients),
-      memory_(new std::byte[capacity]),
       fault_seq_(new std::atomic<std::uint64_t>[
           static_cast<std::size_t>(num_clients > 0 ? num_clients : 1)]()) {
   if (policy_ == AllocPolicy::kMutexFirstFit) {
-    free_by_offset_.emplace(0, capacity_);
+    if (capacity_ > 0) free_by_offset_.emplace(0, capacity_);
   } else if (num_clients_ > 0) {
     const Bytes slice = capacity_ / static_cast<Bytes>(num_clients_);
     partitions_.reserve(num_clients_);
@@ -96,13 +99,11 @@ void SharedBuffer::deallocate(const Block& block) {
   if (!block.valid()) return;
   const std::span<const Block> one(&block, 1);
   deallocate_once(one);
-#ifdef DMR_CHECK
   // Seeded double-release bug (tests/mc_test.cpp): return the block a
   // second time, corrupting the free list / partition counters. The
   // protocol checker and the free-list integrity invariant must both
   // flag it.
   if (test_hooks().double_deallocate) deallocate_once(one);
-#endif
 }
 
 void SharedBuffer::deallocate_batch(std::vector<Block> blocks) {
@@ -110,11 +111,9 @@ void SharedBuffer::deallocate_batch(std::vector<Block> blocks) {
   std::sort(blocks.begin(), blocks.end(),
             [](const Block& a, const Block& b) { return a.offset < b.offset; });
   deallocate_once(blocks);
-#ifdef DMR_CHECK
   // The seeded double-release bug, batch edition: the whole batch is
   // returned a second time.
   if (test_hooks().double_deallocate) deallocate_once(blocks);
-#endif
 }
 
 void SharedBuffer::deallocate_once(std::span<const Block> sorted) {

@@ -50,6 +50,8 @@ class SharedBuffer {
   /// `num_clients` is required by the partitioned policy (ignored by the
   /// mutex policy, but kept for accounting either way). With fewer than
   /// one client there are no partitions and every allocate() fails.
+  /// When `capacity` bytes cannot be allocated the buffer has no memory:
+  /// capacity() is 0 and every allocate() fails with kOutOfMemory.
   SharedBuffer(Bytes capacity, AllocPolicy policy, int num_clients);
   ~SharedBuffer();
 
@@ -94,8 +96,7 @@ class SharedBuffer {
   Status check_integrity() const;
 
   /// Attaches (or detaches, with nullptr) a protocol observer. The
-  /// observer must outlive the buffer or be detached first. Effective
-  /// only in DMR_CHECK builds.
+  /// observer must outlive the buffer or be detached first.
   void set_observer(ShmObserver* obs) {
     observer_.store(obs, std::memory_order_release);  // sync: buffer_observer
   }
@@ -132,11 +133,7 @@ class SharedBuffer {
 
  private:
   ShmObserver* observer() const {
-#ifdef DMR_CHECK
     return observer_.load(std::memory_order_acquire);  // sync: buffer_observer
-#else
-    return nullptr;
-#endif
   }
 
   Result<Block> allocate_first_fit(Bytes size, int client_id);
@@ -151,10 +148,10 @@ class SharedBuffer {
   void account_alloc(Bytes size);
   void account_free(Bytes size);
 
-  const Bytes capacity_;
+  std::unique_ptr<std::byte[]> memory_;  // null when unallocatable
+  const Bytes capacity_;                  // 0 when memory_ is null
   const AllocPolicy policy_;
   const int num_clients_;
-  std::unique_ptr<std::byte[]> memory_;
 
   std::atomic<Bytes> used_{0};
   std::atomic<Bytes> peak_{0};

@@ -1,4 +1,4 @@
-// Mutation hooks for concurrency testing (DMR_CHECK builds only).
+// Mutation hooks for concurrency testing.
 //
 // The model checker and race detector in src/mc/ prove the absence of
 // protocol bugs over all interleavings — but a verifier that has never
@@ -15,8 +15,8 @@
 //                         the server (consulted by mc scenario programs
 //                         and core::Client instrumentation points).
 //
-// The flags are consulted only in DMR_CHECK builds and default to off,
-// so production behavior is untouched. Not thread-safe: set them before
+// The flags default to off, so production behavior is untouched. Not
+// thread-safe: set them before
 // the threads (or the model checker) start, restore after — ScopedTestHooks
 // does both.
 #pragma once

@@ -81,11 +81,11 @@ Experiment::Experiment(const RunConfig& cfg, des::Engine* eng,
     for (int w = 0; w < num_writers(); ++w) {
       channels_.push_back(std::make_unique<des::Channel<PhaseMsg>>(*eng_));
     }
-    if (cfg_.damaris.coordinated_scheduling) {
+    if (cfg_.damaris.scheduling == iopath::Scheduling::kTokens) {
       write_tokens_ =
           std::make_unique<des::Semaphore>(*eng_, kCoordinationTokens);
     }
-    if (cfg_.damaris.adaptive_scheduling) {
+    if (cfg_.damaris.scheduling == iopath::Scheduling::kAdaptive) {
       slot_controller_ = std::make_unique<sched::AdaptiveSlotController>(
           interval_seconds_ > 0 ? interval_seconds_ : 1.0, num_writers());
     }
@@ -173,7 +173,7 @@ void Experiment::build_pipelines() {
                                                         d.compression))
           .add(std::make_unique<iopath::ScheduleStage>(
               *eng_, interval_seconds_ > 0 ? interval_seconds_ : 1.0,
-              num_writers(), d.slot_scheduling, write_tokens_.get(),
+              num_writers(), d.scheduling, write_tokens_.get(),
               slot_controller_.get()))
           .add(std::make_unique<iopath::StorageStage>(
               *fs_, d.file_stripe_count, d.write_request,

@@ -70,26 +70,22 @@ struct DamarisOptions {
   /// model's rate and divides the stored bytes by its ratio.
   iopath::CompressionModel compression;
 
-  /// §IV-D slot scheduling of dedicated-core writes.
-  bool slot_scheduling = false;
-
-  /// Trace-fed adaptive slot scheduling (sched/adaptive.hpp): replaces
-  /// the static per-request SlotScheduler with an online controller
-  /// that retunes slot count/offsets/widths every write phase from the
-  /// observed Schedule-stage waits and Storage-stage service times.
-  /// Uniform static slots until the first full phase of observations,
-  /// so a balanced workload matches slot_scheduling within noise while
-  /// an imbalanced one recovers the throughput static slots lose.
-  /// Implies slot-style scheduling (slot_scheduling need not be set).
-  /// Its load and interval estimates smooth with sched::kDefaultAlpha.
-  bool adaptive_scheduling = false;
-
-  /// §VI future-work extension: *coordinated* distributed I/O scheduling.
-  /// Instead of communication-free local slots, the dedicated cores pass
-  /// eight write tokens among themselves, bounding the number of
-  /// concurrent writers hitting the file system. Mutually exclusive with
-  /// slot_scheduling in spirit; if both are set, slots apply first.
-  bool coordinated_scheduling = false;
+  /// How the dedicated cores schedule their writes:
+  ///  - kSlots: §IV-D local slot scheduling;
+  ///  - kAdaptive: trace-fed adaptive slots (sched/adaptive.hpp). An
+  ///    online controller retunes slot count/offsets/widths every write
+  ///    phase from the observed Schedule-stage waits and Storage-stage
+  ///    service times. Uniform static slots until the first full phase
+  ///    of observations, so a balanced workload matches kSlots within
+  ///    noise while an imbalanced one recovers the throughput static
+  ///    slots lose. Its load and interval estimates smooth with
+  ///    sched::kDefaultAlpha;
+  ///  - kTokens: the §VI future-work extension, *coordinated*
+  ///    distributed I/O scheduling. Instead of communication-free local
+  ///    slots, the dedicated cores pass eight write tokens among
+  ///    themselves, bounding the number of concurrent writers hitting
+  ///    the file system.
+  iopath::Scheduling scheduling = iopath::Scheduling::kNone;
 
   /// Request size and stripe count of the per-node files.
   Bytes write_request = 128 * MiB;
@@ -181,7 +177,7 @@ struct RunResult {
   std::uint64_t storage_retries = 0;
   Status first_error = Status::ok();
 
-  /// Adaptive scheduling (DamarisOptions::adaptive_scheduling):
+  /// Adaptive scheduling (Scheduling::kAdaptive):
   /// completed controller retunes and the active slot count of the
   /// final plan (0 / 0 when the controller was not enabled).
   int schedule_retunes = 0;

@@ -4,16 +4,6 @@
 
 namespace dmr::trace {
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 const char* category_name(Category c) {
   switch (c) {
     case Category::kDes: return "des";
@@ -56,20 +46,11 @@ const char* entity_lane_name(EntityType t) {
 }
 
 Tracer::Tracer(TracerOptions opts)
-    : num_shards_(round_up_pow2(opts.shards < 1 ? 1 : opts.shards)),
-      shard_mask_(num_shards_ - 1),
-      ring_capacity_(opts.ring_capacity),
-      categories_(opts.categories),
-      shards_(std::make_unique<std::atomic<TraceRing*>[]>(num_shards_)),
-      t0_(WallClock::now()) {
-  for (std::size_t i = 0; i < num_shards_; ++i) {
-    shards_[i].store(nullptr, std::memory_order_relaxed);
-  }
-}
+    : categories_(opts.categories), t0_(WallClock::now()) {}
 
 Tracer::~Tracer() {
-  for (std::size_t i = 0; i < num_shards_; ++i) {
-    delete shards_[i].load(std::memory_order_acquire);
+  for (const std::atomic<TraceRing*>& s : shards_) {
+    delete s.load(std::memory_order_acquire);
   }
 }
 
@@ -86,10 +67,10 @@ TraceRing& Tracer::shard(EntityId entity) {
   // shard allocates its ring (CAS keeps exactly one winner).
   const std::uint64_t key = entity.key();
   const std::size_t idx =
-      static_cast<std::size_t>(key ^ (key >> 29)) & shard_mask_;
+      static_cast<std::size_t>(key ^ (key >> 29)) & (kShards - 1);
   TraceRing* ring = shards_[idx].load(std::memory_order_acquire);
   if (ring != nullptr) return *ring;
-  auto* fresh = new TraceRing(ring_capacity_);
+  auto* fresh = new TraceRing(kRingCapacity);
   TraceRing* expected = nullptr;
   if (shards_[idx].compare_exchange_strong(expected, fresh,
                                            std::memory_order_acq_rel)) {
@@ -149,8 +130,8 @@ double Tracer::wall_now() const { return seconds_since(t0_); }
 
 std::uint64_t Tracer::recorded() const {
   std::uint64_t n = 0;
-  for (std::size_t i = 0; i < num_shards_; ++i) {
-    if (const TraceRing* r = shards_[i].load(std::memory_order_acquire)) {
+  for (const std::atomic<TraceRing*>& s : shards_) {
+    if (const TraceRing* r = s.load(std::memory_order_acquire)) {
       n += r->recorded();
     }
   }
@@ -159,8 +140,8 @@ std::uint64_t Tracer::recorded() const {
 
 std::uint64_t Tracer::overwritten() const {
   std::uint64_t n = 0;
-  for (std::size_t i = 0; i < num_shards_; ++i) {
-    if (const TraceRing* r = shards_[i].load(std::memory_order_acquire)) {
+  for (const std::atomic<TraceRing*>& s : shards_) {
+    if (const TraceRing* r = s.load(std::memory_order_acquire)) {
       n += r->overwritten();
     }
   }
@@ -169,8 +150,8 @@ std::uint64_t Tracer::overwritten() const {
 
 std::vector<TraceEvent> Tracer::drain() const {
   std::vector<TraceEvent> all;
-  for (std::size_t i = 0; i < num_shards_; ++i) {
-    if (const TraceRing* r = shards_[i].load(std::memory_order_acquire)) {
+  for (const std::atomic<TraceRing*>& s : shards_) {
+    if (const TraceRing* r = s.load(std::memory_order_acquire)) {
       std::vector<TraceEvent> part = r->drain();
       all.insert(all.end(), part.begin(), part.end());
     }
@@ -185,7 +166,6 @@ std::vector<TraceEvent> Tracer::drain() const {
   return all;
 }
 
-#ifdef DMR_TRACE
 namespace detail {
 std::atomic<Tracer*> g_tracer{nullptr};
 }
@@ -193,11 +173,5 @@ std::atomic<Tracer*> g_tracer{nullptr};
 Tracer* install(Tracer* t) {
   return detail::g_tracer.exchange(t, std::memory_order_acq_rel);
 }
-#else
-Tracer* install(Tracer* t) {
-  (void)t;
-  return nullptr;
-}
-#endif
 
 }  // namespace dmr::trace

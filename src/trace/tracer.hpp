@@ -8,13 +8,10 @@
 // load (the category mask), one fetch_add and a handful of relaxed
 // stores — no locks, no allocation after the first event in a shard.
 //
-// Gating is two-level, mirroring DMR_CHECK (DESIGN.md §8):
-//  - compile time: hooks all over the codebase call trace::current();
-//    with the DMR_TRACE CMake option OFF this is a constexpr nullptr
-//    and every hook folds away, leaving the zero-trace hot path
-//    byte-identical (verified by the DES determinism digests);
-//  - runtime: with DMR_TRACE on, hooks fire only when a Tracer is
-//    installed *and* the event's category is enabled on it.
+// Gating is at run time (DESIGN.md §10): hooks all over the codebase
+// call trace::current() and fire only when a Tracer is installed *and*
+// the event's category is enabled on it. With no tracer installed a hook
+// costs one atomic load and a predictable branch.
 //
 // Thread-safety: record_*() and enabled() may be called from any
 // thread. install()/ScopedTracer swap a process-wide atomic pointer —
@@ -25,9 +22,9 @@
 // without (pinned by trace_test).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -39,11 +36,6 @@ namespace dmr::trace {
 struct TracerOptions {
   /// Bitmask of Category values enabled at construction.
   std::uint32_t categories = kAllCategories;
-  /// Events per shard ring (rounded up to a power of two).
-  std::size_t ring_capacity = 4096;
-  /// Number of entity shards (rounded up to a power of two). Shards are
-  /// allocated lazily, so idle entities cost nothing.
-  std::size_t shards = 256;
 };
 
 class Tracer {
@@ -86,31 +78,28 @@ class Tracer {
  private:
   TraceRing& shard(EntityId entity);
 
-  const std::size_t num_shards_;  // power of two
-  const std::size_t shard_mask_;
-  const std::size_t ring_capacity_;
+  /// Entity shards (a power of two). A shard allocates its ring on its
+  /// first event, so idle entities cost nothing.
+  static constexpr std::size_t kShards = 256;
+  /// Events per shard ring (a power of two).
+  static constexpr std::size_t kRingCapacity = 4096;
+
   std::atomic<std::uint32_t> categories_;
-  std::unique_ptr<std::atomic<TraceRing*>[]> shards_;
+  std::array<std::atomic<TraceRing*>, kShards> shards_{};
   WallClock::time_point t0_;
 };
 
 /// Installs `t` as the process-wide tracer and returns the previous one
-/// (nullptr uninstalls). No-op returning nullptr in non-DMR_TRACE
-/// builds.
+/// (nullptr uninstalls).
 Tracer* install(Tracer* t);
 
-#ifdef DMR_TRACE
 namespace detail {
 extern std::atomic<Tracer*> g_tracer;
 }
-/// The installed tracer, or nullptr. One relaxed-ish atomic load.
+/// The installed tracer, or nullptr. One acquire load.
 inline Tracer* current() {
   return detail::g_tracer.load(std::memory_order_acquire);
 }
-#else
-/// DMR_TRACE is off: constexpr nullptr folds every hook to nothing.
-inline constexpr Tracer* current() { return nullptr; }
-#endif
 
 /// RAII install/restore. A null tracer leaves the ambient one in place
 /// (so un-traced runs compose with an outer traced session).

@@ -24,10 +24,6 @@
 namespace dmr::check {
 namespace {
 
-#ifndef DMR_CHECK
-TEST(ProtocolChecker, DISABLED_RequiresDmrCheckBuild) {}
-#else
-
 bool has_violation(const std::vector<Violation>& vs, ViolationKind kind) {
   return std::any_of(vs.begin(), vs.end(),
                      [&](const Violation& v) { return v.kind == kind; });
@@ -283,7 +279,6 @@ TEST(Determinism, Fig2JitterScenarioIsDeterministic) {
         /*iterations=*/5, /*write_interval=*/1);
     strategies::run_strategy(cfg);
   });
-  EXPECT_TRUE(rep.instrumented);
   EXPECT_TRUE(rep.deterministic) << rep.to_string();
   EXPECT_GT(rep.events_a, 0u);
 }
@@ -298,6 +293,7 @@ TEST(Determinism, Fig2AllStrategiesDeterministic) {
     });
     EXPECT_TRUE(rep.deterministic)
         << strategies::strategy_name(kind) << ": " << rep.to_string();
+    EXPECT_GT(rep.events_a, 0u) << strategies::strategy_name(kind);
   }
 }
 
@@ -313,8 +309,6 @@ TEST(Determinism, DifferentSeedsGiveDifferentDigests) {
   };
   EXPECT_NE(digest_for(1), digest_for(2));
 }
-
-#endif  // DMR_CHECK
 
 }  // namespace
 }  // namespace dmr::check

@@ -3,12 +3,24 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #include "core/capi.hpp"
 #include "core/damaris.hpp"
 #include "core/metadata.hpp"
 #include "format/dh5.hpp"
+
+#ifdef __SANITIZE_ADDRESS__
+// The standard makes a failed `new (std::nothrow)` return null, but
+// AddressSanitizer aborts on an oversized request unless its allocator
+// may return null. The unallocatable-buffer tests below rely on the
+// standard behaviour. ASAN_OPTIONS set by the user still take
+// precedence.
+extern "C" const char* __asan_default_options() {
+  return "allocator_may_return_null=1";
+}
+#endif
 
 namespace dmr::core {
 namespace {
@@ -551,6 +563,36 @@ TEST(Node, FewerThanOneClientFailsStartCleanly) {
   }
 }
 
+/// kConfigXml with a buffer size that parses (a positive 64-bit value)
+/// but that no host can allocate.
+std::string unallocatable_buffer_xml(const char* policy) {
+  std::string xml = kConfigXml;
+  xml.replace(xml.find("8388608"), std::strlen("8388608"),
+              "18446744073709551615");
+  xml.replace(xml.find("firstfit"), std::strlen("firstfit"), policy);
+  return xml;
+}
+
+TEST(Node, UnallocatableBufferFailsStartCleanly) {
+  // The node constructs with a buffer that has no memory, every
+  // allocation from it fails, and start() refuses before any shard
+  // thread exists.
+  for (const char* policy : {"firstfit", "partitioned"}) {
+    auto cfg = config::Config::from_string(unallocatable_buffer_xml(policy));
+    ASSERT_TRUE(cfg.is_ok()) << cfg.status().to_string();
+    DamarisNode node(std::move(cfg.value()), 3);
+    EXPECT_EQ(node.buffer().capacity(), 0u) << policy;
+    EXPECT_EQ(node.buffer().allocate(64, 0).status().code(),
+              ErrorCode::kOutOfMemory)
+        << policy;
+    EXPECT_TRUE(node.buffer().check_integrity().is_ok()) << policy;
+    const Status st = node.start();
+    EXPECT_EQ(st.code(), ErrorCode::kOutOfMemory)
+        << policy << ": " << st.to_string();
+    EXPECT_EQ(node.stop().code(), ErrorCode::kFailedPrecondition);
+  }
+}
+
 // Checkpoint/restart: every 4th of 12 steps each of 3 clients writes its
 // three checkpoint variables in order, stopping at the first failure, so
 // a checkpoint either lands in order or fails fast. A restart then reads
@@ -656,6 +698,30 @@ TEST(CApi, FullLifecycle) {
 
   EXPECT_EQ(capi::df_end_iteration(0), 0);
   EXPECT_EQ(capi::df_finalize(), 0);
+  EXPECT_EQ(capi::df_teardown(), 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CApi, UnallocatableBufferFailsSetupCleanly) {
+  namespace capi = ::dmr::core::capi;
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("damaris_capi_oom_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto bad_path = dir / "unallocatable.xml";
+  const auto good_path = dir / "config.xml";
+  {
+    std::ofstream(bad_path) << unallocatable_buffer_xml("firstfit");
+    std::ofstream(good_path) << kConfigXml;
+  }
+  EXPECT_EQ(capi::df_setup(bad_path.c_str(), 1, dir.c_str()), -1);
+  EXPECT_NE(std::string(capi::df_last_error()).find("shared buffer"),
+            std::string::npos)
+      << capi::df_last_error();
+  // The failed setup kept no node: there is nothing to tear down, and a
+  // second setup succeeds.
+  EXPECT_EQ(capi::df_teardown(), -2);
+  ASSERT_EQ(capi::df_setup(good_path.c_str(), 1, dir.c_str()), 0)
+      << capi::df_last_error();
   EXPECT_EQ(capi::df_teardown(), 0);
   std::filesystem::remove_all(dir);
 }

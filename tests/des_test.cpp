@@ -203,9 +203,7 @@ class OrderModel {
     for (int k = 0; k < kRecorders; ++k) {
       recorders_.push_back(recorder(*this, k).release());
     }
-#ifdef DMR_CHECK
     set_thread_dispatch_hook(&OrderModel::hook, this);
-#endif
   }
   ~OrderModel() {
     set_thread_dispatch_hook(nullptr, nullptr);
@@ -264,13 +262,11 @@ class OrderModel {
     co_return;
   }
 
-#ifdef DMR_CHECK
   static void hook(void* ctx, Time t, std::uint64_t seq, bool is_callback) {
     auto* m = static_cast<OrderModel*>(ctx);
     m->hook_key_ = {t, seq};
     m->hook_is_callback_ = is_callback;
   }
-#endif
 
   void expect(const Key& key, const Pending& p) {
     pending_.emplace(key, p);
@@ -286,9 +282,7 @@ class OrderModel {
       const auto [key, p] = *pending_.begin();
       if (eng_.now() != key.first) why = "time";
       if (p.is_callback != is_callback || p.who != who) why += " identity";
-#ifdef DMR_CHECK
       if (hook_key_ != key || hook_is_callback_ != is_callback) why += " seq";
-#endif
       pending_.erase(pending_.begin());
       now_ = key.first;
     }
@@ -415,10 +409,8 @@ class OrderModel {
   std::uint64_t mismatches_ = 0;
   std::uint64_t cancels_[kNumCancelKinds] = {};
   std::string first_mismatch_;
-#ifdef DMR_CHECK
   Key hook_key_{};
   bool hook_is_callback_ = false;
-#endif
 };
 
 TEST(Engine, DispatchOrderMatchesReferenceModel) {

@@ -336,36 +336,11 @@ TEST(Facility, IdenticalSpecsGiveIdenticalOutcomes) {
 
 // ------------------------------------------------------ create storm
 
-// 64 single-node file-per-process tenants arrive at once on a 16-node
-// facility: four admission waves of 16 resident tenants, each rank
-// creating its own file every phase. Small payloads and a saturated MDS
-// (50 ms per create, a Lustre MDS at the far end of a create storm) keep
-// the run metadata-bound, which is what the sharded service is for.
+// 64 tenants: four admission waves of 16 resident tenants on the
+// report's create-storm facility (experiments::facility_storm_spec), a
+// metadata-bound run, which is what the sharded service is for.
 FacilityOutcome run_storm(bool sharded) {
-  strategies::RunConfig base = experiments::kraken_config(
-      strategies::StrategyKind::kFilePerProcess, 12, /*iterations=*/4,
-      /*write_interval=*/1, /*iteration_seconds=*/0.05, 2012);
-  base.workload.bytes_per_point = 4.0;  // ~1.5 MB/rank: creates dominate
-
-  FacilitySpec spec;
-  spec.platform_spec = base.platform;
-  spec.platform_spec.fs.metadata_create_cost = 50e-3;
-  spec.platform_spec.fs.metadata =
-      sharded ? cluster::MetadataModel::kSharded
-              : cluster::MetadataModel::kSerializedSingleServer;
-  spec.platform_spec.fs.mds_shards = 16;
-  spec.platform_spec.fs.mds_replicas = sharded ? 2 : 1;
-  spec.facility_nodes = 16;
-  spec.facility_seed = 2012;
-  for (int i = 0; i < 64; ++i) {
-    TenantSpec t;
-    t.tenant_id = i;
-    t.display_name = "storm-" + std::to_string(i);
-    t.base_run = base;
-    t.base_run.seed = 2012 + static_cast<std::uint64_t>(i);
-    spec.tenant_specs.push_back(std::move(t));
-  }
-  return Facility(spec).run();
+  return Facility(experiments::facility_storm_spec(64, sharded)).run();
 }
 
 TEST(Facility, ShardedMdsAbsorbsACreateStorm) {

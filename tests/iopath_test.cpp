@@ -258,7 +258,7 @@ TEST(WritePipeline, ScheduleStageHoldsTokenUntilDownstreamFinishes) {
   WritePipeline pipe(eng);
   pipe.add(std::make_unique<ScheduleStage>(eng, /*interval=*/1.0,
                                            /*num_writers=*/1,
-                                           /*slot_scheduling=*/false, &tokens))
+                                           Scheduling::kTokens, &tokens))
       .add(std::make_unique<FakeStage>(eng, StageKind::kStorage, 2.0));
 
   // Two concurrent requests through a 1-token set: storage serializes.
@@ -288,8 +288,7 @@ TEST(WritePipeline, ScheduleStageSlotDelayFollowsSlotScheduler) {
   WritePipeline pipe(eng);
   // 4 writers over a 100 s interval: writer 3's slot opens at t = 75.
   pipe.add(std::make_unique<ScheduleStage>(eng, 100.0, 4,
-                                           /*slot_scheduling=*/true,
-                                           /*tokens=*/nullptr));
+                                           Scheduling::kSlots));
   WriteRequest req;
   req.source = 3;
   req.raw_bytes = 10;

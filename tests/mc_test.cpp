@@ -271,7 +271,6 @@ TEST(McSyncChannels, RaceDetectorCountsEdgesPerChannel) {
 // ---------------------------------------------------- Scheduler mechanics
 
 TEST(McScheduler, SingleProducerScenarioExploresAndCompletes) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   ScenarioOptions s;
   s.producers = 1;
   s.handoffs = 1;
@@ -282,7 +281,6 @@ TEST(McScheduler, SingleProducerScenarioExploresAndCompletes) {
 }
 
 TEST(McScheduler, SleepSetsPruneIndependentCommutations) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   // Two producers, one handoff each: the partitioned allocs commute,
   // only the publish order and consumer interleavings branch. The
   // reduced exploration must stay far below the naive interleaving
@@ -297,7 +295,6 @@ TEST(McScheduler, SleepSetsPruneIndependentCommutations) {
 }
 
 TEST(McScheduler, ReplayReproducesASchedule) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   ScenarioOptions sopts;
   sopts.producers = 1;
   sopts.handoffs = 1;
@@ -327,7 +324,6 @@ TEST(McScheduler, ReplayReproducesASchedule) {
 // invariants, FIFO delivery, payload integrity, and freedom from
 // races and deadlock.
 TEST(McModel, HonestTwoProducersThreeHandoffsPartitionedIsClean) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   ScenarioOptions s;  // defaults: 2 producers x 3 handoffs, partitioned
   const McResult r = check_shm_protocol(s);
   EXPECT_TRUE(r.complete) << r.summary();
@@ -336,7 +332,6 @@ TEST(McModel, HonestTwoProducersThreeHandoffsPartitionedIsClean) {
 }
 
 TEST(McModel, HonestFirstFitIsClean) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   // First-fit shares one free list, so every alloc/release pair is
   // dependent — a coarser footprint and a bigger reduced space. Two
   // handoffs keep it comfortably inside the CI budget.
@@ -350,7 +345,6 @@ TEST(McModel, HonestFirstFitIsClean) {
 }
 
 TEST(McModel, HonestProducerCloseDrainsFifo) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   // The producer closes after its own pushes; messages already queued
   // must still drain in FIFO order before pop returns nullopt.
   ScenarioOptions s;
@@ -363,7 +357,6 @@ TEST(McModel, HonestProducerCloseDrainsFifo) {
 }
 
 TEST(McModel, HonestWaitModelHasNoLostWakeup) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   // With the condvar modeled explicitly, close's notify is load-bearing:
   // the honest protocol must still terminate in every interleaving.
   ScenarioOptions s;
@@ -379,7 +372,6 @@ TEST(McModel, HonestWaitModelHasNoLostWakeup) {
 // ---------------------------------------------------- Seeded-bug catches
 
 TEST(McMutation, DoubleReleaseCaughtByProtocolChecker) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   ScenarioOptions s;
   s.producers = 2;
   s.handoffs = 1;
@@ -396,7 +388,6 @@ TEST(McMutation, DoubleReleaseCaughtByProtocolChecker) {
 }
 
 TEST(McMutation, WriteAfterPublishCaughtByRaceDetector) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   ScenarioOptions s;
   s.producers = 1;
   s.handoffs = 1;
@@ -412,7 +403,6 @@ TEST(McMutation, WriteAfterPublishCaughtByRaceDetector) {
 }
 
 TEST(McMutation, LostWakeupOnCloseCaughtAsDeadlock) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   ScenarioOptions s;
   s.producers = 1;
   s.handoffs = 1;
@@ -427,7 +417,6 @@ TEST(McMutation, LostWakeupOnCloseCaughtAsDeadlock) {
 }
 
 TEST(McMutation, CounterexampleExportsChromeTrace) {
-  if (!instrumentation_enabled()) GTEST_SKIP() << "DMR_CHECK off";
   ScenarioOptions s;
   s.producers = 1;
   s.handoffs = 1;

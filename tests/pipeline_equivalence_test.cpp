@@ -29,7 +29,7 @@ struct Golden {
   int cores;
   int iterations;
   int write_interval;
-  std::uint64_t digest;       // timeline digest (DMR_CHECK builds)
+  std::uint64_t digest;       // timeline digest
   std::uint64_t events;       // dispatched DES events
   double total_runtime;
   double phase_mean;          // 0 when the strategy records no phases
@@ -95,17 +95,13 @@ class PipelineEquivalence : public ::testing::TestWithParam<Golden> {};
 TEST_P(PipelineEquivalence, ReproducesPreRefactorRun) {
   const Golden& g = GetParam();
 
-#ifdef DMR_CHECK
   check::TimelineHasher hasher;
-#endif
   const RunResult res = run_strategy(
       kraken_config(g.kind, g.cores, g.iterations, g.write_interval));
-#ifdef DMR_CHECK
   // The strongest claim first: the staged pipeline replays the exact
   // pre-refactor event timeline, event for event.
   EXPECT_EQ(hasher.digest(), g.digest) << g.tag;
   EXPECT_EQ(hasher.events(), g.events) << g.tag;
-#endif
 
   EXPECT_EQ(res.kind, g.kind);
   EXPECT_EQ(res.events_processed, g.events) << g.tag;
@@ -202,7 +198,7 @@ TEST(PipelineStageStats, SlotSchedulingBooksScheduleTime) {
   RunConfig cfg =
       kraken_config(StrategyKind::kDamaris, /*cores=*/576, /*iterations=*/3,
                     /*write_interval=*/1);
-  cfg.damaris.slot_scheduling = true;
+  cfg.damaris.scheduling = iopath::Scheduling::kSlots;
   const RunResult res = run_strategy(cfg);
   const auto& st = res.stage_stats;
   EXPECT_EQ(st.of(StageKind::kSchedule).ops,

@@ -86,9 +86,6 @@ TEST(FirstFit, BatchFreeOutOfOffsetOrderCoalesces) {
 }
 
 TEST(FirstFit, BatchListingABlockTwiceIsADoubleRelease) {
-#ifndef DMR_CHECK
-  GTEST_SKIP() << "observer hooks compiled out (DMR_CHECK=OFF)";
-#endif
   SharedBuffer buf(1024, AllocPolicy::kMutexFirstFit, 1);
   check::ProtocolChecker checker;
   checker.observe(buf);

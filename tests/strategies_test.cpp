@@ -129,7 +129,7 @@ TEST(Strategies, SchedulingSpreadsWrites) {
                                          /*iteration_seconds=*/230.0);
   auto plain = run_strategy(base);
   auto scheduled = base;
-  scheduled.damaris.slot_scheduling = true;
+  scheduled.damaris.scheduling = iopath::Scheduling::kSlots;
   auto sched = run_strategy(scheduled);
   EXPECT_LT(sched.dedicated_write_seconds.mean(),
             plain.dedicated_write_seconds.mean());
@@ -195,7 +195,7 @@ TEST(Strategies, AdaptiveSchedulingRetunesAndStaysDeterministic) {
   auto mk = [] {
     RunConfig cfg = small(StrategyKind::kDamaris, 4);
     cfg.workload.imbalance = 1.0;
-    cfg.damaris.adaptive_scheduling = true;
+    cfg.damaris.scheduling = iopath::Scheduling::kAdaptive;
     return cfg;
   };
   auto a = run_strategy(mk());
@@ -230,8 +230,8 @@ RunResult run_slots(double sigma, bool adaptive) {
     cfg.workload = cm1::amr_workload(true, sigma, kIterationSeconds);
     cfg.workload.write_interval = kWriteInterval;
   }
-  cfg.damaris.slot_scheduling = !adaptive;
-  cfg.damaris.adaptive_scheduling = adaptive;
+  cfg.damaris.scheduling =
+      adaptive ? iopath::Scheduling::kAdaptive : iopath::Scheduling::kSlots;
   return run_strategy(cfg);
 }
 

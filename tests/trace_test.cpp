@@ -168,7 +168,6 @@ TEST(Tracer, DrainMergesShardsSortedByTimeThenEntity) {
   EXPECT_STREQ(got[3].name, "c");  // before kFsServer at equal t
 }
 
-#ifdef DMR_TRACE
 TEST(Tracer, ScopedInstallRestoresPreviousAndNullIsNoOp) {
   ASSERT_EQ(current(), nullptr);
   Tracer outer;
@@ -190,7 +189,6 @@ TEST(Tracer, ScopedInstallRestoresPreviousAndNullIsNoOp) {
   }
   EXPECT_EQ(current(), nullptr);
 }
-#endif
 
 // ---------------------------------------------------------- Chrome export
 
@@ -306,7 +304,6 @@ TEST(JitterReport, JsonIsDeterministicAndStructured) {
 
 // --------------------------------------------- tracing = pure observation
 
-#ifdef DMR_TRACE
 TEST(TraceObservation, TracedRunIsBitIdenticalToUntraced) {
   using strategies::RunResult;
   using strategies::StrategyKind;
@@ -363,7 +360,6 @@ TEST(TraceObservation, StrategyRunExportsWellFormedLanes) {
   }
   EXPECT_EQ(depth, 0);
 }
-#endif  // DMR_TRACE
 
 }  // namespace
 }  // namespace dmr::trace
