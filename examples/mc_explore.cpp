@@ -5,6 +5,7 @@
 //   ./mc_explore --first-fit
 //   ./mc_explore --mutate double-release --trace cex.json
 //   ./mc_explore --mutate lost-wakeup
+//   ./mc_explore --mutate park-without-recheck
 //
 // Prints the exploration summary; on a violation, prints the minimized
 // counterexample schedule and (with --trace) writes a Chrome trace of
@@ -26,9 +27,9 @@ int usage(const char* argv0) {
          "partitioned)\n"
       << "  --producer-close   last producer closes the queue (default "
          "consumer)\n"
-      << "  --wait-model       model the condvar wait explicitly\n"
+      << "  --wait-model       model the queue's sleep handshake explicitly\n"
       << "  --mutate BUG       double-release | write-after-publish | "
-         "lost-wakeup\n"
+         "lost-wakeup | park-without-recheck\n"
       << "  --budget SECONDS   exploration time budget (default 55)\n"
       << "  --trace FILE       export a counterexample Chrome trace\n";
   return 2;
@@ -78,6 +79,12 @@ int main(int argc, char** argv) {
         scenario.mutate_skip_close_notify = true;
         scenario.model_waiting = true;
         scenario.close_by = ScenarioOptions::CloseBy::kProducerLast;
+      } else if (bug == "park-without-recheck") {
+        // A push that read the sleep announcement just before the
+        // consumer made it wakes nobody; with the consumer closing,
+        // nothing else will.
+        scenario.mutate_park_without_recheck = true;
+        scenario.model_waiting = true;
       } else {
         std::cerr << "unknown mutation: " << bug << "\n";
         return 2;

@@ -141,14 +141,15 @@ if [ "$RUN_UBSAN" = 1 ]; then
   run_sanitized_ctest undefined build-ubsan "" dmr_tests
 fi
 if [ "$RUN_TSAN" = 1 ]; then
-  # The threaded suites: shared-memory layer, protocol checker, the
-  # middleware tests that drive real client threads through the node
+  # The threaded suites: shared-memory layer (with the event queue's
+  # sleep-handshake and the spin lock's park stress tests), protocol
+  # checker, the middleware tests that drive real client threads through the node
   # (one shard and two; anchored so FaultNodeFixture stays out), the
   # lock-free trace ring's concurrent-writer tests, and the chaos gates
   # (a mixed fault plan under four client threads, the acceptance plan
   # and the queue-close fallback under three).
   run_sanitized_ctest thread build-tsan \
-    "FirstFit|Partitioned|EventQueue|AllocatorProperty|ProtocolChecker|Determinism|^NodeFixture\.|^TwoShardFixture\.|TraceRing|FaultChaos" \
+    "FirstFit|Partitioned|EventQueue|SpinMutex|AllocatorProperty|ProtocolChecker|Determinism|^NodeFixture\.|^TwoShardFixture\.|TraceRing|FaultChaos" \
     shm_test check_test core_test multicore_test trace_test fault_test
 fi
 

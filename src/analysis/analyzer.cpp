@@ -16,6 +16,7 @@
 #include "analysis/model.hpp"
 #include "analysis/rules.hpp"
 #include "analysis/source.hpp"
+#include "common/json_string.hpp"
 
 namespace fs = std::filesystem;
 
@@ -24,7 +25,7 @@ namespace dmr::analysis {
 namespace {
 
 /// Bumped whenever rule semantics change, so stale caches self-expire.
-const char* kCacheHeader = "dmr-verify-cache v2";
+const char* kCacheHeader = "dmr-verify-cache v3";
 
 /// The config-doc rule's reference text. It is keyed in the cache like
 /// a source file (editing it must invalidate a cached run) but never
@@ -200,16 +201,6 @@ bool suppressed_by(const Finding& f, const AllowEntry& e) {
   return true;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') { out += '\\'; out += c; }
-    else if (c == '\n') out += "\\n";
-    else out += c;
-  }
-  return out;
-}
-
 bool finding_less(const Finding& a, const Finding& b) {
   if (a.file != b.file) return a.file < b.file;
   if (a.line != b.line) return a.line < b.line;
@@ -380,11 +371,11 @@ int run_analyzer(const Options& opt) {
     js << "{\n  \"findings\": [\n";
     for (std::size_t i = 0; i < findings.size(); ++i) {
       const Finding& f = findings[i];
-      js << "    {\"rule\": \"" << json_escape(f.rule) << "\", \"file\": \""
-         << json_escape(f.file) << "\", \"line\": " << f.line
-         << ", \"symbol\": \"" << json_escape(f.symbol)
-         << "\", \"suppressed\": " << (f.suppressed ? "true" : "false")
-         << ", \"message\": \"" << json_escape(f.message) << "\"}"
+      js << "    {\"rule\": " << json_string(f.rule) << ", \"file\": "
+         << json_string(f.file) << ", \"line\": " << f.line
+         << ", \"symbol\": " << json_string(f.symbol)
+         << ", \"suppressed\": " << (f.suppressed ? "true" : "false")
+         << ", \"message\": " << json_string(f.message) << "}"
          << (i + 1 < findings.size() ? "," : "") << "\n";
     }
     js << "  ],\n  \"unsuppressed\": " << unsuppressed

@@ -3,8 +3,9 @@
 //
 //   mutex-annotation  no bare std mutex/condvar/lock type (those fall
 //                     out of Clang's -Wthread-safety analysis), and every
-//                     dmr::Mutex guards something: some DMR_GUARDED_BY /
-//                     DMR_PT_GUARDED_BY / DMR_REQUIRES in its file names it;
+//                     dmr::Mutex or dmr::SpinMutex guards something: some
+//                     DMR_GUARDED_BY / DMR_PT_GUARDED_BY / DMR_REQUIRES in
+//                     its file names it;
 //   discarded-status  no `(void)` cast of a call to a function returning
 //                     Status / Result<> / Task<Status> — class-level
 //                     [[nodiscard]] rejects plain discards, this closes
@@ -35,14 +36,14 @@ void rule_mutex_annotation(const SourceFile& f, std::vector<Finding>& out) {
       if (lines[i].find(tok) == std::string::npos) continue;
       out.push_back({"mutex-annotation", f.rel, static_cast<int>(i + 1), tok,
                      std::string("bare ") + tok +
-                         "; use the annotated dmr::Mutex/MutexLock/CondVar "
+                         "; use the annotated dmr::Mutex/MutexLock "
                          "(common/thread_annotations.hpp) so -Wthread-safety "
                          "can see the lock"});
       break;
     }
   }
   static const std::regex kMember(
-      "\\b(?:dmr::)?Mutex\\s+([A-Za-z_][A-Za-z0-9_]*)\\s*;");
+      "\\b(?:dmr::)?(?:Spin)?Mutex\\s+([A-Za-z_][A-Za-z0-9_]*)\\s*;");
   const std::string& s = f.stripped;
   for (std::sregex_iterator it(s.begin(), s.end(), kMember), end; it != end;
        ++it) {

@@ -1,5 +1,5 @@
-// Clang thread-safety capability annotations (ISSUE 6 tentpole) and the
-// annotated lock types the whole concurrency surface uses.
+// Clang thread-safety capability annotations and the annotated lock
+// types the whole concurrency surface uses.
 //
 // The dynamic checkers (src/check/ protocol checker, src/mc/ sleep-set
 // model checker + FastTrack race detector) verify the interleavings
@@ -13,20 +13,23 @@
 // thread-safety-capable Clang and to nothing elsewhere (GCC builds are
 // unaffected). libstdc++'s std::mutex carries no capability
 // annotations, so annotating members alone would teach the analysis
-// nothing about lock/unlock; dmr::Mutex / dmr::MutexLock / dmr::CondVar
-// below wrap the std primitives with the attributes Clang needs. The
-// wrappers are zero-cost: every method is a single inlined forward.
+// nothing about lock/unlock; dmr::Mutex / dmr::MutexLock below wrap the
+// std primitive with the attributes Clang needs (every method is a
+// single inlined forward), and dmr::SpinMutex / dmr::SpinMutexLock are
+// the spin-then-park lock of the write path, annotated the same way.
 //
 // Conventions (enforced by tools/dmr_verify, rule mutex-annotation):
-//  - mutex members are dmr::Mutex (never a bare std::mutex) and every
-//    member they protect carries DMR_GUARDED_BY(that_mutex_);
+//  - mutex members are dmr::Mutex or dmr::SpinMutex (never a bare
+//    std::mutex) and every member they protect carries
+//    DMR_GUARDED_BY(that_mutex_);
 //  - private helpers that expect the lock held are suffixed _locked and
 //    annotated DMR_REQUIRES(mutex_);
 //  - the rare intentional exceptions (seqlock, virtual-thread models)
 //    live in tools/dmr_verify/allowlist.txt with a one-line justification.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
+#include <cstdint>
 #include <mutex>
 
 #if defined(__clang__) && defined(__has_attribute)
@@ -75,8 +78,8 @@
 namespace dmr {
 
 /// std::mutex with the capability attributes Clang's analysis needs.
-/// Prefer MutexLock for scoped sections; lock()/unlock() exist for the
-/// condition-variable protocol and annotated manual sections.
+/// Prefer MutexLock for scoped sections; lock()/unlock() exist for
+/// annotated manual sections.
 class DMR_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -88,7 +91,6 @@ class DMR_CAPABILITY("mutex") Mutex {
   bool try_lock() DMR_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex m_;
 };
 
@@ -107,33 +109,85 @@ class DMR_SCOPED_CAPABILITY MutexLock {
   Mutex& m_;
 };
 
-/// Condition variable for dmr::Mutex. wait() demands the caller hold
-/// the mutex (checked at compile time under Clang); internally it
-/// re-enters the wrapped std::mutex through a std::unique_lock that
-/// adopts and releases without destroying ownership.
-class CondVar {
+/// Spin-then-park lock for the short critical sections every write
+/// takes (the event queue's and the first-fit allocator's; DESIGN.md
+/// §14.1). A held glibc mutex parks its waiter on a futex at once, so a
+/// section of a few dozen nanoseconds can cost the waiter two context
+/// switches. A SpinMutex waiter first spins up to kSpinLimit rounds of
+/// a CPU pause, then parks on the lock word (std::atomic::wait). Only
+/// for sections that neither block nor allocate.
+///
+/// The word is 0 (free), 1 (held) or 2 (held, and a waiter may be
+/// parked); unlock() calls notify_one only in state 2.
+class DMR_CAPABILITY("mutex") SpinMutex {
  public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
+  SpinMutex() = default;
+  SpinMutex(const SpinMutex&) = delete;
+  SpinMutex& operator=(const SpinMutex&) = delete;
 
-  /// Blocks until notified; `m` must be held (it is released while
-  /// waiting and re-held on return, like std::condition_variable).
-  /// Deliberately no predicate overload: callers loop
-  /// `while (!cond) cv_.wait(mutex_);` so the condition's guarded reads
-  /// stay inside the caller, where the analysis can see the lock —
-  /// a predicate lambda would be analyzed as a separate function.
-  void wait(Mutex& m) DMR_REQUIRES(m) {
-    std::unique_lock<std::mutex> lk(m.m_, std::adopt_lock);
-    cv_.wait(lk);
-    lk.release();  // ownership stays with the caller's scoped lock
+  void lock() DMR_ACQUIRE() {
+    if (!try_lock()) lock_contended();
+  }
+  bool try_lock() DMR_TRY_ACQUIRE(true) {
+    std::uint32_t expected = kFree;
+    return word_.compare_exchange_strong(expected, kHeld,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed);
+  }
+  void unlock() DMR_RELEASE() {
+    if (word_.exchange(kFree, std::memory_order_release) == kParked) {
+      word_.notify_one();
+    }
   }
 
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
+ private:
+  static constexpr std::uint32_t kFree = 0;
+  static constexpr std::uint32_t kHeld = 1;
+  static constexpr std::uint32_t kParked = 2;
+  /// Pause rounds before parking: a few microseconds, longer than the
+  /// sections this lock guards and far shorter than a futex round trip.
+  static constexpr int kSpinLimit = 128;
+
+  static void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+  }
+
+  void lock_contended() {
+    for (int i = 0; i < kSpinLimit; ++i) {
+      cpu_pause();
+      std::uint32_t w = word_.load(std::memory_order_relaxed);
+      if (w == kFree &&
+          word_.compare_exchange_weak(w, kHeld, std::memory_order_acquire,
+                                      std::memory_order_relaxed)) {
+        return;
+      }
+    }
+    // Park. Whoever holds the lock sees kParked at unlock and wakes one
+    // waiter, which takes the lock in kParked: it cannot tell whether
+    // others still sleep, so its own unlock wakes once more to be safe.
+    while (word_.exchange(kParked, std::memory_order_acquire) != kFree) {
+      word_.wait(kParked, std::memory_order_relaxed);
+    }
+  }
+
+  std::atomic<std::uint32_t> word_{kFree};
+};
+
+/// Scoped lock for dmr::SpinMutex (the MutexLock of the write path).
+class DMR_SCOPED_CAPABILITY SpinMutexLock {
+ public:
+  explicit SpinMutexLock(SpinMutex& m) DMR_ACQUIRE(m) : m_(m) { m_.lock(); }
+  ~SpinMutexLock() DMR_RELEASE() { m_.unlock(); }
+
+  SpinMutexLock(const SpinMutexLock&) = delete;
+  SpinMutexLock& operator=(const SpinMutexLock&) = delete;
 
  private:
-  std::condition_variable cv_;
+  SpinMutex& m_;
 };
 
 }  // namespace dmr

@@ -584,26 +584,25 @@ void DamarisNode::register_builtin_actions() {
 // ---------------------------------------------------------------- client
 
 Result<shm::Block> DamarisNode::blocking_allocate(Bytes size, int client) {
+  auto r = buffer_->allocate(size, client);
+  if (r.is_ok() || r.status().code() != ErrorCode::kOutOfMemory) return r;
+  // Stalled. The clock is read only on this slow path, and the stall
+  // counts whether it ends in a block or in the timeout.
+  {
+    ClientState& state = *clients_[static_cast<std::size_t>(client)];
+    MutexLock lock(state.mutex);
+    ++state.stats.alloc_stalls;
+  }
   const auto deadline =
       WallClock::now() +
       std::chrono::milliseconds(resilience_.degrade.block_timeout_ms);
-  bool stalled = false;
   for (;;) {
-    auto r = buffer_->allocate(size, client);
-    if (r.is_ok()) {
-      if (stalled) {
-        ClientState& state = *clients_[static_cast<std::size_t>(client)];
-        MutexLock lock(state.mutex);
-        ++state.stats.alloc_stalls;
-      }
-      return r;
-    }
-    if (r.status().code() != ErrorCode::kOutOfMemory) return r;
     if (WallClock::now() >= deadline) {
       return out_of_memory("allocation timed out after waiting for server");
     }
-    stalled = true;
     std::this_thread::yield();
+    r = buffer_->allocate(size, client);
+    if (r.is_ok() || r.status().code() != ErrorCode::kOutOfMemory) return r;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/json_string.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "experiments/experiments.hpp"
@@ -51,11 +52,11 @@ class JsonObj {
  public:
   void add_num(const std::string& key, double v) { add_raw(key, g6(v)); }
   void add_str(const std::string& key, const std::string& v) {
-    add_raw(key, "\"" + v + "\"");
+    add_raw(key, json_string(v));
   }
   void add_raw(const std::string& key, const std::string& raw) {
     if (!body_.empty()) body_ += ", ";
-    body_ += "\"" + key + "\": " + raw;
+    body_ += json_string(key) + ": " + raw;
   }
   std::string str() const { return "{" + body_ + "}"; }
 
@@ -66,7 +67,7 @@ class JsonObj {
 std::string figure_json(const std::string& id, const JsonObj& measured,
                         const trace::JitterReport* jitter) {
   std::string out =
-      "{\n  \"id\": \"" + id + "\",\n  \"measured\": " + measured.str();
+      "{\n  \"id\": " + json_string(id) + ",\n  \"measured\": " + measured.str();
   if (jitter != nullptr && !jitter->empty()) {
     out += ",\n  \"jitter\": " + jitter->to_json();
   }

@@ -1,4 +1,4 @@
-// Multi-tenant facility layer (ROADMAP item 2): many applications —
+// Multi-tenant facility layer (DESIGN.md §16): many applications —
 // each a full strategies::RunConfig — share ONE simulated machine and
 // file system, arriving on a deterministic schedule and contending
 // through the existing noise/link models.

@@ -58,6 +58,7 @@ McResult check_shm_protocol(const ScenarioOptions& scenario_opts,
       /*double_deallocate=*/scenario_opts.mutate_double_release,
       /*skip_notify_on_close=*/scenario_opts.mutate_skip_close_notify,
       /*write_after_publish=*/scenario_opts.mutate_write_after_publish,
+      /*park_without_recheck=*/scenario_opts.mutate_park_without_recheck,
   }};
 
   const ShmScenario scenario = ShmScenario::build(scenario_opts);

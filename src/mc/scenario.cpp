@@ -30,6 +30,9 @@ std::string ScenarioOptions::to_string() const {
   if (mutate_double_release) os << " [mutation: double-release]";
   if (mutate_write_after_publish) os << " [mutation: write-after-publish]";
   if (mutate_skip_close_notify) os << " [mutation: skip-close-notify]";
+  if (mutate_park_without_recheck) {
+    os << " [mutation: park-without-recheck]";
+  }
   return os.str();
 }
 
@@ -45,6 +48,13 @@ ShmScenario ShmScenario::build(const ScenarioOptions& opts) {
   // mutation is seeded: the invisibility argument — nobody else can
   // touch an unpublished block — is exactly what the mutations break.
   const bool payload_invisible = !opts.any_mutation();
+  const bool waiting = opts.model_waiting;
+  // Every queue step reads or writes the queue or its handshake words.
+  const auto queue_foot = [](Execution&) {
+    Footprint f;
+    f.queue = 0;
+    return f;
+  };
 
   for (int p = 0; p < producers; ++p) {
     VirtualThread t;
@@ -90,30 +100,41 @@ ShmScenario ShmScenario::build(const ScenarioOptions& opts) {
       };
       t.program.push_back(std::move(write));
 
+      // Guarded mode publishes with one push(). The wait-channel mode
+      // splits it into push()'s two halves: the enqueue, then the wake
+      // (the fence and the read of the consumer's announcement), which
+      // a dropped message skips, as push() does.
       Op publish;
       publish.name = "publish";
-      publish.foot = [](Execution&) {
-        Footprint f;
-        f.queue = 0;
-        return f;
-      };
-      publish.run = [p, h](Execution& exec) {
+      publish.foot = queue_foot;
+      const int after_wake = static_cast<int>(t.program.size()) + 2;
+      publish.run = [p, h, waiting, after_wake](Execution& exec) {
         shm::Message m;
         m.type = shm::MessageType::kWriteNotification;
         m.client_id = p;
         m.iteration = h;
         m.block = exec.state(p).cur_block;
-        if (exec.queue().push(m)) {
-          exec.notify_queue();
-        } else {
-          // Dropped on a closed queue: the pusher still owns the block
-          // and must release it or it leaks (the bug PR 4 fixed in
-          // core::Client::write_sized).
-          exec.buffer().deallocate(exec.state(p).cur_block);
+        if (waiting ? exec.queue().enqueue(m) : exec.queue().push(m)) {
+          return StepResult::advance();
         }
-        return StepResult::advance();
+        // Dropped on a closed queue: the pusher still owns the block
+        // and must release it or it leaks (core::Client::write_sized
+        // releases it the same way).
+        exec.buffer().deallocate(exec.state(p).cur_block);
+        return waiting ? StepResult::jump(after_wake) : StepResult::advance();
       };
       t.program.push_back(std::move(publish));
+
+      if (waiting) {
+        Op wake;
+        wake.name = "wake";
+        wake.foot = queue_foot;
+        wake.run = [](Execution& exec) {
+          if (exec.queue().wake_sleeper()) exec.notify_queue();
+          return StepResult::advance();
+        };
+        t.program.push_back(std::move(wake));
+      }
 
       if (opts.mutate_write_after_publish && p == 0 && h == 0) {
         // Seeded bug: scribble into the block *after* handing it over —
@@ -142,15 +163,11 @@ ShmScenario ShmScenario::build(const ScenarioOptions& opts) {
         p == producers - 1) {
       Op close;
       close.name = "close";
-      close.foot = [](Execution&) {
-        Footprint f;
-        f.queue = 0;
-        return f;
-      };
+      close.foot = queue_foot;
       close.run = [](Execution& exec) {
         exec.queue().close();
-        // Mirror EventQueue::close's notify (and the skip-notify
-        // mutation) onto the model's wait channel.
+        // Mirror EventQueue::close's unconditional wake (and the
+        // skip-notify mutation) onto the model's wait channel.
         if (!shm::test_hooks().skip_notify_on_close) exec.notify_queue();
         return StepResult::advance();
       };
@@ -167,28 +184,26 @@ ShmScenario ShmScenario::build(const ScenarioOptions& opts) {
   c.lane = trace::EntityId{trace::EntityType::kShmQueue, 0};
 
   const int pop_pc = 0;
-  // Program layout: pop(0) read(1) release(2) [close(3)] drain(last).
+  // Program layout: pop(0) read(1) release(2) [close(3)] drain, then in
+  // wait-channel mode announce, recheck and park, reached from pop.
   const bool consumer_closes =
       opts.close_by == ScenarioOptions::CloseBy::kConsumer;
   const int drain_pc = consumer_closes ? 4 : 3;
+  const int announce_pc = drain_pc + 1;
+  const int park_pc = drain_pc + 3;
   const int expected = opts.expected_messages();
-  const bool waiting = opts.model_waiting;
 
   Op pop;
   pop.name = "pop";
-  pop.foot = [](Execution&) {
-    Footprint f;
-    f.queue = 0;
-    return f;
-  };
+  pop.foot = queue_foot;
   if (!waiting) {
     // Guarded blocking: the consumer is simply not schedulable while
-    // the queue is empty and open — sound for safety properties.
-    pop.guard = [](Execution& exec) {
-      return exec.queue().size() > 0 || exec.queue().closed();
-    };
+    // the queue is not ready — sound for safety properties. A ready()
+    // that lagged a push would show as a deadlock here, one that
+    // outlived the last message as the guard-bug error below.
+    pop.guard = [](Execution& exec) { return exec.queue().ready(); };
   }
-  pop.run = [ctid, drain_pc, waiting](Execution& exec) {
+  pop.run = [ctid, drain_pc, waiting, announce_pc](Execution& exec) {
     if (auto m = exec.queue().try_pop()) {
       auto it = exec.last_iteration.find(m->client_id);
       const std::int64_t prev =
@@ -203,13 +218,7 @@ ShmScenario ShmScenario::build(const ScenarioOptions& opts) {
       return StepResult::advance();
     }
     if (exec.queue().closed()) return StepResult::jump(drain_pc);
-    if (waiting) {
-      // Explicit condvar model: went to sleep; a push/close must
-      // notify_queue() or this thread never runs again (lost wakeup =>
-      // deadlock, which the scheduler reports).
-      exec.block_current_on_queue();
-      return StepResult::blocked();
-    }
+    if (waiting) return StepResult::jump(announce_pc);
     exec.error("pop scheduled while queue empty and open (guard bug)");
     return StepResult::blocked();
   };
@@ -263,11 +272,7 @@ ShmScenario ShmScenario::build(const ScenarioOptions& opts) {
   if (consumer_closes) {
     Op close;
     close.name = "close";
-    close.foot = [](Execution&) {
-      Footprint f;
-      f.queue = 0;
-      return f;
-    };
+    close.foot = queue_foot;
     close.run = [](Execution& exec) {
       exec.queue().close();
       if (!shm::test_hooks().skip_notify_on_close) exec.notify_queue();
@@ -278,11 +283,7 @@ ShmScenario ShmScenario::build(const ScenarioOptions& opts) {
 
   Op drain;
   drain.name = "drain";
-  drain.foot = [](Execution&) {
-    Footprint f;
-    f.queue = 0;
-    return f;
-  };
+  drain.foot = queue_foot;
   drain.run = [](Execution& exec) {
     if (auto m = exec.queue().try_pop()) {
       exec.error("message for client " + std::to_string(m->client_id) +
@@ -294,7 +295,49 @@ ShmScenario ShmScenario::build(const ScenarioOptions& opts) {
     return StepResult::finish();
   };
   c.program.push_back(std::move(drain));
-  (void)drain_pc;  // layout documented above; pop jumps there
+
+  if (waiting) {
+    // The sleep handshake of EventQueue::wait_ready, one transition per
+    // step, so a producer's enqueue and wake can land between any two.
+    Op announce;
+    announce.name = "announce";
+    announce.foot = queue_foot;
+    announce.run = [park_pc](Execution& exec) {
+      exec.queue().announce_sleep();
+      // Seeded bug: skip the re-check and park at once.
+      if (shm::test_hooks().park_without_recheck) {
+        return StepResult::jump(park_pc);
+      }
+      return StepResult::advance();
+    };
+    c.program.push_back(std::move(announce));
+
+    Op recheck;
+    recheck.name = "recheck";
+    recheck.foot = queue_foot;
+    recheck.run = [pop_pc](Execution& exec) {
+      // Work arrived after the announcement: take it without parking.
+      if (exec.queue().ready()) return StepResult::jump(pop_pc);
+      return StepResult::advance();
+    };
+    c.program.push_back(std::move(recheck));
+
+    Op park;
+    park.name = "park";
+    park.foot = queue_foot;
+    park.run = [pop_pc](Execution& exec) {
+      // EventQueue parks with asleep_.wait(1): it sleeps only while the
+      // announcement stands, and a wake or close that clears it must
+      // notify_queue(), or this thread never runs again (lost wakeup =>
+      // deadlock, which the scheduler reports).
+      if (exec.queue().asleep()) {
+        exec.block_current_on_queue();
+        return StepResult::blocked();
+      }
+      return StepResult::jump(pop_pc);
+    };
+    c.program.push_back(std::move(park));
+  }
 
   s.threads_.push_back(std::move(c));
   return s;

@@ -10,18 +10,23 @@
 // run; the Scheduler replays thousands of Executions, one per explored
 // interleaving.
 //
-// Two condvar models:
+// Two models of a blocking pop:
 //  - guarded (default): a blocking pop is modeled by disabling the
-//    consumer while the queue is empty and open. Sound for all safety
-//    properties and much smaller state spaces.
-//  - wait-channel (model_waiting = true): the consumer executes an
-//    explicit check-and-sleep transition and must be woken by a
-//    notify from push/close — the model that detects lost wakeups
-//    (shm::TestHooks::skip_notify_on_close).
+//    consumer while the queue is not ready (EventQueue::ready()). Sound
+//    for all safety properties and much smaller state spaces.
+//  - wait-channel (model_waiting = true): the queue's sleep handshake,
+//    step by step, on the production EventQueue calls. The consumer
+//    announces that it is going to sleep, re-checks ready(), then
+//    parks (blocked while asleep()); each producer publish is an
+//    enqueue transition followed by a separate wake transition (the
+//    fence and the read of the announcement). A parked consumer runs
+//    again only when a wake or close clears the announcement — the
+//    model that detects lost wakeups
+//    (shm::TestHooks::skip_notify_on_close, park_without_recheck).
 //
 // Mutations (shm::test_hooks() flags + ScenarioOptions mirrors) seed
-// the three classic handoff bugs; tests/mc_test.cpp asserts the
-// engines catch each one.
+// the classic handoff bugs; tests/mc_test.cpp asserts the engines
+// catch each one.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +60,7 @@ struct ScenarioOptions {
   };
   CloseBy close_by = CloseBy::kConsumer;
 
-  /// Model the condvar wait explicitly (required to detect lost
+  /// Model the sleep handshake explicitly (required to detect lost
   /// wakeups; larger state space).
   bool model_waiting = false;
 
@@ -64,11 +69,12 @@ struct ScenarioOptions {
   bool mutate_double_release = false;
   bool mutate_write_after_publish = false;
   bool mutate_skip_close_notify = false;
+  bool mutate_park_without_recheck = false;
 
   int expected_messages() const { return producers * handoffs; }
   bool any_mutation() const {
     return mutate_double_release || mutate_write_after_publish ||
-           mutate_skip_close_notify;
+           mutate_skip_close_notify || mutate_park_without_recheck;
   }
   std::string to_string() const;
 };
@@ -120,11 +126,11 @@ class Execution {
   void set_current(int tid) { current_ = tid; }
   int current() const { return current_; }
 
-  /// Registers the current thread as waiting on the queue's condvar
-  /// model (wait-channel mode) and marks it blocked.
+  /// Registers the current thread as parked on the queue's sleep
+  /// announcement (wait-channel mode) and marks it blocked.
   void block_current_on_queue();
-  /// Wakes every thread waiting on the queue (push's notify, close's
-  /// notify-unless-mutated).
+  /// Wakes every thread parked on the queue (a wake that cleared the
+  /// announcement, close's unconditional wake unless mutated).
   void notify_queue();
 
   /// Records an invariant violation observed by scenario code (FIFO

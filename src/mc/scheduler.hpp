@@ -138,7 +138,7 @@ class Scheduler {
 
   /// Executes thread `tid`'s next op inside `exec`, updating thread
   /// state and the schedule. Returns false when the thread blocked
-  /// (kBlocked) — the step still counts, matching condvar semantics.
+  /// (kBlocked) — the step still counts, like a wait that parks.
   void step_thread(Execution& exec, int tid, int step_index,
                    std::vector<ScheduleStep>* schedule) const;
 

@@ -11,7 +11,7 @@
 // Each Op declares:
 //  - a guard: whether the op can run from the current state (a blocking
 //    pop's guard is "queue non-empty or closed" — a disabled thread is
-//    simply not scheduled, which models condvar blocking without
+//    simply not scheduled, which models a blocking wait without
 //    modeling wakeups; scenarios that *check* wakeups use an explicit
 //    WaitChannel and return kBlocked instead);
 //  - a footprint: which shared resources it may touch, evaluated
@@ -74,7 +74,7 @@ struct StepResult {
     kAdvance,  // op done; move to the next op
     kJump,     // op done; continue at program[jump_to]
     kBlocked,  // op checked its predicate and went to sleep on a
-               // WaitChannel (condvar model); pc unchanged
+               // WaitChannel (the queue's park); pc unchanged
     kFinish,   // thread done
   };
   Kind kind = Kind::kAdvance;

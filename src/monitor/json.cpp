@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json_string.hpp"
+
 namespace dmr::monitor {
 
 namespace {
@@ -96,6 +98,10 @@ struct Parser {
       if (eof()) return error("unterminated string");
       const char c = text[pos++];
       if (c == '"') return Status::ok();
+      // RFC 8259: control characters appear in a string only escaped.
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return error("unescaped control character in string");
+      }
       if (c != '\\') {
         out.push_back(c);
         continue;
@@ -192,28 +198,6 @@ struct Parser {
   }
 };
 
-void dump_string(const std::string& s, std::string& out) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 }  // namespace
 
 Json Json::boolean(bool b) {
@@ -289,7 +273,7 @@ std::string Json::dump() const {
       out = buf;
       break;
     }
-    case Type::kString: dump_string(string_, out); break;
+    case Type::kString: append_json_string(out, string_); break;
     case Type::kArray: {
       out.push_back('[');
       for (std::size_t i = 0; i < items_.size(); ++i) {
@@ -303,7 +287,7 @@ std::string Json::dump() const {
       out.push_back('{');
       for (std::size_t i = 0; i < members_.size(); ++i) {
         if (i != 0) out.push_back(',');
-        dump_string(members_[i].first, out);
+        append_json_string(out, members_[i].first);
         out.push_back(':');
         out += members_[i].second.dump();
       }

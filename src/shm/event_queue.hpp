@@ -12,8 +12,20 @@
 // dropped (counted in dropped()) — the server is shutting down and
 // would never consume it, so accepting it would leak its shared-memory
 // block.
+//
+// Sleep handshake (DESIGN.md §14.1): a consumer that finds the queue
+// empty announces that it is going to sleep, re-checks the queue, then
+// parks on the announcement word. A push wakes it only when it has
+// announced: after enqueuing, the producer reads the word, and clears
+// it and wakes the consumer when it is set. A seq_cst fence between
+// each side's store and its load means at least one side sees the
+// other: the re-check sees the message, or the push sees the
+// announcement. So no wake-up is lost, and a push to a consumer that
+// is awake makes no syscall. close() wakes unconditionally. The
+// messages themselves still pass under the queue lock, in one FIFO.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -49,7 +61,8 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Enqueues a message (never blocks). Returns false — and drops the
+  /// Enqueues a message (never blocks) and wakes a consumer that
+  /// announced it is going to sleep. Returns false — and drops the
   /// message — when the queue is already closed. Callers must not
   /// ignore the result: a dropped kWriteNotification still owns its
   /// shared-memory block, and whoever pushed it must release the block
@@ -77,6 +90,27 @@ class EventQueue {
   bool closed() const;
   std::size_t size() const;
 
+  // --- the sleep handshake, one step at a time. push() is enqueue()
+  // then wake_sleeper(); pop() and pop_all() run announce_sleep(),
+  // ready() and the park in that order. The model checker (src/mc)
+  // runs each step as its own transition.
+
+  /// push() without the wake-up: appends under the lock, wakes nobody.
+  [[nodiscard]] bool enqueue(const Message& msg);
+  /// push()'s second half: the fence, then the read of the sleep
+  /// announcement. Clears it and wakes the parked consumers when it
+  /// is set; returns whether it was.
+  bool wake_sleeper();
+  /// Consumer: announces that it is going to sleep (store, then fence).
+  void announce_sleep();
+  /// Lock-free: a message is queued or the queue is closed. The
+  /// consumer's check before it sleeps and its re-check after it
+  /// announced.
+  bool ready() const;
+  /// Consumer: the announcement still stands (nobody woke it since);
+  /// a parked consumer sleeps while this holds.
+  bool asleep() const;
+
   /// Total messages ever pushed (for stats).
   std::uint64_t pushed() const;
 
@@ -94,12 +128,25 @@ class EventQueue {
     return observer_.load(std::memory_order_acquire);  // sync: queue_observer
   }
 
-  mutable Mutex mutex_;
-  CondVar cv_;
+  /// Returns once ready(): announce, re-check, park, until a message
+  /// is queued or the queue is closed.
+  void wait_ready();
+  /// Takes the oldest message; nullopt when the queue is empty.
+  std::optional<Message> pop_locked() DMR_REQUIRES(mutex_);
+
+  /// Every write takes this lock, so it spins before it parks.
+  mutable SpinMutex mutex_;
   std::deque<Message> queue_ DMR_GUARDED_BY(mutex_);
   bool closed_ DMR_GUARDED_BY(mutex_) = false;
   std::uint64_t pushed_ DMR_GUARDED_BY(mutex_) = 0;
   std::uint64_t dropped_ DMR_GUARDED_BY(mutex_) = 0;
+  /// `!queue_.empty() || closed_`, stored under mutex_ by every
+  /// operation that changes either, so a consumer can tell whether
+  /// there is work without taking the lock.
+  std::atomic<bool> ready_{false};
+  /// 1 while a consumer has announced it is going to sleep; the word
+  /// it parks on. Cleared by the push or close that wakes it.
+  std::atomic<std::uint32_t> asleep_{0};
   std::atomic<ShmObserver*> observer_{nullptr};
 };
 

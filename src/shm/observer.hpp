@@ -15,10 +15,16 @@
 //  - on_allocate / on_write run on the owning client's thread before
 //    the block is visible to anyone else;
 //  - on_push runs under the queue lock, so it happens-before the
-//    matching on_pop;
+//    matching on_pop. The queue lock is the only edge the hooks
+//    report for a message: the lock-free ready_ flag and sleep
+//    announcement (EventQueue's sleep handshake) only decide whether a
+//    popper sleeps, and it takes the lock before it touches a message;
 //  - on_deallocate runs *before* the bytes are returned to the
 //    allocator, so a release is always observed before any re-use of
-//    the same offset.
+//    the same offset;
+//  - on_acquire / on_release bracket each critical section of the
+//    queue lock and the first-fit lock, whatever kind of lock it is
+//    (both are dmr::SpinMutex).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +38,7 @@ struct Message;
 /// (mc::HbRaceDetector). Every acquire/release pair on the same
 /// SyncPoint creates a happens-before edge from the releasing thread's
 /// past to the acquiring thread's future:
-///  - kQueueMutex: the event queue's mutex+condvar (push/pop/close each
+///  - kQueueMutex: the event queue's lock (enqueue/pop/close each
 ///    acquire on entry and release on exit of the critical section);
 ///  - kBufferMutex: the first-fit allocator's mutex;
 ///  - kPartition: a partitioned-policy per-client region — deallocate's

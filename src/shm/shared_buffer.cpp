@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "shm/test_hooks.hpp"
@@ -126,64 +127,92 @@ void SharedBuffer::deallocate_once(std::span<const Block> sorted) {
     for (const Block& b : sorted) deallocate_partitioned(b);
     return;
   }
-  MutexLock lock(mutex_);
-  ShmObserver* o = observer();
-  if (o) o->on_acquire({SyncPoint::Kind::kBufferMutex, this});
-  if (o) o->on_release({SyncPoint::Kind::kBufferMutex, this});
+  // One free region per run of back-to-back blocks. The runs' map nodes
+  // are built here and the nodes that coalescing frees are destroyed
+  // after the lock is released: the critical section only relinks.
+  FreeList runs;
   Bytes freed = 0;
   for (std::size_t i = 0; i < sorted.size();) {
     const Bytes offset = sorted[i].offset;
     Bytes end = offset;
-    // One free-list insertion per run of back-to-back blocks.
     for (; i < sorted.size() && sorted[i].offset == end; ++i) {
       end += sorted[i].size;
     }
-    free_range(offset, end - offset);
+    runs.emplace_hint(runs.end(), offset, end - offset);
     freed += end - offset;
+  }
+  std::vector<FreeList::node_type> spent;
+  spent.reserve(2 * runs.size());
+  {
+    SpinMutexLock lock(mutex_);
+    ShmObserver* o = observer();
+    if (o) o->on_acquire({SyncPoint::Kind::kBufferMutex, this});
+    if (o) o->on_release({SyncPoint::Kind::kBufferMutex, this});
+    while (!runs.empty()) free_range(runs.extract(runs.begin()), spent);
   }
   account_free(freed);
 }
 
 Result<Block> SharedBuffer::allocate_first_fit(Bytes size, int client_id) {
-  MutexLock lock(mutex_);
-  ShmObserver* o = observer();
-  if (o) o->on_acquire({SyncPoint::Kind::kBufferMutex, this});
-  auto release = [&] {
+  // A region used up exactly leaves its node here, to be destroyed
+  // after the lock is released.
+  FreeList::node_type spent;
+  std::optional<Block> b;
+  {
+    SpinMutexLock lock(mutex_);
+    ShmObserver* o = observer();
+    if (o) o->on_acquire({SyncPoint::Kind::kBufferMutex, this});
+    for (auto it = free_by_offset_.begin(); it != free_by_offset_.end();
+         ++it) {
+      if (it->second < size) continue;
+      b = Block{it->first, size, client_id};
+      const auto next = std::next(it);
+      FreeList::node_type node = free_by_offset_.extract(it);
+      if (node.mapped() == size) {
+        spent = std::move(node);
+      } else {
+        // Shrink from the front by re-keying the node: the new offset
+        // still sorts before `next`, and no memory is allocated.
+        node.key() += size;
+        node.mapped() -= size;
+        free_by_offset_.insert(next, std::move(node));
+      }
+      break;
+    }
     if (o) o->on_release({SyncPoint::Kind::kBufferMutex, this});
-  };
-  for (auto it = free_by_offset_.begin(); it != free_by_offset_.end(); ++it) {
-    if (it->second < size) continue;
-    Block b{it->first, size, client_id};
-    const Bytes remaining = it->second - size;
-    const Bytes new_offset = it->first + size;
-    free_by_offset_.erase(it);
-    if (remaining > 0) free_by_offset_.emplace(new_offset, remaining);
+  }
+  // The counters are shared by every allocating thread: updating them
+  // under the lock would add their cache-line transfer to the section.
+  if (b) {
     account_alloc(size);
-    release();
-    return b;
+    return *b;
   }
   failed_.fetch_add(1, std::memory_order_relaxed);
-  release();
   return out_of_memory("no free region of " + std::to_string(size) +
                        " bytes");
 }
 
-void SharedBuffer::free_range(Bytes offset, Bytes length) {
+void SharedBuffer::free_range(FreeList::node_type run,
+                              std::vector<FreeList::node_type>& spent) {
   // Coalesce with the next free range.
-  auto next = free_by_offset_.lower_bound(offset);
-  if (next != free_by_offset_.end() && offset + length == next->first) {
-    length += next->second;
-    next = free_by_offset_.erase(next);
+  auto next = free_by_offset_.lower_bound(run.key());
+  if (next != free_by_offset_.end() &&
+      run.key() + run.mapped() == next->first) {
+    run.mapped() += next->second;
+    const auto after = std::next(next);
+    spent.push_back(free_by_offset_.extract(next));
+    next = after;
   }
   // Coalesce with the previous free range.
   if (next != free_by_offset_.begin()) {
     auto prev = std::prev(next);
-    if (prev->first + prev->second == offset) {
-      prev->second += length;
+    if (prev->first + prev->second == run.key()) {
+      prev->second += run.mapped();
+      spent.push_back(std::move(run));
       return;
     }
   }
-  free_by_offset_.emplace(offset, length);
+  free_by_offset_.insert(next, std::move(run));
 }
 
 Result<Block> SharedBuffer::allocate_partitioned(Bytes size, int client_id) {
@@ -229,7 +258,7 @@ Status SharedBuffer::check_integrity() const {
                           " (accounting underflow)");
   }
   if (policy_ == AllocPolicy::kMutexFirstFit) {
-    MutexLock lock(mutex_);
+    SpinMutexLock lock(mutex_);
     Bytes total_free = 0;
     Bytes prev_end = 0;
     bool first = true;

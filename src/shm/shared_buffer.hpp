@@ -3,7 +3,7 @@
 // "Shared-memory").
 //
 // The paper describes two reservation algorithms, both implemented here:
-//  - kMutexFirstFit: a general-purpose mutex-protected first-fit free
+//  - kMutexFirstFit: a general-purpose lock-protected first-fit free
 //    list (the "default mutex-based allocation algorithm of the Boost
 //    library" in the original);
 //  - kPartitioned: a lock-free scheme for the common case where all
@@ -92,7 +92,9 @@ class SharedBuffer {
   /// <= length per partition (partitioned); accounting consistent with
   /// capacity. Returns the first violated invariant. Cheap enough to
   /// run after every step of a model-checked scenario; takes the
-  /// allocator lock, so don't call it from an allocation path.
+  /// allocator lock, so don't call it from an allocation path. The
+  /// used() accounting trails each allocate/deallocate call by a few
+  /// instructions, so call it while no such call is in flight.
   Status check_integrity() const;
 
   /// Attaches (or detaches, with nullptr) a protocol observer. The
@@ -138,12 +140,19 @@ class SharedBuffer {
 
   Result<Block> allocate_first_fit(Bytes size, int client_id);
   Result<Block> allocate_partitioned(Bytes size, int client_id);
+  /// offset -> length of each free region.
+  using FreeList = std::map<Bytes, Bytes>;
+
   /// Observes, then frees, valid blocks sorted by offset; first-fit
   /// coalesces contiguous runs under one lock acquisition.
   void deallocate_once(std::span<const Block> sorted);
-  /// Returns [offset, offset + length) to the free list, coalescing
-  /// with its neighbours. Caller holds mutex_.
-  void free_range(Bytes offset, Bytes length) DMR_REQUIRES(mutex_);
+  /// Links the free region `run` (a node keyed offset -> length) into
+  /// the free list, coalescing with its neighbours. Nodes that
+  /// coalescing leaves over go to `spent`, which the caller reserved
+  /// so that this allocates nothing.
+  void free_range(FreeList::node_type run,
+                  std::vector<FreeList::node_type>& spent)
+      DMR_REQUIRES(mutex_);
   void deallocate_partitioned(const Block& block);
   void account_alloc(Bytes size);
   void account_free(Bytes size);
@@ -161,10 +170,12 @@ class SharedBuffer {
   /// Per-client allocation counters keying injected exhaustion.
   std::unique_ptr<std::atomic<std::uint64_t>[]> fault_seq_;
 
-  // --- first-fit state (mutex-protected) ---
-  mutable Mutex mutex_;  // mutable: check_integrity() is const
-  /// offset -> length
-  std::map<Bytes, Bytes> free_by_offset_ DMR_GUARDED_BY(mutex_);
+  // --- first-fit state (lock-protected) ---
+  /// Every first-fit write takes this lock, so it spins before it
+  /// parks; nothing under it touches the heap. Mutable:
+  /// check_integrity() is const.
+  mutable SpinMutex mutex_;
+  FreeList free_by_offset_ DMR_GUARDED_BY(mutex_);
 
   // --- partitioned state (lock-free per client) ---
   struct alignas(64) Partition {

@@ -32,8 +32,8 @@
 
 // clang-format off
 /// SyncPoint-backed channels: X(kind, channel).
-///  - queue_mutex:    EventQueue's mutex+condvar critical sections
-///    (push/pop/try_pop/pop_all/close).
+///  - queue_mutex:    EventQueue's lock, taken by enqueue, pop, try_pop,
+///    pop_all and close. Messages pass only under it.
 ///  - buffer_mutex:   the first-fit allocator's mutex.
 ///  - partition_live: partitioned-policy per-client `live` counter —
 ///    deallocate's fetch_sub(release) pairs with allocate's
@@ -45,10 +45,21 @@
 
 /// Atomic-only channels: X(channel).
 ///  - queue_observer:  EventQueue::observer_ publication pointer.
+///  - queue_ready:     EventQueue::ready_, the lock-free mirror of
+///    "a message is queued or the queue is closed": stored (release)
+///    under the queue lock, loaded (acquire) by a popper's check and
+///    re-check before it sleeps.
+///  - queue_wake:      EventQueue::asleep_, the sleep announcement a
+///    popper parks on: push and close clear it (release) to wake it,
+///    the parked popper's wait and asleep() read it (acquire). The
+///    announcement itself is ordered by seq_cst fences, not by this
+///    pair (event_queue.hpp).
 ///  - buffer_observer: SharedBuffer::observer_ publication pointer.
 ///  - buffer_fault:    SharedBuffer::fault_ injector publication pointer.
 #define DMR_ATOMIC_CHANNELS(X) \
   X(queue_observer)            \
+  X(queue_ready)               \
+  X(queue_wake)                \
   X(buffer_observer)           \
   X(buffer_fault)
 // clang-format on

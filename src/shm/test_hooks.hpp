@@ -3,7 +3,7 @@
 // The model checker and race detector in src/mc/ prove the absence of
 // protocol bugs over all interleavings — but a verifier that has never
 // been seen to catch a real bug proves nothing about itself. These
-// hooks let tests *seed* the three classic shm-handoff bugs into the
+// hooks let tests *seed* the classic shm-handoff bugs into the
 // production code paths and assert the analysis engines flag each one
 // (tests/mc_test.cpp):
 //
@@ -13,7 +13,11 @@
 //                         poppers — the classic lost wakeup;
 //  - write_after_publish: the client mutates a block after handing it to
 //                         the server (consulted by mc scenario programs
-//                         and core::Client instrumentation points).
+//                         and core::Client instrumentation points);
+//  - park_without_recheck: a popper that announced it is going to sleep
+//                         parks without re-checking the queue, so a push
+//                         that read the announcement word just before
+//                         wakes nobody — a lost wakeup on push.
 //
 // The flags default to off, so production behavior is untouched. Not
 // thread-safe: set them before
@@ -27,6 +31,7 @@ struct TestHooks {
   bool double_deallocate = false;
   bool skip_notify_on_close = false;
   bool write_after_publish = false;
+  bool park_without_recheck = false;
 };
 
 /// The process-wide mutation flags (all off by default).

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "common/json_string.hpp"
+
 #include "trace/tracer.hpp"
 
 namespace dmr::trace {
@@ -16,19 +18,10 @@ std::string fmt_us(double seconds) {
   return buf;
 }
 
-std::string escape(const char* s) {
-  std::string out;
-  for (; s != nullptr && *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-  return out;
-}
-
 int pid_of(EntityType t) { return static_cast<int>(t) + 1; }
 
 void append_event(std::string& out, const TraceEvent& ev) {
-  out += "{\"name\": \"" + escape(ev.name) + "\"";
+  out += "{\"name\": " + json_string(ev.name != nullptr ? ev.name : "");
   out += ", \"cat\": \"" + std::string(category_name(ev.cat)) + "\"";
   switch (ev.kind) {
     case EventKind::kSpan:
@@ -76,15 +69,16 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events) {
     if (!have_type || e.type != last_type) {
       emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " +
            std::to_string(pid_of(e.type)) + ", \"tid\": 0, \"args\": " +
-           "{\"name\": \"" + escape(entity_type_name(e.type)) + "\"}}");
+           "{\"name\": " + json_string(entity_type_name(e.type)) + "}}");
       last_type = e.type;
       have_type = true;
     }
     emit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " +
          std::to_string(pid_of(e.type)) + ", \"tid\": " +
-         std::to_string(e.index) + ", \"args\": {\"name\": \"" +
-         escape(entity_lane_name(e.type)) + " " + std::to_string(e.index) +
-         "\"}}");
+         std::to_string(e.index) + ", \"args\": {\"name\": " +
+         json_string(std::string(entity_lane_name(e.type)) + " " +
+                     std::to_string(e.index)) +
+         "}}");
   }
 
   for (const TraceEvent& ev : events) {

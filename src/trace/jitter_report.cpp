@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json_string.hpp"
+
 namespace dmr::trace {
 
 namespace {
@@ -11,15 +13,6 @@ std::string num6(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return buf;
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace
@@ -80,8 +73,8 @@ std::string JitterReport::to_json() const {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const JitterEntry& e = entries_[i];
     if (i > 0) out += ",";
-    out += "\n    {\"group\": \"" + escape(e.group) + "\"";
-    out += ", \"label\": \"" + escape(e.label) + "\"";
+    out += "\n    {\"group\": " + json_string(e.group);
+    out += ", \"label\": " + json_string(e.label);
     out += ", \"n\": " + std::to_string(e.summary.count);
     out += ", \"mean\": " + num6(e.summary.mean);
     out += ", \"stddev\": " + num6(e.summary.stddev);

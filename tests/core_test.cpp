@@ -593,6 +593,40 @@ TEST(Node, UnallocatableBufferFailsStartCleanly) {
   }
 }
 
+TEST(Node, TimedOutAllocationCountsAsAStall) {
+  // The buffer holds one block, and the dedicated core frees it only
+  // once the iteration ends: the second write stalls for the whole
+  // block_timeout_ms, then fails (no degrade fallback is configured).
+  auto cfg = config::Config::from_string(R"(
+<damaris>
+  <buffer size="1024" policy="firstfit"/>
+  <layout name="tile" type="float32" dimensions="16,16"/>
+  <variable name="a" layout="tile"/>
+  <variable name="b" layout="tile"/>
+  <resilience><degrade block_timeout_ms="20"/></resilience>
+</damaris>)");
+  ASSERT_TRUE(cfg.is_ok()) << cfg.status().to_string();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("damaris_core_stall_" + std::to_string(::getpid()));
+  NodeOptions opts;
+  opts.output_dir = dir.string();
+  DamarisNode node(std::move(cfg.value()), 1, opts);
+  ASSERT_TRUE(node.start().is_ok());
+  Client cl = node.client(0);
+  const std::vector<std::byte> tile(1024, std::byte{7});
+  ASSERT_TRUE(cl.write("a", 0, tile).is_ok());
+  EXPECT_EQ(cl.stats().alloc_stalls, 0u);
+  const Status st = cl.write("b", 0, tile);
+  EXPECT_EQ(st.code(), ErrorCode::kOutOfMemory) << st.to_string();
+  EXPECT_EQ(cl.stats().alloc_stalls, 1u)
+      << "a stall that timed out must count too";
+  ASSERT_TRUE(cl.end_iteration(0).is_ok());
+  ASSERT_TRUE(cl.finalize().is_ok());
+  ASSERT_TRUE(node.stop().is_ok());
+  std::filesystem::remove_all(dir);
+}
+
 // Checkpoint/restart: every 4th of 12 steps each of 3 clients writes its
 // three checkpoint variables in order, stopping at the first failure, so
 // a checkpoint either lands in order or fails fast. A restart then reads

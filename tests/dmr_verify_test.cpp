@@ -142,6 +142,16 @@ TEST(DmrVerify, MutexGuardingNothingIsFlagged) {
       << r.output;
 }
 
+TEST(DmrVerify, SpinMutexGuardingNothingIsFlagged) {
+  // The write path's spin-then-park lock is held to the same rule.
+  const VerifyRun r = run_on_fixture("idle_mutex");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("src/idle_spin.hpp:3: [mutex-annotation] Mutex "
+                          "member 'lonely_spin_' guards nothing"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST(DmrVerify, DiscardedStatusIsFlagged) {
   const VerifyRun r = run_on_fixture("discarded");
   EXPECT_EQ(r.exit_code, 1) << r.output;

@@ -369,6 +369,21 @@ TEST(McModel, HonestWaitModelHasNoLostWakeup) {
   ASSERT_TRUE(r.clean()) << r.cex->to_string();
 }
 
+TEST(McModel, HonestSleepHandshakeHasNoLostWakeup) {
+  // EventQueue's sleep handshake step by step: the consumer announces,
+  // re-checks and parks; each producer enqueues, then reads the
+  // announcement in a separate step. Two producers race to wake the
+  // consumer, and the consumer closes, so every wake-up comes from a
+  // push. (Two handoffs each exceed the exploration budget.)
+  ScenarioOptions s;
+  s.producers = 2;
+  s.handoffs = 1;
+  s.model_waiting = true;
+  const McResult r = check_shm_protocol(s);
+  EXPECT_TRUE(r.complete) << r.summary();
+  ASSERT_TRUE(r.clean()) << r.cex->to_string();
+}
+
 // ---------------------------------------------------- Seeded-bug catches
 
 TEST(McMutation, DoubleReleaseCaughtByProtocolChecker) {
@@ -414,6 +429,22 @@ TEST(McMutation, LostWakeupOnCloseCaughtAsDeadlock) {
   EXPECT_TRUE(r.cex->deadlock) << r.cex->to_string();
   const std::string v = joined(r.cex->violations);
   EXPECT_NE(v.find("lost wakeup"), std::string::npos) << v;
+}
+
+TEST(McMutation, ParkWithoutRecheckCaughtAsDeadlock) {
+  // The consumer announces and parks without re-checking: a push whose
+  // read of the announcement came just before it wakes nobody, and the
+  // consumer, which would close the queue itself, sleeps forever.
+  ScenarioOptions s;
+  s.producers = 1;
+  s.handoffs = 1;
+  s.model_waiting = true;
+  s.mutate_park_without_recheck = true;
+  const McResult r = check_shm_protocol(s);
+  ASSERT_TRUE(r.cex.has_value()) << r.summary();
+  EXPECT_TRUE(r.cex->deadlock) << r.cex->to_string();
+  const std::string v = joined(r.cex->violations);
+  EXPECT_NE(v.find("asleep in 'park' (lost wakeup"), std::string::npos) << v;
 }
 
 TEST(McMutation, CounterexampleExportsChromeTrace) {

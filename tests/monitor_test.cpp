@@ -28,6 +28,8 @@
 #include "monitor/node_source.hpp"
 #include "monitor/server.hpp"
 #include "monitor/snapshot.hpp"
+#include "trace/chrome_export.hpp"
+#include "trace/jitter_report.hpp"
 
 namespace dmr::monitor {
 namespace {
@@ -93,6 +95,35 @@ TEST(Json, DumpRoundTrips) {
   auto second = Json::parse(first.value().dump());
   ASSERT_TRUE(second.is_ok());
   EXPECT_EQ(first.value().dump(), second.value().dump());
+}
+
+TEST(Json, TraceWritersEscapeControlCharacters) {
+  // A trace-event name and a jitter-report label holding a newline, a
+  // tab and a raw control byte still come out as valid JSON, and the
+  // name reads back unchanged.
+  static const char kName[] = "a\nb\t\x01";
+  EXPECT_FALSE(Json::parse("\"a\nb\"").is_ok()) << "raw newline accepted";
+
+  trace::TraceEvent ev;
+  ev.name = kName;
+  const std::string chrome_text = trace::chrome_trace_json({ev});
+  auto chrome = Json::parse(chrome_text);
+  ASSERT_TRUE(chrome.is_ok()) << chrome.status().to_string() << "\n"
+                              << chrome_text;
+  EXPECT_EQ(chrome.value().at("traceEvents").items().back().at("name")
+                .as_string(),
+            kName);
+
+  trace::JitterReport report;
+  Sample sample;
+  sample.add(1.0);
+  report.add(kName, kName, sample);
+  const std::string jitter_text = report.to_json();
+  auto jitter = Json::parse(jitter_text);
+  ASSERT_TRUE(jitter.is_ok()) << jitter.status().to_string() << "\n"
+                              << jitter_text;
+  EXPECT_EQ(jitter.value().at(std::size_t{0}).at("group").as_string(), kName);
+  EXPECT_EQ(jitter.value().at(std::size_t{0}).at("label").as_string(), kName);
 }
 
 TEST(Snapshot, SerializesToOneParsableLine) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -468,6 +470,148 @@ TEST(EventQueue, MultiProducerCountsMatch) {
   consumer.join();
   EXPECT_EQ(received.load(), kProducers * kPerProducer);
   EXPECT_EQ(q.pushed(), static_cast<std::uint64_t>(kProducers * kPerProducer));
+}
+
+// ------------------------------------- sleep handshake and spin lock
+
+/// Polls `done` until it holds or `seconds` pass; true when it held. A
+/// lost wake-up then fails the test instead of hanging it.
+bool eventually(const std::function<bool()>& done, double seconds = 5.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  return true;
+}
+
+TEST(EventQueue, SleepingConsumerWakesForEverySinglePush) {
+  // Each push lands on a consumer that announced it is going to sleep
+  // and had ~100 us to park, and must wake it on its own: the next
+  // push waits until this one was seen.
+  EventQueue q;
+  constexpr int kCycles = 300;
+  std::atomic<int> received{0};
+  std::atomic<bool> in_order{true};
+  std::thread consumer([&] {
+    std::deque<Message> batch;
+    std::int64_t next = 0;
+    while (q.pop_all(batch)) {
+      for (const Message& m : batch) {
+        if (m.iteration != next++) in_order.store(false);
+      }
+      received.fetch_add(static_cast<int>(batch.size()));
+    }
+  });
+  int announced = 0;
+  for (int i = 0; i < kCycles; ++i) {
+    if (eventually([&] { return q.asleep(); })) ++announced;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    Message m;
+    m.iteration = i;
+    ASSERT_TRUE(q.push(m));
+    if (!eventually([&] { return received.load() == i + 1; })) {
+      ADD_FAILURE() << "push " << i << " never reached the sleeping consumer";
+      break;
+    }
+  }
+  q.close();  // wakes the consumer even after a lost wake-up
+  consumer.join();
+  EXPECT_EQ(announced, kCycles);
+  EXPECT_EQ(received.load(), kCycles);
+  EXPECT_TRUE(in_order.load());
+}
+
+TEST(EventQueue, CloseRacingProducersLosesAndDuplicatesNothing) {
+  // Producers push until the queue drops their pushes while another
+  // thread closes it, and two consumers (one pop_all, one pop) drain
+  // it: every accepted message is taken exactly once, and each attempt
+  // is either pushed or dropped.
+  EventQueue q;
+  constexpr int kProducers = 3;
+  constexpr int kCap = 100000;  // attempts per producer, at most
+  constexpr int kDroppedEach = 16;
+  std::atomic<int> accepted{0};
+  std::atomic<int> attempts{0};
+  std::vector<int> taken_by_batch(kProducers * kCap, 0);
+  std::vector<int> taken_by_pop(kProducers * kCap, 0);
+  const auto id = [](const Message& m) {
+    return m.client_id * kCap + static_cast<int>(m.iteration);
+  };
+  std::thread batch_consumer([&] {
+    std::deque<Message> batch;
+    while (q.pop_all(batch)) {
+      for (const Message& m : batch) ++taken_by_batch[id(m)];
+    }
+  });
+  std::thread pop_consumer([&] {
+    while (auto m = q.pop()) ++taken_by_pop[id(*m)];
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      int dropped = 0;
+      for (int i = 0; i < kCap && dropped < kDroppedEach; ++i) {
+        // Past twice the closer's threshold, leave it the CPU.
+        if (accepted.load() >= 6000) std::this_thread::yield();
+        Message m;
+        m.client_id = p;
+        m.iteration = i;
+        attempts.fetch_add(1);
+        if (q.push(m)) {
+          accepted.fetch_add(1);
+        } else {
+          ++dropped;
+        }
+      }
+    });
+  }
+  std::thread closer([&] {
+    while (accepted.load() < 3000) std::this_thread::yield();
+    q.close();
+  });
+  for (auto& t : producers) t.join();
+  closer.join();
+  batch_consumer.join();
+  pop_consumer.join();
+
+  int taken = 0;
+  for (std::size_t i = 0; i < taken_by_batch.size(); ++i) {
+    const int n = taken_by_batch[i] + taken_by_pop[i];
+    ASSERT_LE(n, 1) << "message " << i << " taken " << n << " times";
+    taken += n;
+  }
+  EXPECT_EQ(taken, accepted.load());
+  EXPECT_EQ(q.pushed(), static_cast<std::uint64_t>(accepted.load()));
+  EXPECT_EQ(q.pushed() + q.dropped(),
+            static_cast<std::uint64_t>(attempts.load()));
+  EXPECT_EQ(q.dropped(), static_cast<std::uint64_t>(kProducers * kDroppedEach))
+      << "a producer ran out of attempts before close()";
+}
+
+TEST(SpinMutex, ParkedWaitersKeepAPlainCounterExact) {
+  // The holder sleeps 1 ms now and then, far past the spin, so the
+  // other threads park on the lock word; the counter is a plain int.
+  SpinMutex mutex;
+  int counter = 0;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        SpinMutexLock lock(mutex);
+        ++counter;
+        if ((i + t) % 200 == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  SpinMutexLock lock(mutex);
+  EXPECT_EQ(counter, kThreads * kPerThread);
 }
 
 }  // namespace

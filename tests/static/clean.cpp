@@ -10,12 +10,10 @@ class Channel {
   void push(int v) {
     dmr::MutexLock lock(mutex_);
     items_.push_back(v);
-    cv_.notify_one();
   }
 
   int pop() {
     dmr::MutexLock lock(mutex_);
-    while (items_.empty()) cv_.wait(mutex_);
     const int v = items_.front();
     items_.pop_front();
     return v;
@@ -32,12 +30,32 @@ class Channel {
 
  private:
   mutable dmr::Mutex mutex_;
-  dmr::CondVar cv_;
   std::deque<int> items_ DMR_GUARDED_BY(mutex_);
+};
+
+class Counter {
+ public:
+  void add(int n) {
+    dmr::SpinMutexLock lock(mutex_);
+    value_ += n;
+  }
+
+  int value_locked() const DMR_REQUIRES(mutex_) { return value_; }
+
+  int value() const {
+    dmr::SpinMutexLock lock(mutex_);
+    return value_locked();
+  }
+
+ private:
+  mutable dmr::SpinMutex mutex_;
+  int value_ DMR_GUARDED_BY(mutex_) = 0;
 };
 
 int main() {
   Channel ch;
   ch.push(1);
-  return ch.pop() == 1 && ch.size() == 0 ? 0 : 1;
+  Counter counter;
+  counter.add(2);
+  return ch.pop() == 1 && ch.size() == 0 && counter.value() == 2 ? 0 : 1;
 }
