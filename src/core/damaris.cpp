@@ -245,7 +245,6 @@ ServerStats DamarisNode::stats() const {
     iopath::StageCounters& ingest = s.stages.of(iopath::StageKind::kIngest);
     ingest.ops += c.writes;
     ingest.seconds += c.write_seconds;
-    ingest.max_seconds = std::max(ingest.max_seconds, c.max_write_seconds);
     ingest.bytes_in += c.bytes_written;
     ingest.bytes_out += c.bytes_written;
   }
@@ -703,7 +702,6 @@ void DamarisNode::record_write(int client, Bytes bytes, double seconds) {
   ++cs.writes;
   cs.bytes_written += bytes;
   cs.write_seconds += seconds;
-  cs.max_write_seconds = std::max(cs.max_write_seconds, seconds);
 }
 
 Status DamarisNode::degraded_write(int client, std::uint32_t name_id,

@@ -149,7 +149,6 @@ struct ClientStats {
   std::uint64_t writes = 0;
   Bytes bytes_written = 0;
   double write_seconds = 0.0;   // total time spent inside write()/commit()
-  double max_write_seconds = 0.0;
   std::uint64_t alloc_stalls = 0;  // writes that waited for space (timed out or not)
   /// Degraded-mode outcomes: writes that fell back to the synchronous
   /// path, and writes dropped with accounting (opt-in last resort).

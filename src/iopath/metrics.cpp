@@ -1,7 +1,5 @@
 #include "iopath/metrics.hpp"
 
-#include <algorithm>
-
 namespace dmr::iopath {
 
 const char* stage_name(StageKind k) {
@@ -18,7 +16,6 @@ const char* stage_name(StageKind k) {
 void StageCounters::add(SimTime s, Bytes in, Bytes out) {
   ++ops;
   seconds += s;
-  max_seconds = std::max(max_seconds, s);
   bytes_in += in;
   bytes_out += out;
 }
@@ -26,34 +23,12 @@ void StageCounters::add(SimTime s, Bytes in, Bytes out) {
 void StageCounters::merge(const StageCounters& other) {
   ops += other.ops;
   seconds += other.seconds;
-  max_seconds = std::max(max_seconds, other.max_seconds);
   bytes_in += other.bytes_in;
   bytes_out += other.bytes_out;
 }
 
 void PipelineStats::merge(const PipelineStats& other) {
   for (int i = 0; i < kNumStageKinds; ++i) stage[i].merge(other.stage[i]);
-}
-
-SimTime PipelineStats::total_seconds() const {
-  SimTime t = 0.0;
-  for (const StageCounters& c : stage) t += c.seconds;
-  return t;
-}
-
-std::string PipelineStats::to_string() const {
-  std::string out;
-  for (int i = 0; i < kNumStageKinds; ++i) {
-    const StageCounters& c = stage[i];
-    if (c.ops == 0) continue;
-    if (!out.empty()) out += "\n";
-    out += stage_name(static_cast<StageKind>(i));
-    out += ": ops=" + std::to_string(c.ops);
-    out += " time=" + format_time(c.seconds);
-    out += " in=" + format_bytes(c.bytes_in);
-    out += " out=" + format_bytes(c.bytes_out);
-  }
-  return out.empty() ? "no stages ran" : out;
 }
 
 }  // namespace dmr::iopath

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.hpp"
 #include "iopath/stage.hpp"
@@ -24,20 +23,11 @@ namespace dmr::iopath {
 struct StageCounters {
   std::uint64_t ops = 0;
   SimTime seconds = 0.0;
-  SimTime max_seconds = 0.0;
   Bytes bytes_in = 0;
   Bytes bytes_out = 0;
 
   void add(SimTime s, Bytes in, Bytes out);
   void merge(const StageCounters& other);
-
-  SimTime mean_seconds() const {
-    return ops == 0 ? 0.0 : seconds / static_cast<double>(ops);
-  }
-  /// Stage throughput over its busy time (bytes in per second).
-  double bytes_per_second() const {
-    return seconds <= 0.0 ? 0.0 : static_cast<double>(bytes_in) / seconds;
-  }
 };
 
 /// One counter block per stage kind.
@@ -50,13 +40,6 @@ struct PipelineStats {
   }
 
   void merge(const PipelineStats& other);
-
-  /// Total busy seconds across all stages.
-  SimTime total_seconds() const;
-
-  /// One line per active stage, e.g.
-  /// "transform: ops=8 time=1.2s in=96MiB out=51.3MiB".
-  std::string to_string() const;
 };
 
 }  // namespace dmr::iopath

@@ -18,7 +18,7 @@
 // file-per-process = Transform→Storage on every compute core, Damaris =
 // Ingest on the compute core plus Transform→Schedule→Storage on the
 // dedicated core. Stage kinds are ordered; a request must traverse them
-// monotonically (check::StageOrderChecker enforces this).
+// monotonically (WritePipeline::process checks this on every request).
 //
 // Thread-safety: Stage implementations belong to their pipeline and
 // are invoked by its single driving thread; shared resources a stage
@@ -40,9 +40,8 @@ class ServiceQueue;
 
 namespace dmr::iopath {
 
-/// Canonical stage order (the pipeline invariant checked by
-/// check::StageOrderChecker): a request visits kinds in non-decreasing
-/// enum order.
+/// Canonical stage order (the pipeline invariant WritePipeline::process
+/// checks): a request visits kinds in non-decreasing enum order.
 enum class StageKind : int {
   kIngest = 0,
   kTransform = 1,
@@ -110,7 +109,8 @@ struct WriteRequest {
   SimTime stage_seconds[kNumStageKinds] = {};
 
   /// Outcome of the request: stages that can fail (Storage under fault
-  /// injection) record their final status here; untouched means OK.
+  /// injection) record their final status here, and the pipeline
+  /// records a broken composition invariant over it; untouched means OK.
   Status status = Status::ok();
   /// Storage retries this request consumed (bounded-retry policy).
   int retries = 0;
@@ -134,24 +134,6 @@ class Stage {
   /// composition order (e.g. a Schedule stage releasing its token once
   /// the Storage stage is done).
   virtual void complete(WriteRequest& req) { (void)req; }
-};
-
-/// Observation hook for per-stage events, in the style of
-/// shm::ShmObserver: iopath owns the interface, checkers (see
-/// src/check/pipeline_checker.hpp) implement it, and the dependency
-/// never points back.
-class PipelineObserver {
- public:
-  virtual ~PipelineObserver() = default;
-
-  virtual void on_request_begin(const WriteRequest& req) { (void)req; }
-  /// Fires after a stage's run() finished. `bytes_in`/`bytes_out` are
-  /// the request's payload size before and after the stage.
-  virtual void on_stage_end(StageKind kind, const WriteRequest& req,
-                            SimTime seconds, Bytes bytes_in, Bytes bytes_out) {
-    (void)kind, (void)req, (void)seconds, (void)bytes_in, (void)bytes_out;
-  }
-  virtual void on_request_end(const WriteRequest& req) { (void)req; }
 };
 
 }  // namespace dmr::iopath

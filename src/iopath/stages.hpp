@@ -68,8 +68,6 @@ class TransformStage : public Stage {
   StageKind kind() const override { return StageKind::kTransform; }
   des::Task<void> run(WriteRequest& req) override;
 
-  const CompressionModel& model() const { return model_; }
-
  private:
   des::Engine* eng_;
   CompressionModel model_;

@@ -402,10 +402,22 @@ double steady_p95_max(const FacilityOutcome& out) {
 }
 
 TEST(Facility, ElasticLadderHoldsTheP95Slo) {
-  EXPECT_GT(steady_p95_max(run_ladder(PolicyKind::kStatic)), kLadderSlo);
+  const FacilityOutcome fixed = run_ladder(PolicyKind::kStatic);
+  EXPECT_GT(steady_p95_max(fixed), kLadderSlo);
   const FacilityOutcome elastic = run_ladder(PolicyKind::kElastic);
   EXPECT_LE(steady_p95_max(elastic), kLadderSlo);
   EXPECT_GT(elastic.ladder_escalations, 0u);
+
+  // No faults are injected, and every tier's stage composition keeps
+  // the write-pipeline invariants: no write fails.
+  for (const FacilityOutcome* out : {&fixed, &elastic}) {
+    for (const TenantOutcome& t : out->tenant_outcomes) {
+      SCOPED_TRACE(t.display_name);
+      EXPECT_EQ(t.run_result.failed_writes, 0u);
+      EXPECT_TRUE(t.run_result.first_error.is_ok())
+          << t.run_result.first_error.to_string();
+    }
+  }
 
   // The ladder's decisions are a function of the spec alone.
   const FacilityOutcome again = run_ladder(PolicyKind::kElastic);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -14,6 +15,18 @@
 
 namespace dmr::shm {
 namespace {
+
+/// Polls `done` until it holds or `seconds` pass; true when it held. A
+/// lost wake-up then fails the test instead of hanging it.
+bool eventually(const std::function<bool()>& done, double seconds = 5.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  return true;
+}
 
 // ---------------------------------------------------------- first fit
 
@@ -231,7 +244,10 @@ TEST(Partitioned, ProducerConsumerPipeline) {
       ++failures;
       // Buffer full: wait for the server to drain (Damaris clients would
       // block or drop depending on policy).
-      while (buf.used() != 0) std::this_thread::yield();
+      if (!eventually([&] { return buf.used() == 0; })) {
+        ADD_FAILURE() << "the server never drained the buffer";
+        break;
+      }
       continue;
     }
     Message m;
@@ -239,7 +255,7 @@ TEST(Partitioned, ProducerConsumerPipeline) {
     m.block = r.value();
     ASSERT_TRUE(queue.push(m));
   }
-  queue.close();
+  queue.close();  // wakes the server even after a lost wake-up
   server.join();
   EXPECT_EQ(consumed.load() + failures, 2000);
   EXPECT_EQ(buf.used(), 0u);
@@ -317,8 +333,10 @@ TEST(EventQueue, PopBlocksUntilPush) {
   Message m;
   m.iteration = 42;
   ASSERT_TRUE(q.push(m));
+  EXPECT_TRUE(eventually([&] { return got.load(); }))
+      << "the push never woke the blocked consumer";
+  q.close();  // wakes the consumer even after a lost wake-up
   consumer.join();
-  EXPECT_TRUE(got.load());
 }
 
 TEST(EventQueue, CloseDrainsThenEnds) {
@@ -349,20 +367,34 @@ TEST(EventQueue, PushAfterCloseIsDropped) {
 }
 
 TEST(EventQueue, CloseWakesAllBlockedPoppers) {
-  EventQueue q;
+  // Shared with the poppers: close() is the wake under test, so a
+  // popper it missed can only be detached, and it keeps these alive.
+  struct State {
+    EventQueue q;
+    std::atomic<int> woke_empty{0};
+  };
+  const auto state = std::make_shared<State>();
   constexpr int kPoppers = 4;
-  std::atomic<int> woke_empty{0};
   std::vector<std::thread> poppers;
   for (int i = 0; i < kPoppers; ++i) {
-    poppers.emplace_back([&] {
-      if (!q.pop().has_value()) woke_empty.fetch_add(1);
+    poppers.emplace_back([state] {
+      if (!state->q.pop().has_value()) state->woke_empty.fetch_add(1);
     });
   }
-  // Give every popper a chance to block on the condvar, then close.
+  // Give every popper a chance to park, then close.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  for (auto& t : poppers) t.join();
-  EXPECT_EQ(woke_empty.load(), kPoppers);
+  state->q.close();
+  const bool all_woke =
+      eventually([&] { return state->woke_empty.load() == kPoppers; });
+  EXPECT_TRUE(all_woke) << state->woke_empty.load() << " of " << kPoppers
+                        << " poppers woke";
+  for (auto& t : poppers) {
+    if (all_woke) {
+      t.join();
+    } else {
+      t.detach();
+    }
+  }
 }
 
 TEST(EventQueue, DrainAfterClosePreservesFifoOrder) {
@@ -473,18 +505,6 @@ TEST(EventQueue, MultiProducerCountsMatch) {
 }
 
 // ------------------------------------- sleep handshake and spin lock
-
-/// Polls `done` until it holds or `seconds` pass; true when it held. A
-/// lost wake-up then fails the test instead of hanging it.
-bool eventually(const std::function<bool()>& done, double seconds = 5.0) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(seconds);
-  while (!done()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
-  }
-  return true;
-}
 
 TEST(EventQueue, SleepingConsumerWakesForEverySinglePush) {
   // Each push lands on a consumer that announced it is going to sleep

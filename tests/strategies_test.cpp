@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
 #include "cm1/workload.hpp"
 #include "experiments/experiments.hpp"
@@ -133,6 +134,49 @@ TEST(Strategies, SchedulingSpreadsWrites) {
   auto sched = run_strategy(scheduled);
   EXPECT_LT(sched.dedicated_write_seconds.mean(),
             plain.dedicated_write_seconds.mean());
+}
+
+TEST(Strategies, EveryCompositionKeepsThePipelineInvariants) {
+  // WritePipeline::process fails a request whose stages run out of
+  // order or resize the payload outside a shrinking Transform, so a
+  // broken composition shows up as failed writes in a fault-free run.
+  RunConfig fpp_lossless = small(StrategyKind::kFilePerProcess);
+  fpp_lossless.fpp_compression = iopath::CompressionModel::lossless();
+  const auto damaris = [](auto set) {
+    RunConfig cfg = small(StrategyKind::kDamaris);
+    set(cfg.damaris);
+    return cfg;
+  };
+  const std::pair<const char*, RunConfig> runs[] = {
+      {"file-per-process", small(StrategyKind::kFilePerProcess)},
+      {"file-per-process lossless", fpp_lossless},
+      {"collective-io", small(StrategyKind::kCollectiveIo)},
+      {"damaris shm", damaris([](DamarisOptions&) {})},
+      {"damaris fuse",
+       damaris([](DamarisOptions& d) { d.transport = Transport::kFuse; })},
+      {"damaris dedicated nodes", damaris([](DamarisOptions& d) {
+         d.transport = Transport::kDedicatedNodes;
+       })},
+      {"damaris slots", damaris([](DamarisOptions& d) {
+         d.scheduling = iopath::Scheduling::kSlots;
+       })},
+      {"damaris adaptive", damaris([](DamarisOptions& d) {
+         d.scheduling = iopath::Scheduling::kAdaptive;
+       })},
+      {"damaris tokens", damaris([](DamarisOptions& d) {
+         d.scheduling = iopath::Scheduling::kTokens;
+       })},
+      {"damaris visualization", damaris([](DamarisOptions& d) {
+         d.compression = iopath::CompressionModel::visualization();
+       })},
+  };
+  for (const auto& [name, cfg] : runs) {
+    SCOPED_TRACE(name);
+    const RunResult res = run_strategy(cfg);
+    EXPECT_GT(res.stage_stats.of(iopath::StageKind::kStorage).ops, 0u);
+    EXPECT_EQ(res.failed_writes, 0u);
+    EXPECT_TRUE(res.first_error.is_ok()) << res.first_error.to_string();
+  }
 }
 
 TEST(Strategies, DeterministicPerSeed) {
