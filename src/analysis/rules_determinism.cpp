@@ -68,7 +68,7 @@ struct Loop {
 };
 
 /// Trailing identifier of a container expression (`node.queues()` ->
-/// queues, `free_by_offset_` -> itself).
+/// queues, `free_by_end_` -> itself).
 std::string trailing_identifier(std::string expr) {
   std::size_t e = expr.size();
   auto skip_ws = [&] {

@@ -1,7 +1,6 @@
 #include "common/units.hpp"
 
 #include <array>
-#include <cmath>
 #include <cstdio>
 
 namespace dmr {
@@ -28,14 +27,6 @@ std::string format_bytes(Bytes b) {
   if (b >= MiB) return format_scaled(v / static_cast<double>(MiB), "MiB");
   if (b >= KiB) return format_scaled(v / static_cast<double>(KiB), "KiB");
   return format_scaled(v, "B");
-}
-
-std::string format_time(SimTime t) {
-  const double a = std::fabs(t);
-  if (a >= 1.0) return format_scaled(t, "s");
-  if (a >= 1e-3) return format_scaled(t * 1e3, "ms");
-  if (a >= 1e-6) return format_scaled(t * 1e6, "us");
-  return format_scaled(t * 1e9, "ns");
 }
 
 std::string format_rate(double bytes_per_sec) {

@@ -26,10 +26,6 @@ inline constexpr double kMilli = 1e-3;
 /// Formats a byte count with a binary suffix, e.g. "24.0 MiB".
 std::string format_bytes(Bytes b);
 
-/// Formats a duration in seconds with an adaptive unit, e.g. "481 s",
-/// "12.3 ms".
-std::string format_time(SimTime t);
-
 /// Formats a throughput in bytes/second, e.g. "4.32 GiB/s".
 std::string format_rate(double bytes_per_sec);
 

@@ -329,7 +329,7 @@ Status DamarisNode::signal_external(const std::string& event,
 void DamarisNode::server_main(Shard& shard) {
   // One queue-lock acquisition and one stats update per batch: every
   // message queued since the last wake-up is handled in FIFO order.
-  std::deque<shm::Message> batch;
+  std::vector<shm::Message> batch;
   while (shard.queue.pop_all(batch)) {
     const auto t0 = WallClock::now();
     for (const shm::Message& msg : batch) handle_message(shard, msg);

@@ -54,7 +54,11 @@ bool EventQueue::enqueue(const Message& msg) {
   }
   queue_.push_back(msg);
   ++pushed_;
-  ready_.store(true, std::memory_order_release);  // sync: queue_ready
+  // Only this lock's holders store ready_, so the relaxed load reads
+  // the latest value, and a push onto a non-empty queue skips the store.
+  if (!ready_.load(std::memory_order_relaxed)) {
+    ready_.store(true, std::memory_order_release);  // sync: queue_ready
+  }
   if (o) {
     o->on_push(msg, /*accepted=*/true);
     o->on_release({SyncPoint::Kind::kQueueMutex, this});
@@ -111,8 +115,12 @@ std::optional<Message> EventQueue::pop_locked() {
     if (o) o->on_release({SyncPoint::Kind::kQueueMutex, this});
     return std::nullopt;
   }
-  Message m = queue_.front();
-  queue_.pop_front();
+  const Message m = queue_[head_++];
+  if (head_ == queue_.size()) {
+    // Drained: later pushes reuse the storage from the front.
+    queue_.clear();
+    head_ = 0;
+  }
   ready_.store(!queue_.empty() || closed_,
                std::memory_order_release);  // sync: queue_ready
   if (o) {
@@ -137,7 +145,7 @@ std::optional<Message> EventQueue::try_pop() {
   return pop_locked();
 }
 
-bool EventQueue::pop_all(std::deque<Message>& out) {
+bool EventQueue::pop_all(std::vector<Message>& out) {
   out.clear();
   for (;;) {
     wait_ready();
@@ -146,6 +154,9 @@ bool EventQueue::pop_all(std::deque<Message>& out) {
     if (queue_.empty() && !closed_) continue;
     ShmObserver* o = observer();
     if (o) o->on_acquire({SyncPoint::Kind::kQueueMutex, this});
+    // Messages pop() or try_pop() already took are not handed out again.
+    queue_.erase(queue_.begin(), queue_.begin() + head_);
+    head_ = 0;
     out.swap(queue_);
     ready_.store(closed_, std::memory_order_release);  // sync: queue_ready
     if (o) {
@@ -189,7 +200,7 @@ bool EventQueue::closed() const {
 
 std::size_t EventQueue::size() const {
   SpinMutexLock lock(mutex_);
-  return queue_.size();
+  return queue_.size() - head_;
 }
 
 std::uint64_t EventQueue::pushed() const {

@@ -22,14 +22,16 @@
 // other: the re-check sees the message, or the push sees the
 // announcement. So no wake-up is lost, and a push to a consumer that
 // is awake makes no syscall. close() wakes unconditionally. The
-// messages themselves still pass under the queue lock, in one FIFO.
+// messages themselves still pass under the queue lock, in one FIFO: a
+// vector that pop_all() swaps with the consumer's emptied batch, so
+// that once both have grown to the largest batch no push allocates.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/thread_annotations.hpp"
 #include "shm/observer.hpp"
@@ -79,9 +81,10 @@ class EventQueue {
 
   /// Batch pop for the dedicated core: blocks like pop(), then moves
   /// every queued message into `out` (replacing its contents), oldest
-  /// first, under one lock acquisition. Returns false only after close()
-  /// with an empty queue.
-  [[nodiscard]] bool pop_all(std::deque<Message>& out);
+  /// first, under one lock acquisition. `out`'s storage becomes the
+  /// queue's, so reusing one batch vector keeps pushes from allocating.
+  /// Returns false only after close() with an empty queue.
+  [[nodiscard]] bool pop_all(std::vector<Message>& out);
 
   /// Wakes all poppers; pop() drains remaining messages, then returns
   /// nullopt. Idempotent.
@@ -134,20 +137,28 @@ class EventQueue {
   /// Takes the oldest message; nullopt when the queue is empty.
   std::optional<Message> pop_locked() DMR_REQUIRES(mutex_);
 
+  // Three cache lines: what a push writes under the lock, the word the
+  // consumer announces its sleep on, and the read-mostly observer.
+
   /// Every write takes this lock, so it spins before it parks.
-  mutable SpinMutex mutex_;
-  std::deque<Message> queue_ DMR_GUARDED_BY(mutex_);
+  alignas(64) mutable SpinMutex mutex_;
   bool closed_ DMR_GUARDED_BY(mutex_) = false;
-  std::uint64_t pushed_ DMR_GUARDED_BY(mutex_) = 0;
-  std::uint64_t dropped_ DMR_GUARDED_BY(mutex_) = 0;
   /// `!queue_.empty() || closed_`, stored under mutex_ by every
   /// operation that changes either, so a consumer can tell whether
-  /// there is work without taking the lock.
+  /// there is work without taking the lock. A push stores it only when
+  /// it is clear.
   std::atomic<bool> ready_{false};
+  /// The queued messages are queue_[head_..]: pop() and try_pop()
+  /// advance head_ and empty the vector once it is drained, so
+  /// queue_.empty() means no message is queued.
+  std::vector<Message> queue_ DMR_GUARDED_BY(mutex_);
+  std::size_t head_ DMR_GUARDED_BY(mutex_) = 0;
+  std::uint64_t pushed_ DMR_GUARDED_BY(mutex_) = 0;
+  std::uint64_t dropped_ DMR_GUARDED_BY(mutex_) = 0;
   /// 1 while a consumer has announced it is going to sleep; the word
   /// it parks on. Cleared by the push or close that wakes it.
-  std::atomic<std::uint32_t> asleep_{0};
-  std::atomic<ShmObserver*> observer_{nullptr};
+  alignas(64) std::atomic<std::uint32_t> asleep_{0};
+  alignas(64) std::atomic<ShmObserver*> observer_{nullptr};
 };
 
 }  // namespace dmr::shm

@@ -21,7 +21,7 @@ SharedBuffer::SharedBuffer(Bytes capacity, AllocPolicy policy,
       fault_seq_(new std::atomic<std::uint64_t>[
           static_cast<std::size_t>(num_clients > 0 ? num_clients : 1)]()) {
   if (policy_ == AllocPolicy::kMutexFirstFit) {
-    if (capacity_ > 0) free_by_offset_.emplace(0, capacity_);
+    if (capacity_ > 0) free_by_end_.emplace(capacity_, 0);
   } else if (num_clients_ > 0) {
     const Bytes slice = capacity_ / static_cast<Bytes>(num_clients_);
     partitions_.reserve(num_clients_);
@@ -51,21 +51,12 @@ void trace_used(Bytes used_now) {
   }
 }
 
+Status used_underflow(Bytes used, Bytes capacity) {
+  return internal_error("used " + std::to_string(used) + " exceeds capacity " +
+                        std::to_string(capacity) + " (accounting underflow)");
+}
+
 }  // namespace
-
-void SharedBuffer::account_alloc(Bytes size) {
-  const Bytes now = used_.fetch_add(size, std::memory_order_relaxed) + size;
-  Bytes peak = peak_.load(std::memory_order_relaxed);
-  while (now > peak &&
-         !peak_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
-  }
-  trace_used(now);
-}
-
-void SharedBuffer::account_free(Bytes size) {
-  const Bytes now = used_.fetch_sub(size, std::memory_order_relaxed) - size;
-  trace_used(now);
-}
 
 Result<Block> SharedBuffer::allocate(Bytes size, int client_id) {
   if (size == 0) {
@@ -138,19 +129,23 @@ void SharedBuffer::deallocate_once(std::span<const Block> sorted) {
     for (; i < sorted.size() && sorted[i].offset == end; ++i) {
       end += sorted[i].size;
     }
-    runs.emplace_hint(runs.end(), offset, end - offset);
+    runs.emplace_hint(runs.end(), end, offset);
     freed += end - offset;
   }
   std::vector<FreeList::node_type> spent;
   spent.reserve(2 * runs.size());
+  Bytes used_now = 0;
   {
     SpinMutexLock lock(mutex_);
     ShmObserver* o = observer();
     if (o) o->on_acquire({SyncPoint::Kind::kBufferMutex, this});
     if (o) o->on_release({SyncPoint::Kind::kBufferMutex, this});
     while (!runs.empty()) free_range(runs.extract(runs.begin()), spent);
+    // Only the lock holder writes the counters: a load and a store.
+    used_now = used_.load(std::memory_order_relaxed) - freed;
+    used_.store(used_now, std::memory_order_relaxed);
   }
-  account_free(freed);
+  trace_used(used_now);
 }
 
 Result<Block> SharedBuffer::allocate_first_fit(Bytes size, int client_id) {
@@ -158,33 +153,35 @@ Result<Block> SharedBuffer::allocate_first_fit(Bytes size, int client_id) {
   // after the lock is released.
   FreeList::node_type spent;
   std::optional<Block> b;
+  Bytes used_now = 0;
   {
     SpinMutexLock lock(mutex_);
     ShmObserver* o = observer();
     if (o) o->on_acquire({SyncPoint::Kind::kBufferMutex, this});
-    for (auto it = free_by_offset_.begin(); it != free_by_offset_.end();
-         ++it) {
-      if (it->second < size) continue;
-      b = Block{it->first, size, client_id};
-      const auto next = std::next(it);
-      FreeList::node_type node = free_by_offset_.extract(it);
-      if (node.mapped() == size) {
-        spent = std::move(node);
+    for (auto it = free_by_end_.begin(); it != free_by_end_.end(); ++it) {
+      const auto [end, start] = *it;
+      if (end - start < size) continue;
+      b = Block{start, size, client_id};
+      // Take the front of the region: its end, the key, stays, so the
+      // node is updated in place.
+      if (end - start == size) {
+        spent = free_by_end_.extract(it);
       } else {
-        // Shrink from the front by re-keying the node: the new offset
-        // still sorts before `next`, and no memory is allocated.
-        node.key() += size;
-        node.mapped() -= size;
-        free_by_offset_.insert(next, std::move(node));
+        it->second = start + size;
+      }
+      // The counters share the lock's cache line, which this thread
+      // holds: a load and a store each, no read-modify-write.
+      used_now = used_.load(std::memory_order_relaxed) + size;
+      used_.store(used_now, std::memory_order_relaxed);
+      if (used_now > peak_.load(std::memory_order_relaxed)) {
+        peak_.store(used_now, std::memory_order_relaxed);
       }
       break;
     }
     if (o) o->on_release({SyncPoint::Kind::kBufferMutex, this});
   }
-  // The counters are shared by every allocating thread: updating them
-  // under the lock would add their cache-line transfer to the section.
   if (b) {
-    account_alloc(size);
+    trace_used(used_now);
     return *b;
   }
   failed_.fetch_add(1, std::memory_order_relaxed);
@@ -194,25 +191,27 @@ Result<Block> SharedBuffer::allocate_first_fit(Bytes size, int client_id) {
 
 void SharedBuffer::free_range(FreeList::node_type run,
                               std::vector<FreeList::node_type>& spent) {
-  // Coalesce with the next free range.
-  auto next = free_by_offset_.lower_bound(run.key());
-  if (next != free_by_offset_.end() &&
-      run.key() + run.mapped() == next->first) {
-    run.mapped() += next->second;
-    const auto after = std::next(next);
-    spent.push_back(free_by_offset_.extract(next));
-    next = after;
+  const Bytes start = run.mapped();
+  const Bytes end = run.key();
+  const auto next = free_by_end_.lower_bound(end);
+  const auto prev = next == free_by_end_.begin() ? free_by_end_.end()
+                                                  : std::prev(next);
+  const bool joins_prev = prev != free_by_end_.end() && prev->first == start;
+  if (next != free_by_end_.end() && next->second == end) {
+    // The next region grows down over the run (and the previous one):
+    // its end, the key, stays.
+    next->second = joins_prev ? prev->second : start;
+    if (joins_prev) spent.push_back(free_by_end_.extract(prev));
+    spent.push_back(std::move(run));
+    return;
   }
-  // Coalesce with the previous free range.
-  if (next != free_by_offset_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second == run.key()) {
-      prev->second += run.mapped();
-      spent.push_back(std::move(run));
-      return;
-    }
+  if (joins_prev) {
+    // The previous region grows up to the run's end: a new key, so the
+    // run's node takes the place of the previous region's.
+    run.mapped() = prev->second;
+    spent.push_back(free_by_end_.extract(prev));
   }
-  free_by_offset_.insert(next, std::move(run));
+  free_by_end_.insert(next, std::move(run));
 }
 
 Result<Block> SharedBuffer::allocate_partitioned(Bytes size, int client_id) {
@@ -237,7 +236,14 @@ Result<Block> SharedBuffer::allocate_partitioned(Bytes size, int client_id) {
   }
   p.head.store(h + size, std::memory_order_relaxed);
   p.live.fetch_add(size, std::memory_order_release);  // sync: partition_live
-  account_alloc(size);
+  // No lock orders the counters under this policy: every client
+  // updates them with read-modify-writes.
+  const Bytes now = used_.fetch_add(size, std::memory_order_relaxed) + size;
+  Bytes peak = peak_.load(std::memory_order_relaxed);
+  while (now > peak &&
+         !peak_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
+  }
+  trace_used(now);
   return Block{p.base + h, size, client_id};
 }
 
@@ -247,27 +253,26 @@ void SharedBuffer::deallocate_partitioned(const Block& block) {
     o->on_release({SyncPoint::Kind::kPartition, &p, block.client_id});
   }
   p.live.fetch_sub(block.size, std::memory_order_release);  // sync: partition_live
-  account_free(block.size);
+  trace_used(used_.fetch_sub(block.size, std::memory_order_relaxed) -
+             block.size);
 }
 
 Status SharedBuffer::check_integrity() const {
-  const Bytes used_now = used();
-  if (used_now > capacity_) {
-    return internal_error("used " + std::to_string(used_now) +
-                          " exceeds capacity " + std::to_string(capacity_) +
-                          " (accounting underflow)");
-  }
   if (policy_ == AllocPolicy::kMutexFirstFit) {
+    // First-fit stores used() under its lock: read it there.
     SpinMutexLock lock(mutex_);
+    const Bytes used_now = used();
+    if (used_now > capacity_) return used_underflow(used_now, capacity_);
     Bytes total_free = 0;
     Bytes prev_end = 0;
     bool first = true;
-    for (const auto& [offset, length] : free_by_offset_) {
-      if (length == 0) {
-        return internal_error("free list holds an empty region at offset " +
-                              std::to_string(offset));
+    for (const auto& [end, offset] : free_by_end_) {
+      if (end <= offset) {
+        return internal_error("free list holds an empty or inverted region "
+                              "at offset " + std::to_string(offset));
       }
-      if (offset + length < offset || offset + length > capacity_) {
+      const Bytes length = end - offset;
+      if (end > capacity_) {
         return internal_error("free region [" + std::to_string(offset) +
                               ", +" + std::to_string(length) +
                               ") exceeds capacity");
@@ -281,7 +286,7 @@ Status SharedBuffer::check_integrity() const {
         return internal_error("adjacent free regions not coalesced at offset " +
                               std::to_string(offset));
       }
-      prev_end = offset + length;
+      prev_end = end;
       total_free += length;
       first = false;
     }
@@ -293,6 +298,8 @@ Status SharedBuffer::check_integrity() const {
     }
     return Status::ok();
   }
+  const Bytes used_now = used();
+  if (used_now > capacity_) return used_underflow(used_now, capacity_);
   Bytes total_live = 0;
   for (int c = 0; c < num_clients_; ++c) {
     const Partition& p = *partitions_[c];

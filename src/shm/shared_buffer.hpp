@@ -93,8 +93,9 @@ class SharedBuffer {
   /// capacity. Returns the first violated invariant. Cheap enough to
   /// run after every step of a model-checked scenario; takes the
   /// allocator lock, so don't call it from an allocation path. The
-  /// used() accounting trails each allocate/deallocate call by a few
-  /// instructions, so call it while no such call is in flight.
+  /// partitioned policy's used() accounting trails each
+  /// allocate/deallocate call by a few instructions, so call it while
+  /// no such call is in flight.
   Status check_integrity() const;
 
   /// Attaches (or detaches, with nullptr) a protocol observer. The
@@ -140,42 +141,33 @@ class SharedBuffer {
 
   Result<Block> allocate_first_fit(Bytes size, int client_id);
   Result<Block> allocate_partitioned(Bytes size, int client_id);
-  /// offset -> length of each free region.
+  /// end -> start of each free region. Regions are disjoint, so this is
+  /// also start order. Keyed by end because first-fit takes the front
+  /// of a region: the start moves, the key stays.
   using FreeList = std::map<Bytes, Bytes>;
 
   /// Observes, then frees, valid blocks sorted by offset; first-fit
   /// coalesces contiguous runs under one lock acquisition.
   void deallocate_once(std::span<const Block> sorted);
-  /// Links the free region `run` (a node keyed offset -> length) into
-  /// the free list, coalescing with its neighbours. Nodes that
-  /// coalescing leaves over go to `spent`, which the caller reserved
-  /// so that this allocates nothing.
+  /// Links the free region `run` (a node keyed end -> start) into the
+  /// free list, coalescing with its neighbours. Nodes that coalescing
+  /// leaves over go to `spent`, which the caller reserved so that this
+  /// allocates nothing.
   void free_range(FreeList::node_type run,
                   std::vector<FreeList::node_type>& spent)
       DMR_REQUIRES(mutex_);
   void deallocate_partitioned(const Block& block);
-  void account_alloc(Bytes size);
-  void account_free(Bytes size);
 
+  // Read by every allocate, written only by the constructor and the
+  // setters: kept off the lines the allocators write.
   std::unique_ptr<std::byte[]> memory_;  // null when unallocatable
   const Bytes capacity_;                  // 0 when memory_ is null
   const AllocPolicy policy_;
   const int num_clients_;
-
-  std::atomic<Bytes> used_{0};
-  std::atomic<Bytes> peak_{0};
-  std::atomic<std::uint64_t> failed_{0};
   std::atomic<ShmObserver*> observer_{nullptr};
   std::atomic<const fault::FaultInjector*> fault_{nullptr};
   /// Per-client allocation counters keying injected exhaustion.
   std::unique_ptr<std::atomic<std::uint64_t>[]> fault_seq_;
-
-  // --- first-fit state (lock-protected) ---
-  /// Every first-fit write takes this lock, so it spins before it
-  /// parks; nothing under it touches the heap. Mutable:
-  /// check_integrity() is const.
-  mutable SpinMutex mutex_;
-  FreeList free_by_offset_ DMR_GUARDED_BY(mutex_);
 
   // --- partitioned state (lock-free per client) ---
   struct alignas(64) Partition {
@@ -185,6 +177,21 @@ class SharedBuffer {
     Bytes length = 0;
   };
   std::vector<std::unique_ptr<Partition>> partitions_;
+
+  // --- first-fit state (lock-protected) ---
+  /// Every first-fit write takes this lock, so it spins before it
+  /// parks; nothing under it touches the heap. What a critical section
+  /// writes starts on the lock's own cache line: the lock word, the
+  /// counters, then the free list's header. Mutable: check_integrity()
+  /// is const.
+  alignas(64) mutable SpinMutex mutex_;
+  /// Bytes reserved and their high-water mark. First-fit stores them
+  /// under mutex_; the partitioned policy, which has no lock, updates
+  /// them with read-modify-writes. Readers load them without the lock.
+  std::atomic<Bytes> used_{0};
+  std::atomic<Bytes> peak_{0};
+  FreeList free_by_end_ DMR_GUARDED_BY(mutex_);
+  std::atomic<std::uint64_t> failed_{0};
 };
 
 }  // namespace dmr::shm

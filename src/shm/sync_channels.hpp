@@ -33,8 +33,11 @@
 // clang-format off
 /// SyncPoint-backed channels: X(kind, channel).
 ///  - queue_mutex:    EventQueue's lock, taken by enqueue, pop, try_pop,
-///    pop_all and close. Messages pass only under it.
-///  - buffer_mutex:   the first-fit allocator's mutex.
+///    pop_all and close. Messages pass only under it, and it orders
+///    the pre-check of ready_ that lets a push skip a redundant store.
+///  - buffer_mutex:   the first-fit allocator's lock. Besides the free
+///    list it orders first-fit's relaxed stores of used_ and peak_,
+///    which share its cache line.
 ///  - partition_live: partitioned-policy per-client `live` counter —
 ///    deallocate's fetch_sub(release) pairs with allocate's
 ///    load(acquire) to make partition rewind safe.
@@ -46,15 +49,17 @@
 /// Atomic-only channels: X(channel).
 ///  - queue_observer:  EventQueue::observer_ publication pointer.
 ///  - queue_ready:     EventQueue::ready_, the lock-free mirror of
-///    "a message is queued or the queue is closed": stored (release)
-///    under the queue lock, loaded (acquire) by a popper's check and
+///    "a message is queued or the queue is closed", on the producers'
+///    cache line: stored (release) under the queue lock, by a push only
+///    when it is clear, and loaded (acquire) by a popper's check and
 ///    re-check before it sleeps.
 ///  - queue_wake:      EventQueue::asleep_, the sleep announcement a
-///    popper parks on: push and close clear it (release) to wake it,
-///    the parked popper's wait and asleep() read it (acquire). The
-///    announcement itself is ordered by seq_cst fences, not by this
-///    pair (event_queue.hpp).
-///  - buffer_observer: SharedBuffer::observer_ publication pointer.
+///    popper parks on, alone on its cache line: push and close clear it
+///    (release) to wake it, the parked popper's wait and asleep() read
+///    it (acquire). The announcement itself is ordered by seq_cst
+///    fences, not by this pair (event_queue.hpp).
+///  - buffer_observer: SharedBuffer::observer_ publication pointer, on
+///    a line the allocators read but never write.
 ///  - buffer_fault:    SharedBuffer::fault_ injector publication pointer.
 #define DMR_ATOMIC_CHANNELS(X) \
   X(queue_observer)            \

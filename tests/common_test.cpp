@@ -21,13 +21,6 @@ TEST(Units, FormatBytes) {
   EXPECT_EQ(format_bytes(1536), "1.50 KiB");
 }
 
-TEST(Units, FormatTime) {
-  EXPECT_EQ(format_time(481.0), "481 s");
-  EXPECT_EQ(format_time(0.2), "200 ms");
-  EXPECT_EQ(format_time(2.5e-5), "25.0 us");
-  EXPECT_EQ(format_time(3e-9), "3.00 ns");
-}
-
 TEST(Units, FormatRate) {
   EXPECT_EQ(format_rate(4.32 * static_cast<double>(GiB)), "4.32 GiB/s");
   EXPECT_EQ(format_rate(695.0 * static_cast<double>(MiB)), "695 MiB/s");

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "check/protocol_checker.hpp"
@@ -177,6 +181,159 @@ TEST(FirstFit, ConcurrentClientsNoCorruption) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(buf.used(), 0u);
+}
+
+// The double release of a block that sits alone, or that coalesced
+// with the free region before it, after it, or both, corrupts the free
+// list or the accounting, and check_integrity() says so.
+TEST(FirstFit, ReleasingABlockTwiceFailsIntegrityWhateverItCoalescedWith) {
+  for (const bool batch : {false, true}) {
+    for (const bool prev_free : {false, true}) {
+      for (const bool next_free : {false, true}) {
+        SharedBuffer buf(400, AllocPolicy::kMutexFirstFit, 1);
+        std::vector<Block> b;
+        for (int i = 0; i < 4; ++i) {
+          auto r = buf.allocate(100, 0);
+          ASSERT_TRUE(r.is_ok());
+          b.push_back(r.value());
+        }
+        if (prev_free) buf.deallocate(b[0]);
+        if (next_free) buf.deallocate(b[2]);
+        buf.deallocate(b[1]);
+        ASSERT_TRUE(buf.check_integrity().is_ok())
+            << buf.check_integrity().to_string();
+        if (batch) {
+          buf.deallocate_batch({b[1]});
+        } else {
+          buf.deallocate(b[1]);
+        }
+        EXPECT_FALSE(buf.check_integrity().is_ok())
+            << "batch " << batch << ", previous free " << prev_free
+            << ", next free " << next_free;
+      }
+    }
+  }
+}
+
+/// First-fit as the reference for the differential test: free regions
+/// [start, end) in a sorted vector; an allocation takes the front of
+/// the lowest region that fits, a release merges with the regions it
+/// touches.
+class ReferenceFirstFit {
+ public:
+  explicit ReferenceFirstFit(Bytes capacity) { free_.push_back({0, capacity}); }
+
+  std::optional<Bytes> allocate(Bytes size) {
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->second - it->first < size) continue;
+      const Bytes offset = it->first;
+      it->first += size;
+      if (it->first == it->second) free_.erase(it);
+      used_ += size;
+      peak_ = std::max(peak_, used_);
+      return offset;
+    }
+    ++failed_;
+    return std::nullopt;
+  }
+
+  void deallocate(const Block& b) {
+    auto it = std::lower_bound(free_.begin(), free_.end(), b.offset,
+                               [](const std::pair<Bytes, Bytes>& r,
+                                  Bytes at) { return r.first < at; });
+    it = free_.insert(it, {b.offset, b.offset + b.size});
+    if (std::next(it) != free_.end() && std::next(it)->first == it->second) {
+      it->second = std::next(it)->second;
+      free_.erase(std::next(it));
+    }
+    if (it != free_.begin() && std::prev(it)->second == it->first) {
+      std::prev(it)->second = it->second;
+      free_.erase(it);
+    }
+    used_ -= b.size;
+  }
+
+  Bytes used() const { return used_; }
+  Bytes peak() const { return peak_; }
+  std::uint64_t failed() const { return failed_; }
+
+ private:
+  std::vector<std::pair<Bytes, Bytes>> free_;
+  Bytes used_ = 0;
+  Bytes peak_ = 0;
+  std::uint64_t failed_ = 0;
+};
+
+// Seeded sequences of allocations (tiny to larger than the buffer, so
+// it runs full), single releases and out-of-order batch releases, from
+// 1 to 16 clients: the allocator places every block where the
+// reference does and fails where it fails, with the same accounting,
+// and its free list is sound after every step.
+TEST(FirstFit, PlacementMatchesAReferenceFirstFit) {
+  constexpr Bytes kCapacity = 64 * KiB;
+  for (const int clients : {1, 2, 3, 7, 16}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SharedBuffer buf(kCapacity, AllocPolicy::kMutexFirstFit, clients);
+      ReferenceFirstFit ref(kCapacity);
+      Rng rng(seed * 1000 + static_cast<std::uint64_t>(clients));
+      std::vector<Block> live;
+      for (int step = 0; step < 1500; ++step) {
+        const std::string where = "clients " + std::to_string(clients) +
+                                  ", seed " + std::to_string(seed) +
+                                  ", step " + std::to_string(step);
+        const std::uint64_t action = rng.next_below(10);
+        if (live.empty() || action < 6) {
+          Bytes size = 0;
+          switch (rng.next_below(5)) {
+            case 0: size = 1 + rng.next_below(16); break;
+            case 1: size = 1 + rng.next_below(512); break;
+            case 2: size = 4 * KiB; break;
+            case 3: size = 1 + rng.next_below(kCapacity / 4); break;
+            default:
+              size = rng.chance(0.1) ? kCapacity + 1
+                                     : 1 + rng.next_below(2 * KiB);
+          }
+          const int client = static_cast<int>(rng.next_below(clients));
+          const Result<Block> got = buf.allocate(size, client);
+          const std::optional<Bytes> want = ref.allocate(size);
+          ASSERT_EQ(got.is_ok(), want.has_value()) << where;
+          if (got.is_ok()) {
+            ASSERT_EQ(got.value().offset, *want) << where;
+            ASSERT_EQ(got.value().size, size) << where;
+            ASSERT_EQ(got.value().client_id, client) << where;
+            live.push_back(got.value());
+          } else {
+            ASSERT_EQ(got.status().code(), ErrorCode::kOutOfMemory) << where;
+          }
+        } else if (action < 8) {
+          const std::size_t i = rng.next_below(live.size());
+          buf.deallocate(live[i]);
+          ref.deallocate(live[i]);
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        } else {
+          // A random subset in a random order, as the dedicated core
+          // lists an iteration's blocks by (variable, source).
+          std::vector<Block> batch;
+          std::vector<Block> kept;
+          for (const Block& b : live) {
+            (rng.chance(0.5) ? batch : kept).push_back(b);
+          }
+          for (std::size_t i = batch.size(); i > 1; --i) {
+            std::swap(batch[i - 1], batch[rng.next_below(i)]);
+          }
+          for (const Block& b : batch) ref.deallocate(b);
+          buf.deallocate_batch(batch);
+          live = std::move(kept);
+        }
+        ASSERT_EQ(buf.used(), ref.used()) << where;
+        ASSERT_EQ(buf.peak_used(), ref.peak()) << where;
+        ASSERT_EQ(buf.failed_allocations(), ref.failed()) << where;
+        const Status integrity = buf.check_integrity();
+        ASSERT_TRUE(integrity.is_ok()) << where << ": "
+                                       << integrity.to_string();
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- partitioned
@@ -426,7 +583,7 @@ TEST(EventQueue, PopAllDrainsEverythingPushedBeforeCloseInFifoOrder) {
   Message late;
   late.iteration = 99;
   EXPECT_FALSE(q.push(late));
-  std::deque<Message> batch;
+  std::vector<Message> batch;
   ASSERT_TRUE(q.pop_all(batch));
   ASSERT_EQ(batch.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(batch[i].iteration, i);
@@ -442,7 +599,7 @@ TEST(EventQueue, PopAllKeepsEachProducersOrder) {
   bool in_order = true;
   int received = 0;
   std::thread consumer([&] {
-    std::deque<Message> batch;
+    std::vector<Message> batch;
     while (q.pop_all(batch)) {
       for (const Message& m : batch) {
         in_order = in_order && m.iteration == next[m.client_id]++;
@@ -476,6 +633,105 @@ TEST(EventQueue, CloseIsIdempotent) {
   q.close();  // second close must not disturb the drain
   EXPECT_TRUE(q.pop().has_value());
   EXPECT_FALSE(q.pop().has_value());
+}
+
+/// Pushes messages with iterations [from, to).
+void push_range(EventQueue& q, int from, int to) {
+  for (int i = from; i < to; ++i) {
+    Message m;
+    m.iteration = i;
+    ASSERT_TRUE(q.push(m));
+  }
+}
+
+std::vector<std::int64_t> iterations_of(const std::vector<Message>& batch) {
+  std::vector<std::int64_t> out;
+  for (const Message& m : batch) out.push_back(m.iteration);
+  return out;
+}
+
+TEST(EventQueue, PopAllAfterPartialPopsSkipsTheConsumedPrefix) {
+  EventQueue q;
+  push_range(q, 0, 10);
+  ASSERT_EQ(q.try_pop()->iteration, 0);
+  ASSERT_EQ(q.try_pop()->iteration, 1);
+  ASSERT_EQ(q.pop()->iteration, 2);
+  std::vector<Message> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(iterations_of(batch),
+            (std::vector<std::int64_t>{3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(q.size(), 0u);
+  // Again on the storage the batch handed back, then once more after a
+  // pop that drains the queue.
+  push_range(q, 10, 13);
+  ASSERT_EQ(q.try_pop()->iteration, 10);
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(iterations_of(batch), (std::vector<std::int64_t>{11, 12}));
+  push_range(q, 13, 14);
+  ASSERT_EQ(q.pop()->iteration, 13);
+  push_range(q, 14, 16);
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(iterations_of(batch), (std::vector<std::int64_t>{14, 15}));
+  EXPECT_FALSE(q.try_pop().has_value());
+}
+
+TEST(EventQueue, SizeCountsOnlyUnpoppedMessages) {
+  EventQueue q;
+  push_range(q, 0, 5);
+  EXPECT_EQ(q.size(), 5u);
+  ASSERT_TRUE(q.try_pop().has_value());
+  ASSERT_TRUE(q.pop().has_value());
+  EXPECT_EQ(q.size(), 3u);
+  push_range(q, 5, 7);
+  EXPECT_EQ(q.size(), 5u);
+  for (int i = 2; i < 7; ++i) ASSERT_EQ(q.try_pop()->iteration, i);
+  EXPECT_EQ(q.size(), 0u);
+  push_range(q, 7, 8);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pushed(), 8u);
+}
+
+TEST(EventQueue, CloseOnAPartlyPoppedQueueDrainsTheRest) {
+  EventQueue q;
+  push_range(q, 0, 6);
+  ASSERT_EQ(q.try_pop()->iteration, 0);
+  ASSERT_EQ(q.pop()->iteration, 1);
+  q.close();
+  Message late;
+  late.iteration = 99;
+  EXPECT_FALSE(q.push(late));
+  EXPECT_EQ(q.size(), 4u);
+  ASSERT_EQ(q.pop()->iteration, 2);
+  std::vector<Message> batch;
+  ASSERT_TRUE(q.pop_all(batch));
+  EXPECT_EQ(iterations_of(batch), (std::vector<std::int64_t>{3, 4, 5}));
+  EXPECT_FALSE(q.pop_all(batch));
+  EXPECT_TRUE(batch.empty());
+  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_FALSE(q.try_pop().has_value());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.pushed(), 6u);
+  EXPECT_EQ(q.dropped(), 1u);
+}
+
+// A consumer that reuses one batch vector trades storage with the
+// queue: once both have grown to the batch size, every pop_all hands
+// back one of the same two buffers, so pushes allocate nothing.
+TEST(EventQueue, PopAllRecyclesTwoBuffersOnceWarm) {
+  EventQueue q;
+  std::vector<Message> batch;
+  std::vector<const Message*> seen;
+  for (int round = 0; round < 8; ++round) {
+    push_range(q, 100 * round, 100 * round + 64);
+    ASSERT_TRUE(q.pop_all(batch));
+    ASSERT_EQ(batch.size(), 64u);
+    EXPECT_EQ(batch.front().iteration, 100 * round);
+    seen.push_back(batch.data());
+  }
+  for (std::size_t r = 2; r < seen.size(); ++r) {
+    EXPECT_EQ(seen[r], seen[r - 2]) << "round " << r;
+    EXPECT_NE(seen[r], seen[r - 1]) << "round " << r;
+  }
 }
 
 TEST(EventQueue, MultiProducerCountsMatch) {
@@ -515,7 +771,7 @@ TEST(EventQueue, SleepingConsumerWakesForEverySinglePush) {
   std::atomic<int> received{0};
   std::atomic<bool> in_order{true};
   std::thread consumer([&] {
-    std::deque<Message> batch;
+    std::vector<Message> batch;
     std::int64_t next = 0;
     while (q.pop_all(batch)) {
       for (const Message& m : batch) {
@@ -560,7 +816,7 @@ TEST(EventQueue, CloseRacingProducersLosesAndDuplicatesNothing) {
     return m.client_id * kCap + static_cast<int>(m.iteration);
   };
   std::thread batch_consumer([&] {
-    std::deque<Message> batch;
+    std::vector<Message> batch;
     while (q.pop_all(batch)) {
       for (const Message& m : batch) ++taken_by_batch[id(m)];
     }
